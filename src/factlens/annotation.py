@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -25,8 +25,6 @@ from .providers import (
 )
 
 logger = logging.getLogger(__name__)
-
-TAG_NAMES = ("claim", "what", "why", "entities")
 
 
 @dataclass(frozen=True)
@@ -261,8 +259,3 @@ def load_annotations(path: str | Path) -> dict[str, Annotation]:
             ann = Annotation.from_json_dict(json.loads(line))
             annotations[ann.article_id] = ann
     return annotations
-
-
-def with_entities(annotation: Annotation, entities: Mapping[str, str]) -> Annotation:
-    """Copy an annotation with a replaced entity map (fixture helper)."""
-    return replace(annotation, entities=dict(entities))

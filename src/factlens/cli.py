@@ -1,33 +1,51 @@
 """Command-line interface: ingest, annotate, embed, similarity, entities,
-polarity, report, and the run-all pipeline."""
+polarity, report, and the run-all pipeline.
+
+The stage subcommands run run-all's pipeline stages on one RunConfig. Their
+flags override the settings they name, default to the run.cfg defaults and
+pass the same checks.
+"""
 
 from __future__ import annotations
 
-import datetime as dt
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import click
 
 from . import corpus as corpus_mod
-from . import entities as ent_mod
+from . import pipeline
 from . import polarity as pol_mod
 from . import report as report_mod
-from .annotation import annotate_corpus, load_annotations, save_annotations
-from .config import AnalysisConfig, ConfigError, load_config, serialize_config
-from .embedding import embed_annotations, load_embeddings, save_embeddings
-from .entities import AliasMap, load_aliases_csv
-from .pipeline import POLARITY_COLUMNS, build_chat_provider, build_embedding_provider, run_all
-from .providers import FixtureChatProvider
-from .similarity import org_vectors, windowed_max_similarity
+from .annotation import load_annotations
+from .config import DEFAULTS, ConfigError, RunConfig, load_config, override, serialize_config
+from .embedding import load_embeddings
 
 
-def _parse_date(value: str, name: str) -> dt.date:
+def _config(base: Callable[[], RunConfig], **flags) -> RunConfig:
+    """base() with each flag given (not None) overriding its setting; a
+    value the config's checks reject is a clean error."""
     try:
-        return dt.date.fromisoformat(value)
+        return override(base(), **{key: value for key, value in flags.items() if value is not None})
+    except ConfigError as exc:
+        raise click.ClickException(str(exc)) from None
+
+
+def _org_pair(orgs: str, corpus: corpus_mod.Corpus) -> tuple[str, str]:
+    """The --orgs pair X,Y; both must be organizations of the store."""
+    try:
+        org_x, org_y = [o.strip() for o in orgs.split(",")]
     except ValueError:
-        raise click.BadParameter(f"{name} must be YYYY-MM-DD") from None
+        raise click.BadParameter("--orgs expects exactly two names, e.g. PolitiFact,Snopes")
+    for org in (org_x, org_y):
+        if org not in corpus.orgs():
+            raise click.BadParameter(
+                f"--orgs: unknown organization {org!r}; the store has {', '.join(corpus.orgs())}"
+            )
+    return org_x, org_y
 
 
 @click.group()
@@ -42,14 +60,16 @@ def main(verbose: bool) -> None:
 
 @main.command()
 @click.option("--input", "input_file", required=True, type=click.Path(exists=True))
-@click.option("--from", "date_from", default="2018-01-01", show_default=True)
-@click.option("--to", "date_to", default="2023-12-31", show_default=True)
+@click.option("--from", "date_from", type=click.DateTime(["%Y-%m-%d"]),
+              default=str(DEFAULTS["date_from"]), show_default=True)
+@click.option("--to", "date_to", type=click.DateTime(["%Y-%m-%d"]),
+              default=str(DEFAULTS["date_to"]), show_default=True)
 @click.option("--out", "store_dir", required=True, type=click.Path())
-def ingest(input_file: str, date_from: str, date_to: str, store_dir: str) -> None:
+def ingest(input_file, date_from, date_to, store_dir) -> None:
     """Load a JSON-lines corpus into a canonical store directory."""
-    date_range = (_parse_date(date_from, "--from"), _parse_date(date_to, "--to"))
+    cfg = _config(RunConfig, date_from=date_from.date(), date_to=date_to.date())
     try:
-        result = corpus_mod.ingest(input_file, date_range)
+        result = corpus_mod.ingest(input_file, (cfg.date_from, cfg.date_to))
     except corpus_mod.CorpusError as exc:
         raise click.ClickException(str(exc))
     corpus_path, rejects_path = corpus_mod.write_store(result, store_dir)
@@ -64,20 +84,17 @@ def ingest(input_file: str, date_from: str, date_to: str, store_dir: str) -> Non
 @click.option("--mock", "fixtures_dir", type=click.Path(exists=True))
 def annotate(store_dir, config_file, cache_dir, fixtures_dir) -> None:
     """Annotate every stored article with the three prompt passes."""
-    try:
-        cfg = load_config(config_file)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc))
-    corpus = corpus_mod.load_store(store_dir)
-    if fixtures_dir:
-        provider = FixtureChatProvider(fixtures_dir, model_name=cfg.provider_model)
-    else:
-        provider = build_chat_provider(cfg)
-    annotations = annotate_corpus(corpus, provider, cfg.provider_config(cache_dir))
-    path = Path(store_dir) / "annotations.jsonl"
-    save_annotations(annotations, path)
+    cfg = _config(
+        lambda: load_config(config_file), cache_dir=cache_dir,
+        provider_kind="fixtures" if fixtures_dir else None, provider_fixtures_dir=fixtures_dir,
+    )
+    store = Path(store_dir)
+    annotations = pipeline.annotate(cfg, corpus_mod.load_store(store), store)
     failed = sum(1 for a in annotations.values() if a.failed_tags)
-    click.echo(f"annotated {len(annotations)} articles ({failed} with failed tags) -> {path}")
+    click.echo(
+        f"annotated {len(annotations)} articles ({failed} with failed tags) "
+        f"-> {store / pipeline.ANNOTATIONS_FILE}"
+    )
 
 
 @main.command()
@@ -85,72 +102,52 @@ def annotate(store_dir, config_file, cache_dir, fixtures_dir) -> None:
 @click.option("--provider-config", "config_file", type=click.Path(exists=True))
 def embed(store_dir, config_file) -> None:
     """Embed annotation sentences into per-tag unit vectors."""
-    try:
-        cfg = load_config(config_file)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc))
-    annotations = load_annotations(Path(store_dir) / "annotations.jsonl")
-    provider = build_embedding_provider(cfg)
-    embeddings = embed_annotations(annotations, provider)
-    path = Path(store_dir) / "embeddings.jsonl"
-    save_embeddings(embeddings, path, dim=provider.dim, provider_name=provider.name)
+    cfg = _config(lambda: load_config(config_file))
+    store = Path(store_dir)
+    embeddings = pipeline.embed(cfg, load_annotations(store / pipeline.ANNOTATIONS_FILE), store)
     present = sum(1 for e in embeddings.values() if not e.absent)
-    click.echo(f"embedded {present}/{len(embeddings)} (article, tag) pairs -> {path}")
+    click.echo(
+        f"embedded {present}/{len(embeddings)} (article, tag) pairs "
+        f"-> {store / pipeline.EMBEDDINGS_FILE}"
+    )
 
 
 @main.command()
 @click.option("--store", "store_dir", required=True, type=click.Path(exists=True))
 @click.option("--tag", type=click.Choice(["claim", "what", "why"]), required=True)
 @click.option("--orgs", required=True, help="Comma-separated pair X,Y.")
-@click.option("--window", default=15, show_default=True, type=int)
-@click.option("--tau", default=0.75, show_default=True, type=float)
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--resamples", default=10000, show_default=True, type=int)
-@click.option("--fraction", default=0.2, show_default=True, type=float,
+@click.option("--window", default=DEFAULTS["window_days"], show_default=True)
+@click.option("--tau", default=DEFAULTS["tau"], show_default=True)
+@click.option("--seed", default=DEFAULTS["seed"], show_default=True)
+@click.option("--resamples", default=DEFAULTS["bootstrap_resamples"], show_default=True)
+@click.option("--fraction", default=DEFAULTS["bootstrap_fraction"], show_default=True,
               help="Bootstrap resample size as a fraction of the sample.")
-@click.option("--level", default=0.95, show_default=True, type=float,
+@click.option("--level", default=DEFAULTS["confidence_level"], show_default=True,
               help="Confidence level of the bootstrap interval.")
 @click.option("--out", "out_file", required=True, type=click.Path())
 @click.option("--per-article-csv", "csv_file", type=click.Path())
 def similarity(store_dir, tag, orgs, window, tau, seed, resamples, fraction, level,
                out_file, csv_file) -> None:
     """Windowed maximum topical similarity for one org pair and tag."""
-    try:
-        org_x, org_y = [o.strip() for o in orgs.split(",")]
-    except ValueError:
-        raise click.BadParameter("--orgs expects exactly two names, e.g. PolitiFact,Snopes")
+    cfg = _config(
+        RunConfig, window_days=window, tau=tau, seed=seed, bootstrap_resamples=resamples,
+        bootstrap_fraction=fraction, confidence_level=level,
+    )
     corpus = corpus_mod.load_store(store_dir)
-    countries = {
-        org: next((a.country for a in corpus.by_org(org)), None) for org in (org_x, org_y)
-    }
-    if countries[org_x] != countries[org_y]:
+    org_x, org_y = _org_pair(orgs, corpus)
+    if corpus.by_org(org_x)[0].country != corpus.by_org(org_y)[0].country:
         click.echo(
             "warning: cross-geography comparison requested; reference analyses "
             "stay within one geography",
             err=True,
         )
-    embeddings, _ = load_embeddings(Path(store_dir) / "embeddings.jsonl")
-    try:
-        cfg = AnalysisConfig(
-            window_days=window, tau=tau, seed=seed,
-            bootstrap_resamples=resamples, bootstrap_fraction=fraction,
-            confidence_level=level,
-        )
-    except ConfigError as exc:
-        raise click.ClickException(str(exc))
-    result = windowed_max_similarity(
-        org_vectors(corpus, embeddings, org_x, tag),
-        org_vectors(corpus, embeddings, org_y, tag),
-        cfg, org_x=org_x, org_y=org_y, tag=tag,
-    )
-    report_mod.export_table([result.to_json_dict()], "json", out_file)
+    embeddings, _ = load_embeddings(Path(store_dir) / pipeline.EMBEDDINGS_FILE)
+    [result] = pipeline.similarity(cfg, corpus, embeddings, [(org_x, org_y)], (tag,))
+    payload = result.to_json_dict()
+    report_mod.export_table([payload], "json", out_file)
     if csv_file:
-        rows = [
-            {"article_id": m.article_id, "best_match_id": m.best_match_id, "max_sim": m.max_sim}
-            for m in result.per_article
-        ]
         report_mod.export_table(
-            rows, "csv", csv_file, ("article_id", "best_match_id", "max_sim")
+            payload["per_article"], "csv", csv_file, ("article_id", "best_match_id", "max_sim")
         )
     med = "absent" if result.median_matched is None else f"{result.median_matched:.4f}"
     click.echo(
@@ -162,95 +159,68 @@ def similarity(store_dir, tag, orgs, window, tau, seed, resamples, fraction, lev
 @main.command()
 @click.option("--store", "store_dir", required=True, type=click.Path(exists=True))
 @click.option("--aliases", "aliases_file", type=click.Path(exists=True))
-@click.option("--top-k", default=100, show_default=True, type=int)
-@click.option("--window", default=15, show_default=True, type=int)
+@click.option("--top-k", default=DEFAULTS["top_k_entities"], show_default=True)
+@click.option("--window", default=DEFAULTS["window_days"], show_default=True)
 @click.option("--orgs", required=True, help="Comma-separated pair X,Y.")
 @click.option("--out", "out_file", required=True, type=click.Path())
 def entities(store_dir, aliases_file, top_k, window, orgs, out_file) -> None:
     """Top-k political-entity overlap (global and windowed) for one pair."""
-    try:
-        org_x, org_y = [o.strip() for o in orgs.split(",")]
-    except ValueError:
-        raise click.BadParameter("--orgs expects exactly two names")
+    cfg = _config(RunConfig, aliases_file=aliases_file, top_k_entities=top_k, window_days=window)
     corpus = corpus_mod.load_store(store_dir)
-    annotations = load_annotations(Path(store_dir) / "annotations.jsonl")
-    aliases = load_aliases_csv(aliases_file) if aliases_file else AliasMap.empty()
-    sets = {}
-    for org in (org_x, org_y):
-        anns = [annotations[a.id] for a in corpus.by_org(org) if a.id in annotations]
-        sets[org] = ent_mod.top_k_entities(anns, aliases, top_k, org=org)
-    global_js = ent_mod.jaccard(sets[org_x].names(), sets[org_y].names())
-    windowed = ent_mod.windowed_jaccard(
-        ent_mod.org_mentions(corpus, annotations, aliases, org_x),
-        ent_mod.org_mentions(corpus, annotations, aliases, org_y),
-        top_k, window, org_x=org_x, org_y=org_y,
+    org_x, org_y = _org_pair(orgs, corpus)
+    annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
+    tops, [payload] = pipeline.entity_overlap(
+        cfg, corpus, annotations, pipeline.load_alias_map(cfg), [(org_x, org_y)]
     )
-    report_mod.export_table(
-        [
-            {
-                "org_x": org_x, "org_y": org_y, "top_k": top_k, "window_days": window,
-                "global_jaccard": global_js,
-                "windowed_median": windowed.median,
-                "windowed_days": [d.isoformat() for d in windowed.days],
-                "windowed_values": list(windowed.values),
-                "top_entities_x": [list(e) for e in sets[org_x].entities],
-                "top_entities_y": [list(e) for e in sets[org_y].entities],
-            }
-        ],
-        "json",
-        out_file,
-    )
-    gj = "absent" if global_js is None else f"{global_js:.4f}"
-    wm = "absent" if windowed.median is None else f"{windowed.median:.4f}"
+    payload["top_entities_x"] = [list(e) for e in tops[org_x].entities]
+    payload["top_entities_y"] = [list(e) for e in tops[org_y].entities]
+    report_mod.export_table([payload], "json", out_file)
+    gj = "absent" if payload["global_jaccard"] is None else f"{payload['global_jaccard']:.4f}"
+    wm = "absent" if payload["windowed_median"] is None else f"{payload['windowed_median']:.4f}"
     click.echo(f"{org_x}-{org_y} global JS={gj} windowed median={wm} -> {out_file}")
 
 
 @main.command()
 @click.option("--store", "store_dir", required=True, type=click.Path(exists=True))
 @click.option("--aliases", "aliases_file", type=click.Path(exists=True))
-@click.option("--top-k", default=5, show_default=True, type=int)
+@click.option("--top-k", default=DEFAULTS["top_k_polarity"], show_default=True)
 @click.option("--precisions", "precisions_file", type=click.Path(exists=True))
 @click.option("--by-year", is_flag=True)
-@click.option("--min-support", default=10, show_default=True, type=int)
+@click.option("--min-support", default=DEFAULTS["min_support"], show_default=True)
 @click.option("--out", "out_file", required=True, type=click.Path())
 def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_support, out_file) -> None:
     """Polarity scores with max-log-error bars per organization."""
-    corpus = corpus_mod.load_store(store_dir)
-    annotations = load_annotations(Path(store_dir) / "annotations.jsonl")
-    aliases = load_aliases_csv(aliases_file) if aliases_file else AliasMap.empty()
-    prec = (
-        pol_mod.load_precisions_csv(precisions_file)
-        if precisions_file
-        else pol_mod.PrecisionConfig()
-    )
-    rows: list[dict] = []
-    summary: list[str] = []
-    for org in corpus.orgs():
+    cfg = _config(RunConfig, aliases_file=aliases_file, top_k_polarity=top_k,
+                  min_support=min_support)
+    if precisions_file:
         try:
-            org_result = pol_mod.org_polarity(
-                corpus, annotations, aliases, org,
-                top_k=top_k, prec=prec, min_support=min_support,
-            )
+            cfg = replace(cfg, precisions=pol_mod.load_precisions_csv(precisions_file))
         except ValueError as exc:
-            click.echo(f"warning: {exc}", err=True)
-            continue
-        ranked = org_result.entities
+            raise click.ClickException(str(exc)) from None
+    corpus = corpus_mod.load_store(store_dir)
+    annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
+    aliases = pipeline.load_alias_map(cfg)
+    org_results, skipped = pipeline.polarity(cfg, corpus, annotations, aliases)
+    for reason in skipped.values():
+        click.echo(f"warning: {reason}", err=True)
+    rows: list[dict] = []
+    for res in org_results:
         if by_year:
-            for r in ranked[:top_k]:
+            for r in res.entities[: cfg.top_k_polarity]:
                 series = pol_mod.entity_series(
-                    corpus, annotations, aliases, org, r.counts.entity,
-                    by_year=True, prec=prec,
+                    corpus, annotations, aliases, res.org, r.counts.entity,
+                    by_year=True, prec=cfg.precisions,
                 )
                 rows.extend(pol_mod.polarity_rows(series))
         else:
-            rows.extend(pol_mod.polarity_rows(ranked))
-        summary.append(
-            f"{org}: micro={org_result.micro_ps:.4f} macro(top-{top_k})={org_result.macro_ps:.4f}"
-        )
+            rows.extend(pol_mod.polarity_rows(res.entities))
     fmt = "json" if str(out_file).endswith(".json") else "csv"
-    report_mod.export_table(rows, fmt, out_file, POLARITY_COLUMNS)
-    for line in summary:
-        click.echo(line)
+    report_mod.export_table(rows, fmt, out_file, pipeline.POLARITY_COLUMNS)
+    for res in org_results:
+        click.echo(
+            f"{res.org}: micro={res.micro_ps:.4f} "
+            f"macro(top-{cfg.top_k_polarity})={res.macro_ps:.4f}"
+        )
     click.echo(f"{len(rows)} polarity rows -> {out_file}")
 
 
@@ -275,7 +245,7 @@ def report(input_files, fmt, out_file, title) -> None:
         svg = report_mod.render_polarity_chart(rows, title=title)
         Path(out_file).write_text(svg, encoding="utf-8")
     else:
-        columns = list(rows[0].keys()) if rows else POLARITY_COLUMNS
+        columns = list(rows[0].keys()) if rows else pipeline.POLARITY_COLUMNS
         report_mod.export_table(rows, fmt, out_file, columns)
     click.echo(f"wrote {fmt} report ({len(rows)} rows) -> {out_file}")
 
@@ -287,15 +257,12 @@ def report(input_files, fmt, out_file, title) -> None:
 @click.option("--print-config", is_flag=True, help="Dump the effective config and exit.")
 def run_all_cmd(store_dir, config_file, out_dir, print_config) -> None:
     """Run ingest, annotate, embed, similarity, entities, polarity, report."""
-    try:
-        cfg = load_config(config_file)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc))
+    cfg = _config(lambda: load_config(config_file))
     if print_config:
         click.echo(serialize_config(cfg), nl=False)
         return
     try:
-        summary = run_all(cfg, store_dir, out_dir)
+        summary = pipeline.run_all(cfg, store_dir, out_dir)
     except (corpus_mod.CorpusError, ValueError) as exc:
         raise click.ClickException(str(exc))
     click.echo(

@@ -1,10 +1,10 @@
 """Run configuration: one flat key-value file plus environment overrides.
 
-Defaults follow the analysis constants baked into the pipeline: a +/-15
-day window, similarity threshold 0.75, 10,000 bootstrap resamples at a
-20% sample fraction and 95% level, top-100 entity sets, top-5 polarity
-entities, and negative-class precision 0.706. Secrets (the API key) are
-read from the environment only and never serialized.
+The dataclasses below are the one statement of every setting. A run.cfg
+key is a field name, with the fields of the nested analysis and
+precision configs flattened in; its type is the type of its default, and
+its check sits in the owning dataclass's __post_init__. Secrets (the API
+key) are read from the environment only and never serialized.
 """
 
 from __future__ import annotations
@@ -50,8 +50,11 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
-    precisions: PrecisionConfig = field(default_factory=PrecisionConfig)
+    # A nested config's fields are run.cfg keys led by the field's "prefix".
+    analysis: AnalysisConfig = field(default_factory=AnalysisConfig, metadata={"prefix": ""})
+    precisions: PrecisionConfig = field(
+        default_factory=PrecisionConfig, metadata={"prefix": "precision_"}
+    )
     top_k_entities: int = 100
     top_k_polarity: int = 5
     min_support: int = 10
@@ -66,72 +69,91 @@ class RunConfig:
     embedding_kind: str = "hashed"  # hashed | http
     embedding_endpoint: str = ""
     embedding_dim: int = 64
-    store_dir: str = "store"
     cache_dir: str = "cache"
-    output_dir: str = "out"
     aliases_file: str = ""
     input_file: str = ""
     api_key: str | None = None  # env only; never serialized
 
-    def provider_config(self, cache_dir: str | Path | None = None) -> ProviderConfig:
+    def __post_init__(self) -> None:
+        for key in ("top_k_entities", "top_k_polarity", "min_support", "embedding_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key}: must be >= 1")
+        if self.date_from > self.date_to:
+            raise ConfigError("date_from: must not be after date_to")
+        if self.provider_kind not in ("synthetic", "fixtures", "http"):
+            raise ConfigError(f"provider_kind: unknown kind {self.provider_kind!r}")
+        if self.embedding_kind not in ("hashed", "http"):
+            raise ConfigError(f"embedding_kind: unknown kind {self.embedding_kind!r}")
+        if self.provider_kind == "http" and not self.provider_endpoint:
+            raise ConfigError("provider_endpoint: required when provider_kind = http")
+        if self.provider_kind == "fixtures" and not self.provider_fixtures_dir:
+            raise ConfigError("provider_fixtures_dir: required when provider_kind = fixtures")
+        if self.embedding_kind == "http" and not self.embedding_endpoint:
+            raise ConfigError("embedding_endpoint: required when embedding_kind = http")
+        if self.provider_max_retries < 0:
+            raise ConfigError("provider_max_retries: must be >= 0")
+        if self.provider_rate_limit <= 0:
+            raise ConfigError("provider_rate_limit: must be > 0")
+
+    def provider_config(self) -> ProviderConfig:
         return ProviderConfig(
             endpoint=self.provider_endpoint,
             model_name=self.provider_model,
             max_retries=self.provider_max_retries,
             rate_limit=self.provider_rate_limit,
-            cache_dir=Path(cache_dir if cache_dir is not None else self.cache_dir),
+            cache_dir=Path(self.cache_dir),
         )
 
 
-_SIMPLE_KEYS: dict[str, tuple[str, type]] = {
-    "top_k_entities": ("top_k_entities", int),
-    "top_k_polarity": ("top_k_polarity", int),
-    "min_support": ("min_support", int),
-    "provider_kind": ("provider_kind", str),
-    "provider_endpoint": ("provider_endpoint", str),
-    "provider_model": ("provider_model", str),
-    "provider_max_retries": ("provider_max_retries", int),
-    "provider_rate_limit": ("provider_rate_limit", float),
-    "provider_fixtures_dir": ("provider_fixtures_dir", str),
-    "embedding_kind": ("embedding_kind", str),
-    "embedding_endpoint": ("embedding_endpoint", str),
-    "embedding_dim": ("embedding_dim", int),
-    "store_dir": ("store_dir", str),
-    "cache_dir": ("cache_dir", str),
-    "output_dir": ("output_dir", str),
-    "aliases_file": ("aliases_file", str),
-    "input_file": ("input_file", str),
-}
-
-_ANALYSIS_KEYS: dict[str, type] = {
-    "window_days": int,
-    "tau": float,
-    "bootstrap_resamples": int,
-    "bootstrap_fraction": float,
-    "confidence_level": float,
-    "seed": int,
-}
-
-_PRECISION_KEYS = {
-    "precision_positive": "positive",
-    "precision_negative": "negative",
-    "precision_neutral": "neutral",
-}
-
-_DATE_KEYS = ("date_from", "date_to")
-
-KNOWN_KEYS = (
-    set(_SIMPLE_KEYS) | set(_ANALYSIS_KEYS) | set(_PRECISION_KEYS) | set(_DATE_KEYS)
-)
+def _flat_keys() -> dict[str, tuple[str, str | None]]:
+    """Each run.cfg key -> (RunConfig field, field of the nested config or None)."""
+    keys: dict[str, tuple[str, str | None]] = {}
+    for f in fields(RunConfig):
+        if "prefix" in f.metadata:
+            for sub in fields(f.default_factory):
+                keys[f.metadata["prefix"] + sub.name] = (f.name, sub.name)
+        elif f.name != "api_key":
+            keys[f.name] = (f.name, None)
+    return keys
 
 
-def _parse_value(key: str, raw: str, kind: type):
+_KEYS = _flat_keys()
+
+
+def settings(cfg: RunConfig) -> dict[str, object]:
+    """Each run.cfg key with its value in cfg."""
+    return {
+        key: getattr(cfg, name) if sub is None else getattr(getattr(cfg, name), sub)
+        for key, (name, sub) in _KEYS.items()
+    }
+
+
+DEFAULTS = settings(RunConfig())
+
+
+def override(cfg: RunConfig, **values: object) -> RunConfig:
+    """cfg with the given run.cfg keys replaced, checked like any RunConfig."""
+    top: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {}
+    for key, value in values.items():
+        name, sub = _KEYS[key]
+        if sub is None:
+            top[name] = value
+        else:
+            nested.setdefault(name, {})[sub] = value
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        for name, subs in nested.items():
+            top[name] = replace(getattr(cfg, name), **subs)
+        return replace(cfg, **top)
+    except ValueError as exc:  # PrecisionConfig's checks raise ValueError
+        raise ConfigError(str(exc)) from None
+
+
+def _parse_value(key: str, raw: str) -> object:
+    """raw as the type of key's default."""
+    kind = type(DEFAULTS[key])
+    try:
+        return dt.date.fromisoformat(raw) if kind is dt.date else kind(raw)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from None
 
@@ -166,89 +188,18 @@ def load_config(
         if env_key == API_KEY_ENV or not env_key.startswith(ENV_PREFIX):
             continue
         key = env_key[len(ENV_PREFIX) :].lower()
-        if key in KNOWN_KEYS:
+        if key in _KEYS:
             values[key] = env_value
 
-    unknown = sorted(set(values) - KNOWN_KEYS)
+    unknown = sorted(set(values) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-
-    analysis_kwargs = {}
-    for key, kind in _ANALYSIS_KEYS.items():
-        if key in values:
-            analysis_kwargs[key] = _parse_value(key, values[key], kind)
-    precision_kwargs = {}
-    for key, attr in _PRECISION_KEYS.items():
-        if key in values:
-            precision_kwargs[attr] = _parse_value(key, values[key], float)
-    simple_kwargs = {}
-    for key, (attr, kind) in _SIMPLE_KEYS.items():
-        if key in values:
-            simple_kwargs[attr] = _parse_value(key, values[key], kind)
-    date_kwargs = {}
-    for key in _DATE_KEYS:
-        if key in values:
-            try:
-                date_kwargs[key] = dt.date.fromisoformat(values[key])
-            except ValueError:
-                raise ConfigError(f"{key}: invalid date {values[key]!r}") from None
-
-    try:
-        analysis = AnalysisConfig(**analysis_kwargs)
-        precisions = PrecisionConfig(**precision_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    cfg = RunConfig(
-        analysis=analysis,
-        precisions=precisions,
-        api_key=env.get(API_KEY_ENV),
-        **simple_kwargs,
-        **date_kwargs,
+    return override(
+        RunConfig(api_key=env.get(API_KEY_ENV)),
+        **{key: _parse_value(key, raw) for key, raw in values.items()},
     )
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.top_k_entities < 1:
-        raise ConfigError("top_k_entities: must be >= 1")
-    if cfg.top_k_polarity < 1:
-        raise ConfigError("top_k_polarity: must be >= 1")
-    if cfg.min_support < 1:
-        raise ConfigError("min_support: must be >= 1")
-    if cfg.date_from > cfg.date_to:
-        raise ConfigError("date_from: must not be after date_to")
-    if cfg.provider_kind not in ("synthetic", "fixtures", "http"):
-        raise ConfigError(f"provider_kind: unknown kind {cfg.provider_kind!r}")
-    if cfg.embedding_kind not in ("hashed", "http"):
-        raise ConfigError(f"embedding_kind: unknown kind {cfg.embedding_kind!r}")
-    if cfg.embedding_dim < 1:
-        raise ConfigError("embedding_dim: must be >= 1")
-    if cfg.provider_kind == "http" and not cfg.provider_endpoint:
-        raise ConfigError("provider_endpoint: required when provider_kind = http")
-    if cfg.embedding_kind == "http" and not cfg.embedding_endpoint:
-        raise ConfigError("embedding_endpoint: required when embedding_kind = http")
-    if cfg.provider_max_retries < 0:
-        raise ConfigError("provider_max_retries: must be >= 0")
-    if cfg.provider_rate_limit <= 0:
-        raise ConfigError("provider_rate_limit: must be > 0")
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Effective config as sorted `key = value` lines (API key excluded)."""
-    pairs: dict[str, str] = {}
-    for f in fields(AnalysisConfig):
-        pairs[f.name] = str(getattr(cfg.analysis, f.name))
-    pairs["precision_positive"] = str(cfg.precisions.positive)
-    pairs["precision_negative"] = str(cfg.precisions.negative)
-    pairs["precision_neutral"] = str(cfg.precisions.neutral)
-    for key, (attr, _) in _SIMPLE_KEYS.items():
-        pairs[key] = str(getattr(cfg, attr))
-    pairs["date_from"] = cfg.date_from.isoformat()
-    pairs["date_to"] = cfg.date_to.isoformat()
-    return "".join(f"{key} = {pairs[key]}\n" for key in sorted(pairs))
-
-
-def with_seed(cfg: AnalysisConfig, seed: int) -> AnalysisConfig:
-    return replace(cfg, seed=seed)
+    return "".join(f"{key} = {value}\n" for key, value in sorted(settings(cfg).items()))

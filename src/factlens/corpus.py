@@ -61,12 +61,6 @@ class Corpus:
     def by_org(self, org: str) -> list[Article]:
         return [a for a in self.articles if a.org == org]
 
-    def get(self, article_id: str) -> Article | None:
-        for a in self.articles:
-            if a.id == article_id:
-                return a
-        return None
-
 
 @dataclass(frozen=True, slots=True)
 class Rejection:

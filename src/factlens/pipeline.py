@@ -16,9 +16,9 @@ from . import corpus as corpus_mod
 from . import entities as ent_mod
 from . import polarity as pol_mod
 from . import report
-from .annotation import annotate_corpus, load_annotations, save_annotations
+from .annotation import Annotation, annotate_corpus, save_annotations
 from .config import RunConfig, serialize_config
-from .embedding import embed_annotations, load_embeddings, save_embeddings
+from .embedding import SENTENCE_TAGS, TagEmbedding, embed_annotations, save_embeddings
 from .entities import AliasMap, load_aliases_csv
 from .providers import (
     FixtureChatProvider,
@@ -27,7 +27,7 @@ from .providers import (
     HttpEmbeddingProvider,
     SyntheticChatProvider,
 )
-from .similarity import org_vectors, windowed_max_similarity
+from .similarity import SimilarityResult, org_vectors, windowed_max_similarity
 
 logger = logging.getLogger(__name__)
 
@@ -40,14 +40,14 @@ POLARITY_COLUMNS = (
     "org", "entity", "period", "n_pos", "n_neg", "n_total", "ps", "delta_ps",
 )
 ORG_COLUMNS = ("org", "micro_ps", "macro_ps", "n_entities")
+ANNOTATIONS_FILE = "annotations.jsonl"
+EMBEDDINGS_FILE = "embeddings.jsonl"
 
 
 def build_chat_provider(cfg: RunConfig):
     if cfg.provider_kind == "synthetic":
         return SyntheticChatProvider(model_name=cfg.provider_model)
     if cfg.provider_kind == "fixtures":
-        if not cfg.provider_fixtures_dir:
-            raise ValueError("provider_fixtures_dir is required for fixtures provider")
         return FixtureChatProvider(cfg.provider_fixtures_dir, model_name=cfg.provider_model)
     return HttpChatProvider(
         cfg.provider_config(), api_key=cfg.api_key, seed=cfg.analysis.seed
@@ -73,17 +73,113 @@ def _org_pairs(corpus: corpus_mod.Corpus) -> list[tuple[str, str]]:
     """Ordered org pairs within each country, in sorted order."""
     by_country: dict[str, list[str]] = {}
     for org in corpus.orgs():
-        country = next(
-            (a.country for a in corpus.by_org(org)), ""
-        )
-        by_country.setdefault(country, []).append(org)
-    pairs = []
+        by_country.setdefault(corpus.by_org(org)[0].country, []).append(org)
+    pairs: list[tuple[str, str]] = []
     for country in sorted(by_country):
-        orgs = sorted(by_country[country])
-        pairs.extend(
-            (x, y) for x, y in itertools.permutations(orgs, 2)
-        )
+        pairs.extend(itertools.permutations(sorted(by_country[country]), 2))
     return pairs
+
+
+def annotate(cfg: RunConfig, corpus: corpus_mod.Corpus, store: Path) -> dict[str, Annotation]:
+    """Annotate every article (responses cached under cfg.cache_dir); saved to the store."""
+    annotations = annotate_corpus(corpus, build_chat_provider(cfg), cfg.provider_config())
+    save_annotations(annotations, store / ANNOTATIONS_FILE)
+    return annotations
+
+
+def embed(
+    cfg: RunConfig, annotations: dict[str, Annotation], store: Path
+) -> dict[tuple[str, str], TagEmbedding]:
+    """Embed every annotated (article, tag); saved to the store."""
+    embedder = build_embedding_provider(cfg)
+    embeddings = embed_annotations(annotations, embedder)
+    save_embeddings(
+        embeddings, store / EMBEDDINGS_FILE, dim=embedder.dim, provider_name=embedder.name
+    )
+    return embeddings
+
+
+def similarity(
+    cfg: RunConfig,
+    corpus: corpus_mod.Corpus,
+    embeddings: dict[tuple[str, str], TagEmbedding],
+    pairs: list[tuple[str, str]],
+    tags: tuple[str, ...] = SENTENCE_TAGS,
+) -> list[SimilarityResult]:
+    """Windowed max similarity per org pair and tag, pair-major."""
+    return [
+        windowed_max_similarity(
+            org_vectors(corpus, embeddings, org_x, tag),
+            org_vectors(corpus, embeddings, org_y, tag),
+            cfg.analysis, org_x=org_x, org_y=org_y, tag=tag,
+        )
+        for org_x, org_y in pairs
+        for tag in tags
+    ]
+
+
+def entity_overlap(
+    cfg: RunConfig,
+    corpus: corpus_mod.Corpus,
+    annotations: dict[str, Annotation],
+    aliases: AliasMap,
+    pairs: list[tuple[str, str]],
+) -> tuple[dict[str, ent_mod.EntitySet], list[dict]]:
+    """Each paired org's top-k entity set, and per pair the global top-k
+    Jaccard plus the windowed distribution; per-org work is done once."""
+    orgs = sorted({org for pair in pairs for org in pair})
+    mentions = {
+        org: ent_mod.org_mentions(corpus, annotations, aliases, org) for org in orgs
+    }
+    tops = {
+        org: ent_mod.top_k_entities(
+            [annotations[a.id] for a in corpus.by_org(org) if a.id in annotations],
+            aliases, cfg.top_k_entities, org=org,
+        )
+        for org in orgs
+    }
+    overlaps = []
+    for org_x, org_y in pairs:
+        windowed = ent_mod.windowed_jaccard(
+            mentions[org_x], mentions[org_y],
+            cfg.top_k_entities, cfg.analysis.window_days,
+            org_x=org_x, org_y=org_y,
+        )
+        overlaps.append(
+            {
+                "org_x": org_x, "org_y": org_y,
+                "top_k": cfg.top_k_entities,
+                "window_days": cfg.analysis.window_days,
+                "global_jaccard": ent_mod.jaccard(tops[org_x].names(), tops[org_y].names()),
+                "windowed_median": windowed.median,
+                "windowed_days": [d.isoformat() for d in windowed.days],
+                "windowed_values": list(windowed.values),
+            }
+        )
+    return tops, overlaps
+
+
+def polarity(
+    cfg: RunConfig,
+    corpus: corpus_mod.Corpus,
+    annotations: dict[str, Annotation],
+    aliases: AliasMap,
+) -> tuple[list[pol_mod.OrgPolarity], dict[str, str]]:
+    """Polarity per organization, plus the reason for each org skipped for lack of support."""
+    results: list[pol_mod.OrgPolarity] = []
+    skipped: dict[str, str] = {}
+    for org in corpus.orgs():
+        try:
+            results.append(
+                pol_mod.org_polarity(
+                    corpus, annotations, aliases, org,
+                    top_k=cfg.top_k_polarity, prec=cfg.precisions,
+                    min_support=cfg.min_support,
+                )
+            )
+        except ValueError as exc:
+            skipped[org] = str(exc)
+    return results, skipped
 
 
 @dataclass(frozen=True)
@@ -115,126 +211,45 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
         corpus = corpus_mod.load_store(store)
         logger.info("loaded %d articles from store", len(corpus))
 
-    # Annotate (cache under the configured cache dir), then embed.
-    annotations_path = store / "annotations.jsonl"
-    chat = build_chat_provider(cfg)
-    annotations = annotate_corpus(corpus, chat, cfg.provider_config())
-    save_annotations(annotations, annotations_path)
-    annotations = load_annotations(annotations_path)
-
-    embedder = build_embedding_provider(cfg)
-    embeddings_path = store / "embeddings.jsonl"
-    embeddings = embed_annotations(annotations, embedder)
-    save_embeddings(embeddings, embeddings_path, dim=embedder.dim, provider_name=embedder.name)
-    embeddings, _ = load_embeddings(embeddings_path)
-
+    annotations = annotate(cfg, corpus, store)
+    embeddings = embed(cfg, annotations, store)
     aliases = load_alias_map(cfg)
     pairs = _org_pairs(corpus)
 
-    # Topical similarity per pair and tag.
-    sim_dir = out / "similarity"
-    sim_dir.mkdir(exist_ok=True)
+    (out / "similarity").mkdir(exist_ok=True)
     sim_rows = []
-    for org_x, org_y in pairs:
-        for tag in ("claim", "what", "why"):
-            res = windowed_max_similarity(
-                org_vectors(corpus, embeddings, org_x, tag),
-                org_vectors(corpus, embeddings, org_y, tag),
-                cfg.analysis,
-                org_x=org_x,
-                org_y=org_y,
-                tag=tag,
-            )
-            report.export_table(
-                [res.to_json_dict()], "json", sim_dir / f"{org_x}-{org_y}-{tag}.json"
-            )
-            sim_rows.append(
-                {
-                    "org_x": org_x, "org_y": org_y, "tag": tag,
-                    "n_embedded": res.n_embedded, "match_rate": res.match_rate,
-                    "median_matched": res.median_matched, "median_all": res.median_all,
-                    "ci_low": None if res.ci is None else res.ci[0],
-                    "ci_high": None if res.ci is None else res.ci[1],
-                }
-            )
+    for res in similarity(cfg, corpus, embeddings, pairs):
+        payload = res.to_json_dict()
+        report.export_table(
+            [payload], "json", out / "similarity" / f"{res.org_x}-{res.org_y}-{res.tag}.json"
+        )
+        sim_rows.append({key: payload[key] for key in SIMILARITY_COLUMNS})
     report.export_table(sim_rows, "csv", out / "similarity.csv", SIMILARITY_COLUMNS)
 
-    # Entity overlap per pair: one global top-k scalar plus the windowed
-    # distribution.
-    ent_dir = out / "entities"
-    ent_dir.mkdir(exist_ok=True)
+    (out / "entities").mkdir(exist_ok=True)
     js_rows = []
-    mentions = {
-        org: ent_mod.org_mentions(corpus, annotations, aliases, org)
-        for org in corpus.orgs()
-    }
-    for org_x, org_y in pairs:
-        set_x = ent_mod.top_k_entities(
-            [annotations[a.id] for a in corpus.by_org(org_x) if a.id in annotations],
-            aliases, cfg.top_k_entities, org=org_x,
-        )
-        set_y = ent_mod.top_k_entities(
-            [annotations[a.id] for a in corpus.by_org(org_y) if a.id in annotations],
-            aliases, cfg.top_k_entities, org=org_y,
-        )
-        global_js = ent_mod.jaccard(set_x.names(), set_y.names())
-        windowed = ent_mod.windowed_jaccard(
-            mentions[org_x], mentions[org_y],
-            cfg.top_k_entities, cfg.analysis.window_days,
-            org_x=org_x, org_y=org_y,
-        )
+    _, overlaps = entity_overlap(cfg, corpus, annotations, aliases, pairs)
+    for payload in overlaps:
         report.export_table(
-            [
-                {
-                    "org_x": org_x, "org_y": org_y,
-                    "top_k": cfg.top_k_entities,
-                    "window_days": cfg.analysis.window_days,
-                    "global_jaccard": global_js,
-                    "windowed_median": windowed.median,
-                    "windowed_days": [d.isoformat() for d in windowed.days],
-                    "windowed_values": list(windowed.values),
-                }
-            ],
-            "json",
-            ent_dir / f"{org_x}-{org_y}.json",
+            [payload], "json", out / "entities" / f"{payload['org_x']}-{payload['org_y']}.json"
         )
-        js_rows.append(
-            {
-                "org_x": org_x, "org_y": org_y, "global_jaccard": global_js,
-                "windowed_median": windowed.median, "n_days": len(windowed.days),
-            }
-        )
+        js_rows.append({**payload, "n_days": len(payload["windowed_days"])})
     report.export_table(js_rows, "csv", out / "entities.csv", JACCARD_COLUMNS)
 
-    # Polarity per organization: ranked entities plus aggregates.
-    pol_rows: list[dict] = []
-    org_rows: list[dict] = []
-    chart_rows: list[dict] = []
-    for org in corpus.orgs():
-        try:
-            org_result = pol_mod.org_polarity(
-                corpus, annotations, aliases, org,
-                top_k=cfg.top_k_polarity, prec=cfg.precisions,
-                min_support=cfg.min_support,
-            )
-        except ValueError as exc:
-            logger.warning("skipping polarity for %s: %s", org, exc)
-            continue
-        org_rows.append(
-            {
-                "org": org, "micro_ps": org_result.micro_ps,
-                "macro_ps": org_result.macro_ps,
-                "n_entities": len(org_result.entities),
-            }
-        )
-        pol_rows.extend(pol_mod.polarity_rows(org_result.entities))
-        for r in org_result.entities[: cfg.top_k_polarity]:
-            chart_rows.append(
-                {
-                    "org": org, "entity": r.counts.entity,
-                    "ps": r.ps, "delta_ps": r.delta_ps,
-                }
-            )
+    org_results, skipped = polarity(cfg, corpus, annotations, aliases)
+    for org, reason in skipped.items():
+        logger.warning("skipping polarity for %s: %s", org, reason)
+    pol_rows = [row for res in org_results for row in pol_mod.polarity_rows(res.entities)]
+    org_rows = [
+        {"org": res.org, "micro_ps": res.micro_ps, "macro_ps": res.macro_ps,
+         "n_entities": len(res.entities)}
+        for res in org_results
+    ]
+    chart_rows = [
+        {"org": res.org, "entity": r.counts.entity, "ps": r.ps, "delta_ps": r.delta_ps}
+        for res in org_results
+        for r in res.entities[: cfg.top_k_polarity]
+    ]
     report.export_table(pol_rows, "csv", out / "polarity.csv", POLARITY_COLUMNS)
     report.export_table(pol_rows, "json", out / "polarity.json")
     report.export_table(org_rows, "csv", out / "org_polarity.csv", ORG_COLUMNS)

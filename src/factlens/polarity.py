@@ -254,7 +254,7 @@ def load_precisions_csv(path: str | Path) -> PrecisionConfig:
             neutral=float(row["neutral"]),
         )
     except KeyError as exc:
-        raise ValueError(f"precision CSV is missing column {exc}") from None
+        raise ValueError(f"precision_{exc.args[0]}: column missing from precision CSV") from None
 
 
 def polarity_rows(

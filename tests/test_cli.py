@@ -202,3 +202,63 @@ def test_ingest_bad_date_is_clean_error(runner, tmp_path):
     )
     assert result.exit_code != 0
     assert "--from" in result.output
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (["entities", "--orgs", "PolitiFact,Snopes", "--top-k", "0"],
+         "top_k_entities: must be >= 1"),
+        (["entities", "--orgs", "PolitiFact,Snopes", "--window", "-3"],
+         "window_days: must be >= 0"),
+        (["polarity", "--top-k", "0"], "top_k_polarity: must be >= 1"),
+        (["polarity", "--min-support", "0"], "min_support: must be >= 1"),
+        (["polarity", "--precisions", "missing.csv"], "precision_negative: column missing"),
+        (["polarity", "--precisions", "range.csv"], "precision_negative: must be in [0, 1]"),
+        (["similarity", "--orgs", "PolitiFact,Snopes", "--tag", "claim", "--tau", "1.5"],
+         "tau: must be in [0, 1]"),
+    ],
+)
+def test_bad_stage_flags_are_clean_errors(runner, tmp_path, monkeypatch, args, message):
+    """Stage flags pass the run config's checks and fail without a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "missing.csv").write_text("positive,neutral\n1.0,1.0\n")
+    (tmp_path / "range.csv").write_text("positive,negative,neutral\n1.0,1.5,1.0\n")
+    result = runner.invoke(main, [*args, "--store", str(tmp_path), "--out", "out.json"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {message}" in result.output
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", [["similarity", "--tag", "claim"], ["entities"]])
+def test_unknown_org_is_clean_error(runner, workspace, command):
+    store = workspace / "store"
+    invoke(runner, ["ingest", "--input", str(workspace / "input.jsonl"), "--out", str(store)])
+    result = runner.invoke(
+        main,
+        [*command, "--store", str(store), "--orgs", "PolitiFact,Snopse",
+         "--out", str(workspace / "x.json")],
+    )
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    assert "unknown organization 'Snopse'" in result.output
+    assert "cross-geography" not in result.output
+    assert not (workspace / "x.json").exists()
+
+
+def test_polarity_reports_each_skipped_org(runner, workspace):
+    store = workspace / "store"
+    invoke(runner, ["ingest", "--input", str(workspace / "input.jsonl"), "--out", str(store)])
+    invoke(runner, ["annotate", "--store", str(store), "--cache", str(workspace / "cache")])
+    result = invoke(
+        runner,
+        ["polarity", "--store", str(store), "--aliases", str(workspace / "aliases.csv"),
+         "--min-support", "1000", "--out", str(workspace / "pol.csv")],
+    )
+    for org in ("AltNews", "Boom", "CheckYourFact", "OpIndia", "PolitiFact", "Snopes"):
+        assert (
+            f"warning: no entities with support >= 1000 for organization {org!r}"
+            in result.stderr
+        )
+    assert "0 polarity rows" in result.stdout

@@ -94,6 +94,9 @@ def test_http_kinds_require_endpoints(tmp_path):
     path.write_text("embedding_kind = http\n")
     with pytest.raises(ConfigError, match="embedding_endpoint"):
         load_config(path, env={})
+    path.write_text("provider_kind = fixtures\n")
+    with pytest.raises(ConfigError, match="provider_fixtures_dir"):
+        load_config(path, env={})
 
 
 def test_analysis_config_validation_direct():

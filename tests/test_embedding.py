@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from factlens.annotation import Annotation
+from factlens import pipeline
+from factlens.annotation import Annotation, load_annotations
+from factlens.config import RunConfig
 from factlens.embedding import (
     aggregate_tag,
     cosine,
@@ -16,6 +18,8 @@ from factlens.embedding import (
     save_embeddings,
 )
 from factlens.providers import HashedEmbeddingProvider
+from factlens.synthetic import make_articles
+from tests.conftest import make_corpus
 
 
 def reference_hashed_vector(text: str, dim: int = 64) -> np.ndarray:
@@ -164,6 +168,32 @@ def test_embeddings_sidecar_round_trip(tmp_path, hashed_provider):
         else:
             assert np.array_equal(loaded[key].vector, emb.vector)
             assert loaded[key].n_sentences == emb.n_sentences
+
+
+def test_pipeline_stages_hold_what_the_store_reloads(tmp_path):
+    """run_all analyses the annotations and embeddings it keeps in memory, not
+    the store files it writes; both must be equal, vectors bit for bit."""
+    corpus = make_corpus(make_articles(120, seed=5))
+    cfg = RunConfig(cache_dir=str(tmp_path / "cache"))
+    annotations = pipeline.annotate(cfg, corpus, tmp_path)
+    embeddings = pipeline.embed(cfg, annotations, tmp_path)
+
+    reloaded = load_annotations(tmp_path / pipeline.ANNOTATIONS_FILE)
+    assert reloaded == annotations
+    for article_id, ann in annotations.items():
+        assert list(reloaded[article_id].entities.items()) == list(ann.entities.items())
+
+    loaded, dim = load_embeddings(tmp_path / pipeline.EMBEDDINGS_FILE)
+    assert dim == cfg.embedding_dim
+    assert set(loaded) == set(embeddings)
+    for key, emb in embeddings.items():
+        got = loaded[key]
+        assert (got.article_id, got.tag) == (emb.article_id, emb.tag)
+        assert got.n_sentences == emb.n_sentences
+        assert got.absent == emb.absent
+        if not emb.absent:
+            assert got.vector.dtype == emb.vector.dtype
+            assert got.vector.tobytes() == emb.vector.tobytes()
 
 
 def test_sidecar_dimension_header_is_enforced(tmp_path):
