@@ -50,55 +50,3 @@ from .similarity import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AliasMap",
-    "AnalysisConfig",
-    "Annotation",
-    "Article",
-    "ConfigError",
-    "Corpus",
-    "DatedVector",
-    "EntitySet",
-    "FixtureChatProvider",
-    "HashedEmbeddingProvider",
-    "HttpChatProvider",
-    "HttpEmbeddingProvider",
-    "IngestResult",
-    "OrgPolarity",
-    "PolarityCounts",
-    "PolarityResult",
-    "PrecisionConfig",
-    "ProviderCallError",
-    "ProviderConfig",
-    "ProviderUnreachableError",
-    "Rejection",
-    "RunConfig",
-    "SimilarityResult",
-    "SyntheticChatProvider",
-    "TagEmbedding",
-    "WindowedJaccard",
-    "aggregate_tag",
-    "annotate_corpus",
-    "bootstrap_median_ci",
-    "canonicalize",
-    "cosine",
-    "embed_annotations",
-    "embed_sentences",
-    "entity_series",
-    "ingest",
-    "jaccard",
-    "load_annotations",
-    "load_config",
-    "max_log_error",
-    "negativity_ratio",
-    "org_counts",
-    "org_polarity",
-    "org_vectors",
-    "polarity_score",
-    "save_annotations",
-    "serialize_config",
-    "top_k_entities",
-    "windowed_jaccard",
-    "windowed_max_similarity",
-]

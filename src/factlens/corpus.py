@@ -13,6 +13,7 @@ import datetime as dt
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -55,11 +56,18 @@ class Corpus:
     def __iter__(self) -> Iterator[Article]:
         return iter(self.articles)
 
+    @cached_property
+    def _org_index(self) -> dict[str, list[Article]]:  # org -> articles, corpus order
+        index: dict[str, list[Article]] = {}
+        for a in self.articles:
+            index.setdefault(a.org, []).append(a)
+        return index
+
     def orgs(self) -> list[str]:
-        return sorted({a.org for a in self.articles})
+        return sorted(self._org_index)
 
     def by_org(self, org: str) -> list[Article]:
-        return [a for a in self.articles if a.org == org]
+        return list(self._org_index.get(org, ()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,8 +143,8 @@ def ingest(path: str | Path, date_range: tuple[dt.date, dt.date]) -> IngestResul
             continue
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            rejections.append(Rejection(line_no, None, f"invalid JSON: {exc.msg}"))
+        except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
+            rejections.append(Rejection(line_no, None, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
             continue
         if not isinstance(raw, dict):
             rejections.append(Rejection(line_no, None, "record is not an object"))

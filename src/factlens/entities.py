@@ -2,7 +2,9 @@
 
 Surface forms map through a curated alias table to canonical names
 (canonical names are fixed points); unmapped surfaces canonicalize to
-themselves. Overlap between organizations is the Jaccard similarity of
+themselves. ``entity_labels`` applies that mapping, the political filter
+and the one-tag-per-entity-per-article rule for overlap and polarity
+alike. Overlap between organizations is the Jaccard similarity of
 their top-k political-entity sets, either globally or recomputed per
 +/-w day window around each publication day.
 """
@@ -12,8 +14,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import logging
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -21,6 +26,8 @@ from .annotation import Annotation
 from .corpus import Corpus
 
 logger = logging.getLogger(__name__)
+
+_date = itemgetter(0)  # key of a (date, names) mention
 
 
 def _lookup_key(surface: str) -> str:
@@ -102,18 +109,23 @@ class EntitySet:
         return frozenset(name for name, _ in self.entities)
 
 
-def _article_entity_sets(
-    annotations: Iterable[Annotation], aliases: AliasMap, political_only: bool
-) -> list[frozenset[str]]:
-    sets = []
-    for ann in annotations:
-        if "entities" in ann.failed_tags:
-            continue
-        names = {canonicalize(surface, aliases) for surface in ann.entities}
-        if political_only:
-            names = {n for n in names if aliases.is_political(n)}
-        sets.append(frozenset(names))
-    return sets
+def entity_labels(
+    ann: Annotation | None, aliases: AliasMap, political_only: bool = True
+) -> dict[str, str] | None:
+    """Canonical entity -> sentiment label for one article's annotation.
+
+    One tag per entity per article: when aliases merge surface forms, the
+    first surface form's label wins. None when the article has no
+    annotation or its entities tag failed.
+    """
+    if ann is None or "entities" in ann.failed_tags:
+        return None
+    labels: dict[str, str] = {}
+    for surface, label in ann.entities.items():
+        name = canonicalize(surface, aliases)
+        if not political_only or aliases.is_political(name):
+            labels.setdefault(name, label)
+    return labels
 
 
 def _top_k(counter: Counter, k: int) -> tuple[tuple[str, int], ...]:
@@ -131,9 +143,8 @@ def top_k_entities(
     """Most frequent canonical entities; one count per mentioning article."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    counter: Counter = Counter()
-    for names in _article_entity_sets(annotations, aliases, political_only):
-        counter.update(names)
+    per_article = (entity_labels(ann, aliases, political_only) for ann in annotations)
+    counter = Counter(chain.from_iterable(labels for labels in per_article if labels is not None))
     return EntitySet(org=org, k=k, entities=_top_k(counter, k))
 
 
@@ -160,30 +171,24 @@ def org_mentions(
     annotations: Mapping[str, Annotation],
     aliases: AliasMap,
     org: str,
-    political_only: bool = True,
 ) -> list[tuple[dt.date, frozenset[str]]]:
     """Dated political-entity sets per article, sorted by date."""
     out = []
     for article in corpus.by_org(org):
-        ann = annotations.get(article.id)
-        if ann is None or "entities" in ann.failed_tags:
-            continue
-        names = {canonicalize(surface, aliases) for surface in ann.entities}
-        if political_only:
-            names = {n for n in names if aliases.is_political(n)}
-        out.append((article.published_at, frozenset(names)))
-    out.sort(key=lambda item: item[0])
+        labels = entity_labels(annotations.get(article.id), aliases)
+        if labels is not None:
+            out.append((article.published_at, frozenset(labels)))
+    out.sort(key=_date)
     return out
 
 
-def _window_counter(
-    mentions: Sequence[tuple[dt.date, frozenset[str]]], lo: dt.date, hi: dt.date
-) -> Counter:
-    counter: Counter = Counter()
-    for date, names in mentions:
-        if lo <= date <= hi:
-            counter.update(names)
-    return counter
+def _window_top_k(
+    ordered: Sequence[tuple[dt.date, frozenset[str]]], lo: dt.date, hi: dt.date, k: int
+) -> frozenset[str]:
+    """Top-k names over date-sorted mentions dated within [lo, hi]."""
+    window = ordered[bisect_left(ordered, lo, key=_date) : bisect_right(ordered, hi, key=_date)]
+    counter = Counter(chain.from_iterable(names for _, names in window))
+    return frozenset(name for name, _ in _top_k(counter, k))
 
 
 def windowed_jaccard(
@@ -203,17 +208,12 @@ def windowed_jaccard(
     if k < 1:
         raise ValueError("k must be >= 1")
     window = dt.timedelta(days=window_days)
-    days = sorted({date for date, _ in x_mentions})
+    xs, ys = sorted(x_mentions, key=_date), sorted(y_mentions, key=_date)
     kept_days: list[dt.date] = []
     values: list[float] = []
-    for day in days:
+    for day in sorted({date for date, _ in xs}):
         lo, hi = day - window, day + window
-        set_x = frozenset(
-            name for name, _ in _top_k(_window_counter(x_mentions, lo, hi), k)
-        )
-        set_y = frozenset(
-            name for name, _ in _top_k(_window_counter(y_mentions, lo, hi), k)
-        )
+        set_x, set_y = _window_top_k(xs, lo, hi, k), _window_top_k(ys, lo, hi, k)
         if not set_x or not set_y:
             continue
         js = jaccard(set_x, set_y)

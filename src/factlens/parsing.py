@@ -75,7 +75,7 @@ def extract_json_value(text: str) -> Any | None:
         return None
     try:
         return json.loads(stripped)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):  # incl. over-long integers
         pass
 
     candidates = [m.strip() for m in _FENCE_RE.findall(stripped)]
@@ -86,7 +86,7 @@ def extract_json_value(text: str) -> Any | None:
             continue
         try:
             return json.loads(span)
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):
             pass
         try:
             return ast.literal_eval(span)
@@ -145,7 +145,7 @@ def parse_what_why_response(text: str) -> ParsedTag:
     if not isinstance(value, dict):
         return ParsedTag(failed=True, flags=["what_why:unparseable"])
     flags: list[str] = []
-    keys = {str(k).strip().lower(): v for k, v in value.items()}
+    keys = {k.strip().lower(): v for k, v in value.items() if isinstance(k, str)}
     what = _sentence_list(keys.get("what"), "what", flags)
     why = _sentence_list(keys.get("why"), "why", flags)
     return ParsedTag(value={"what": what, "why": why}, flags=flags)

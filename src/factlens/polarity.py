@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .annotation import Annotation
 from .corpus import Corpus
-from .entities import AliasMap, canonicalize
+from .entities import AliasMap, canonicalize, entity_labels
 
 logger = logging.getLogger(__name__)
 
@@ -100,20 +100,11 @@ def _tag_counts(
         lambda: defaultdict(lambda: [0, 0, 0])
     )
     for article in corpus.by_org(org):
-        ann = annotations.get(article.id)
-        if ann is None or "entities" in ann.failed_tags:
+        labels = entity_labels(annotations.get(article.id), aliases, political_only)
+        if labels is None:
             continue
         year = str(article.published_at.year)
-        # One tag per entity per article; canonicalization may merge
-        # surface forms, in which case the first surface form's tag wins.
-        seen: set[str] = set()
-        for surface, label in ann.entities.items():
-            name = canonicalize(surface, aliases)
-            if name in seen:
-                continue
-            seen.add(name)
-            if political_only and not aliases.is_political(name):
-                continue
+        for name, label in labels.items():
             for period in (year, OVERALL):
                 cell = counts[name][period]
                 cell[2] += 1

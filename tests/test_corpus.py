@@ -80,6 +80,9 @@ def test_ingest_range_filter(tmp_path):
         (json.dumps({"id": "x", "org": "o"}), "missing field"),
         (record("x", date="01/02/2020"), "invalid date"),
         (record("x", body="   "), "empty body"),
+        # Past CPython's int-string conversion limit and its recursion limit.
+        pytest.param('{"id": ' + "1" * 5000 + "}", "invalid JSON", id="huge-int"),
+        pytest.param("[" * 100_000, "invalid JSON", id="deep-nesting"),
     ],
 )
 def test_ingest_rejects_malformed(tmp_path, bad_line, reason_part):
@@ -171,3 +174,18 @@ def test_store_round_trip(tmp_path):
     assert loaded == result.corpus
     logged = [json.loads(l) for l in rejects_path.read_text().splitlines()]
     assert len(logged) == 1 and "invalid JSON" in logged[0]["reason"]
+
+
+def test_by_org_matches_a_scan_of_the_corpus(tmp_path):
+    orgs = list(KNOWN_ORGS)
+    rnd = random.Random(7)
+    lines = [
+        record(f"a{i:03d}", org=rnd.choice(orgs), date=f"2020-{1 + i % 12:02d}-01")
+        for i in range(80)
+    ]
+    result = ingest(write_lines(tmp_path / "c.jsonl", lines), RANGE)
+    write_store(result, tmp_path / "store")
+    for corpus in (result.corpus, load_store(tmp_path / "store")):
+        assert corpus.orgs() == sorted({a.org for a in corpus})
+        for org in corpus.orgs() + ["Unknown Org"]:
+            assert corpus.by_org(org) == [a for a in corpus if a.org == org]

@@ -190,20 +190,20 @@ def naive_windowed_jaccard(x, y, k, w):
     return out
 
 
-def test_windowed_matches_per_day_brute_force():
-    import random
+# Unsorted dated mentions, empty name sets included, over 90 days: more
+# than two 2w+1-day windows even at w = 20, so slice edges are exercised.
+dated_mentions = st.lists(
+    st.tuples(st.integers(0, 89), st.frozensets(st.sampled_from("ABCDEF"), max_size=4)),
+    max_size=30,
+).map(mentions_from)
 
-    rnd = random.Random(99)
-    names = ["A", "B", "C", "D", "E", "F"]
-    x = mentions_from(
-        [(rnd.randint(0, 29), rnd.sample(names, rnd.randint(1, 3))) for _ in range(25)]
-    )
-    y = mentions_from(
-        [(rnd.randint(0, 29), rnd.sample(names, rnd.randint(1, 3))) for _ in range(25)]
-    )
-    result = windowed_jaccard(x, y, k=3, window_days=7)
-    oracle = naive_windowed_jaccard(x, y, k=3, w=7)
-    assert dict(zip(result.days, result.values)) == oracle
+
+@settings(max_examples=300, deadline=None)
+@given(dated_mentions, dated_mentions, st.integers(1, 8), st.integers(0, 20))
+def test_windowed_matches_per_day_brute_force(x, y, k, w):
+    result = windowed_jaccard(x, y, k=k, window_days=w)
+    assert dict(zip(result.days, result.values)) == naive_windowed_jaccard(x, y, k, w)
+    assert list(result.days) == sorted(result.days)
 
 
 def test_alias_csv_round_trip(tmp_path):

@@ -91,11 +91,37 @@ def test_entities_label_whitespace_normalized():
     assert parsed.value == {"X": "positive"}
 
 
+# 5,000 digits is past CPython's default int-string conversion limit.
+HUGE_INT = "1" * 5000
+PARSERS = (parse_claim_response, parse_what_why_response, parse_entities_response)
+
+
+@pytest.mark.parametrize(
+    "parser, raw",
+    [
+        (parse_claim_response, f'["kept", {HUGE_INT}]'),
+        (parse_what_why_response, f'{{"what": ["A"], "why": {HUGE_INT}}}'),
+        (parse_entities_response, f'{{"a": {HUGE_INT}}}'),
+    ],
+    ids=["claim", "what_why", "entities"],
+)
+def test_huge_integer_does_not_raise(parser, raw):
+    parsed = parser(raw)
+    assert parsed.failed
+    assert parser(f"Here you go: {raw}").failed
+
+
+def test_what_why_ignores_huge_integer_key():
+    # A Python-literal hex key too long to render in decimal.
+    parsed = parse_what_why_response("{0x" + "f" * 4000 + ': 1, "what": ["A"]}')
+    assert parsed.value == {"what": ["A"], "why": []}
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=400))
 def test_parsers_are_total(text):
     """No input string may raise; each yields a parse or a flagged failure."""
-    for parser in (parse_claim_response, parse_what_why_response, parse_entities_response):
+    for parser in PARSERS:
         parsed = parser(text)
         assert parsed.failed or parsed.value is not None
 
@@ -124,3 +150,23 @@ def test_entities_survive_wrapping(payload, wrapper):
         # The wrapper may legally defeat parsing only for empty payloads,
         # where there is no balanced span carrying data.
         assert payload == {} or raw == ""
+
+
+digit_runs = st.integers(4000, 6000).map(lambda n: "9" * n)
+json_ish = st.lists(
+    st.one_of(
+        digit_runs,
+        st.sampled_from(['{"a": ', '["x", ', "{'k': ", "]", "}", ", ", '"', "```json\n", "-"]),
+        st.text(max_size=20),
+    ),
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_ish)
+def test_parsers_are_total_with_long_digit_runs(text):
+    """Digit runs past the int-string limit must fail cleanly, not raise."""
+    for parser in PARSERS:
+        parsed = parser(text)
+        assert parsed.failed or parsed.value is not None

@@ -273,3 +273,19 @@ def test_canonicalization_merges_surface_forms():
     corpus = make_corpus([article])
     series = entity_series(corpus, annotations, ALIASES, "Snopes", "Donald Trump", prec=PREC)
     assert series[-1].counts.n_total == 1
+
+
+@pytest.mark.parametrize(
+    "entities, n_pos, n_neg",
+    [
+        ({"Trump": "negative", "Donald Trump": "positive"}, 0, 1),
+        ({"Donald Trump": "positive", "Trump": "negative"}, 1, 0),
+    ],
+)
+def test_first_surface_form_label_wins(entities, n_pos, n_neg):
+    """Merged surface forms give one tag per article: the first one's."""
+    corpus = make_corpus([make_article("m1", org="Snopes")])
+    annotations = {"m1": Annotation(article_id="m1", entities=entities)}
+    series = entity_series(corpus, annotations, ALIASES, "Snopes", "Donald Trump", prec=PREC)
+    counts = series[-1].counts
+    assert (counts.n_pos, counts.n_neg, counts.n_total) == (n_pos, n_neg, 1)
