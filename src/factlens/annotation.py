@@ -12,7 +12,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from . import parsing, prompts
 from .corpus import Article, Corpus
@@ -26,6 +26,8 @@ from .providers import (
 
 logger = logging.getLogger(__name__)
 
+SENTENCE_TAGS = ("claim", "what", "why")
+
 
 @dataclass(frozen=True)
 class Annotation:
@@ -38,7 +40,7 @@ class Annotation:
     flags: tuple[str, ...] = ()
 
     def sentences(self, tag: str) -> tuple[str, ...]:
-        if tag not in ("claim", "what", "why"):
+        if tag not in SENTENCE_TAGS:
             raise ValueError(f"unknown sentence tag {tag!r}")
         return getattr(self, tag)
 
@@ -125,92 +127,64 @@ def _fetch(
     return response
 
 
-def extract_claim(
-    article: Article, provider: ChatProvider, cache: ResponseCache | None = None
+# Template id -> (parser, the Annotation fields its value fills, name in
+# log lines). A one-field pass's value is that field; a multi-field pass's
+# value is keyed by field.
+PASSES: dict[str, tuple[Callable[[str], parsing.ParsedTag], tuple[str, ...], str]] = {
+    prompts.CLAIM: (parsing.parse_claim_response, ("claim",), "claim"),
+    prompts.WHAT_WHY: (parsing.parse_what_why_response, ("what", "why"), "what/why"),
+    prompts.ENTITIES: (parsing.parse_entities_response, ("entities",), "entity"),
+}
+
+
+def _field_values(fields: tuple[str, ...], value: Any) -> dict[str, Any]:
+    return {fields[0]: value} if len(fields) == 1 else {f: value[f] for f in fields}
+
+
+def run_pass(
+    article: Article,
+    template_id: str,
+    provider: ChatProvider,
+    cache: ResponseCache | None = None,
 ) -> parsing.ParsedTag:
-    """Claim sentences for one article; failure is recorded, not raised."""
+    """One prompt pass for one article; failure is recorded, not raised.
+
+    Sentence fields of a parsed value are flagged ``<tag>:not_verbatim``
+    per sentence not found in the article body.
+    """
+    parser, fields, name = PASSES[template_id]
     try:
-        raw = _fetch(article, prompts.CLAIM, provider, cache)
+        raw = _fetch(article, template_id, provider, cache)
     except ProviderCallError as exc:
-        logger.warning("claim call failed for %s: %s", article.id, exc)
-        return parsing.ParsedTag(failed=True, flags=["claim:provider_error"])
-    parsed = parsing.parse_claim_response(raw)
+        logger.warning("%s call failed for %s: %s", name, article.id, exc)
+        return parsing.ParsedTag(failed=True, flags=[f"{template_id}:provider_error"])
+    parsed = parser(raw)
     if parsed.failed:
-        logger.warning("unparseable claim response for %s: %r", article.id, raw[:200])
-    else:
-        parsed.flags.extend(_verbatim_flags(parsed.value, article.body, "claim"))
-    return parsed
-
-
-def extract_what_why(
-    article: Article, provider: ChatProvider, cache: ResponseCache | None = None
-) -> parsing.ParsedTag:
-    """What/why sentence lists for one article."""
-    try:
-        raw = _fetch(article, prompts.WHAT_WHY, provider, cache)
-    except ProviderCallError as exc:
-        logger.warning("what/why call failed for %s: %s", article.id, exc)
-        return parsing.ParsedTag(failed=True, flags=["what_why:provider_error"])
-    parsed = parsing.parse_what_why_response(raw)
-    if parsed.failed:
-        logger.warning("unparseable what/why response for %s: %r", article.id, raw[:200])
-    else:
-        for tag in ("what", "why"):
-            parsed.flags.extend(_verbatim_flags(parsed.value[tag], article.body, tag))
-    return parsed
-
-
-def tag_entities(
-    article: Article, provider: ChatProvider, cache: ResponseCache | None = None
-) -> parsing.ParsedTag:
-    """Entity -> sentiment map for one article, labels normalized."""
-    try:
-        raw = _fetch(article, prompts.ENTITIES, provider, cache)
-    except ProviderCallError as exc:
-        logger.warning("entity call failed for %s: %s", article.id, exc)
-        return parsing.ParsedTag(failed=True, flags=["entities:provider_error"])
-    parsed = parsing.parse_entities_response(raw)
-    if parsed.failed:
-        logger.warning("unparseable entity response for %s: %r", article.id, raw[:200])
+        logger.warning("unparseable %s response for %s: %r", name, article.id, raw[:200])
+        return parsed
+    for tag, value in _field_values(fields, parsed.value).items():
+        if tag in SENTENCE_TAGS:
+            parsed.flags.extend(_verbatim_flags(value, article.body, tag))
     return parsed
 
 
 def annotate_article(
     article: Article, provider: ChatProvider, cache: ResponseCache | None = None
 ) -> Annotation:
+    values: dict[str, Any] = {}
     failed: list[str] = []
     flags: list[str] = []
-
-    claim_tag = extract_claim(article, provider, cache)
-    claim = tuple(claim_tag.value) if not claim_tag.failed else ()
-    if claim_tag.failed:
-        failed.append("claim")
-    flags.extend(claim_tag.flags)
-
-    ww_tag = extract_what_why(article, provider, cache)
-    if ww_tag.failed:
-        failed.extend(["what", "why"])
-        what: tuple[str, ...] = ()
-        why: tuple[str, ...] = ()
-    else:
-        what = tuple(ww_tag.value["what"])
-        why = tuple(ww_tag.value["why"])
-    flags.extend(ww_tag.flags)
-
-    ent_tag = tag_entities(article, provider, cache)
-    entities = dict(ent_tag.value) if not ent_tag.failed else {}
-    if ent_tag.failed:
-        failed.append("entities")
-    flags.extend(ent_tag.flags)
-
+    for template_id in prompts.TEMPLATE_IDS:
+        fields = PASSES[template_id][1]
+        parsed = run_pass(article, template_id, provider, cache)
+        flags.extend(parsed.flags)
+        if parsed.failed:
+            failed.extend(fields)
+            continue
+        for tag, value in _field_values(fields, parsed.value).items():
+            values[tag] = tuple(value) if tag in SENTENCE_TAGS else value
     return Annotation(
-        article_id=article.id,
-        claim=claim,
-        what=what,
-        why=why,
-        entities=entities,
-        failed_tags=tuple(failed),
-        flags=tuple(flags),
+        article_id=article.id, failed_tags=tuple(failed), flags=tuple(flags), **values
     )
 
 

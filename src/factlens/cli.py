@@ -208,8 +208,7 @@ def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_suppo
         if by_year:
             for r in res.entities[: cfg.top_k_polarity]:
                 series = pol_mod.entity_series(
-                    corpus, annotations, aliases, res.org, r.counts.entity,
-                    by_year=True, prec=cfg.precisions,
+                    corpus, annotations, aliases, res.org, r.counts.entity, prec=cfg.precisions
                 )
                 rows.extend(pol_mod.polarity_rows(series))
         else:

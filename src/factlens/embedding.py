@@ -15,12 +15,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .annotation import Annotation
+from .annotation import SENTENCE_TAGS, Annotation
 from .providers import EmbeddingProvider, ProviderCallError
 
 logger = logging.getLogger(__name__)
-
-SENTENCE_TAGS = ("claim", "what", "why")
 
 _BATCH_SIZE = 128
 

@@ -108,13 +108,8 @@ def parse_claim_response(text: str) -> ParsedTag:
                 break
     if not isinstance(value, (list, tuple)):
         return ParsedTag(failed=True, flags=["claim:unparseable"])
-    out = ParsedTag(value=[])
-    for item in value:
-        if isinstance(item, str) and item.strip():
-            out.value.append(item)
-        else:
-            out.flags.append("claim:dropped_item")
-    return out
+    flags: list[str] = []
+    return ParsedTag(value=_sentence_list(value, "claim", flags), flags=flags)
 
 
 def _sentence_list(raw: Any, tag: str, flags: list[str]) -> list[str]:

@@ -121,7 +121,6 @@ def entity_series(
     aliases: AliasMap,
     org: str,
     entity: str,
-    by_year: bool = True,
     prec: PrecisionConfig | None = None,
 ) -> list[PolarityResult]:
     """Polarity per year plus overall for one canonical entity.
@@ -135,8 +134,6 @@ def entity_series(
         logger.warning("no occurrences of %r at %s", entity, org)
         return []
     periods = sorted(p for p in per_period if p != OVERALL) + [OVERALL]
-    if not by_year:
-        periods = [OVERALL]
     results = []
     for period in periods:
         n_pos, n_neg, n_total = per_period[period]

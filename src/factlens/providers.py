@@ -122,9 +122,14 @@ class HttpChatProvider:
             else:
                 if resp.status_code == 200:
                     try:
-                        return resp.json()["choices"][0]["message"]["content"]
+                        content = resp.json()["choices"][0]["message"]["content"]
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
                         raise ProviderCallError(f"malformed response body: {exc}") from exc
+                    if not isinstance(content, str):
+                        raise ProviderCallError(
+                            f"malformed response body: content is {type(content).__name__}"
+                        )
+                    return content
                 if resp.status_code == 429 or resp.status_code >= 500:
                     last_error, unreachable = (
                         ProviderCallError(f"HTTP {resp.status_code}"),
@@ -327,7 +332,7 @@ class HttpEmbeddingProvider:
                 return vectors
             except ProviderCallError:
                 raise
-            except (requests.exceptions.RequestException, ValueError, KeyError) as exc:
+            except (requests.exceptions.RequestException, ValueError, KeyError, TypeError) as exc:
                 last_error = exc
             if attempt < self.max_retries:
                 base = self.retry_base_seconds * (2**attempt)

@@ -1,6 +1,8 @@
 import datetime as dt
+import json
 
 import pytest
+import requests
 
 from factlens.annotation import Annotation
 from factlens.corpus import Article, Corpus
@@ -67,3 +69,44 @@ def hashed_provider():
 @pytest.fixture
 def synthetic_provider():
     return SyntheticChatProvider()
+
+
+class StubResponse:
+    """The parts of a ``requests.Response`` that the HTTP providers read."""
+
+    def __init__(self, status_code: int = 200, body: object = None):
+        self.status_code = status_code
+        self.body = body
+        self.text = json.dumps(body)
+
+    def json(self):
+        return self.body
+
+    def raise_for_status(self) -> None:
+        if self.status_code >= 400:
+            raise requests.exceptions.HTTPError(f"HTTP {self.status_code}")
+
+
+@pytest.fixture
+def stub_post(monkeypatch):
+    """Replace ``requests.post`` with a playback of replies; no socket opens.
+
+    ``stub_post(*replies)`` answers each request with the next reply and
+    repeats the last one. A reply is a ``StubResponse``, an exception to
+    raise, or a function of the request's JSON body returning either.
+    """
+
+    def install(*replies):
+        queue = list(replies)
+
+        def post(url, json=None, **kwargs):
+            reply = queue.pop(0) if len(queue) > 1 else queue[0]
+            if callable(reply):
+                reply = reply(json)
+            if isinstance(reply, BaseException):
+                raise reply
+            return reply
+
+        monkeypatch.setattr(requests, "post", post)
+
+    return install

@@ -1,27 +1,29 @@
 import hashlib
 import json
+import logging
 
 import pytest
+import requests
 
 from factlens import prompts
 from factlens.annotation import (
     annotate_corpus,
-    extract_claim,
-    extract_what_why,
     load_annotations,
     ResponseCache,
+    run_pass,
     save_annotations,
-    tag_entities,
 )
 from factlens.providers import (
     FixtureChatProvider,
+    HttpChatProvider,
+    ProviderCallError,
     ProviderConfig,
     ProviderUnreachableError,
     SyntheticChatProvider,
     cache_key,
     write_fixture,
 )
-from tests.conftest import ScriptedChatProvider, make_article, make_corpus
+from tests.conftest import ScriptedChatProvider, StubResponse, make_article, make_corpus
 
 BODY = "X claimed Y. It spread because of a parody account."
 
@@ -30,7 +32,7 @@ def test_extract_claim_echoes_fixture(tmp_path):
     article = make_article("a1", body=BODY)
     write_fixture(tmp_path, prompts.CLAIM, BODY, '["X claimed Y."]')
     provider = FixtureChatProvider(tmp_path)
-    parsed = extract_claim(article, provider)
+    parsed = run_pass(article, prompts.CLAIM, provider)
     assert not parsed.failed
     assert parsed.value == ["X claimed Y."]
     assert "claim:not_verbatim" not in parsed.flags
@@ -38,26 +40,26 @@ def test_extract_claim_echoes_fixture(tmp_path):
 
 def test_extract_claim_strips_code_fences():
     provider = ScriptedChatProvider({prompts.CLAIM: '```json\n["X claimed Y."]\n```'})
-    parsed = extract_claim(make_article("a1", body=BODY), provider)
+    parsed = run_pass(make_article("a1", body=BODY), prompts.CLAIM, provider)
     assert parsed.value == ["X claimed Y."]
 
 
 def test_extract_claim_unparseable_marks_failed():
     provider = ScriptedChatProvider({prompts.CLAIM: "not json"})
-    parsed = extract_claim(make_article("a1", body=BODY), provider)
+    parsed = run_pass(make_article("a1", body=BODY), prompts.CLAIM, provider)
     assert parsed.failed
 
 
 def test_extract_claim_flags_non_verbatim():
     provider = ScriptedChatProvider({prompts.CLAIM: '["Absent sentence."]'})
-    parsed = extract_claim(make_article("a1", body=BODY), provider)
+    parsed = run_pass(make_article("a1", body=BODY), prompts.CLAIM, provider)
     assert parsed.value == ["Absent sentence."]
     assert "claim:not_verbatim" in parsed.flags
 
 
 def test_extract_what_why_defaults_missing_key():
     provider = ScriptedChatProvider({prompts.WHAT_WHY: '{"what":["X claimed Y."]}'})
-    parsed = extract_what_why(make_article("a1", body=BODY), provider)
+    parsed = run_pass(make_article("a1", body=BODY), prompts.WHAT_WHY, provider)
     assert parsed.value == {"what": ["X claimed Y."], "why": []}
     assert "why:missing" in parsed.flags
 
@@ -66,8 +68,62 @@ def test_tag_entities_normalizes_labels():
     provider = ScriptedChatProvider(
         {prompts.ENTITIES: '{"Joe Biden":"positive","GOP":"Negative "}'}
     )
-    parsed = tag_entities(make_article("a1", body=BODY), provider)
+    parsed = run_pass(make_article("a1", body=BODY), prompts.ENTITIES, provider)
     assert parsed.value == {"Joe Biden": "positive", "GOP": "negative"}
+
+
+def test_annotate_article_keeps_pass_order_of_flags_and_failures(caplog):
+    """Flags run pass by pass: parse flags, then not_verbatim per field."""
+    corpus = make_corpus([make_article("a1", body=BODY)])
+    provider = ScriptedChatProvider(
+        {
+            prompts.CLAIM: '["Absent sentence.", "", "X claimed Y."]',
+            prompts.WHAT_WHY: '{"what": "Invented what."}',
+            prompts.ENTITIES: "no entities here",
+        }
+    )
+    with caplog.at_level(logging.WARNING, logger="factlens.annotation"):
+        ann = annotate_corpus(corpus, provider)["a1"]
+    assert ann.claim == ("Absent sentence.", "X claimed Y.")
+    assert ann.what == ("Invented what.",)
+    assert ann.why == ()
+    assert ann.entities == {}
+    assert ann.failed_tags == ("entities",)
+    assert ann.flags == (
+        "claim:dropped_item",
+        "claim:not_verbatim",
+        "what:coerced_scalar",
+        "why:missing",
+        "what:not_verbatim",
+        "entities:unparseable",
+    )
+    assert caplog.messages == ["unparseable entity response for a1: 'no entities here'"]
+
+
+@pytest.mark.parametrize(
+    "template_id, failed_tags, message",
+    [
+        (prompts.CLAIM, ("claim",), "claim call failed for a1: "),
+        (prompts.WHAT_WHY, ("what", "why"), "what/why call failed for a1: "),
+        (prompts.ENTITIES, ("entities",), "entity call failed for a1: "),
+    ],
+)
+def test_failed_pass_marks_only_its_fields(caplog, template_id, failed_tags, message):
+    responses = {
+        prompts.CLAIM: '["X claimed Y."]',
+        prompts.WHAT_WHY: (
+            '{"what":["X claimed Y."],"why":["It spread because of a parody account."]}'
+        ),
+        prompts.ENTITIES: '{"GOP":"negative"}',
+    }
+    provider = ScriptedChatProvider(responses, fail={template_id})
+    with caplog.at_level(logging.WARNING, logger="factlens.annotation"):
+        ann = annotate_corpus(make_corpus([make_article("a1", body=BODY)]), provider)["a1"]
+    assert ann.failed_tags == failed_tags
+    assert ann.flags == (f"{template_id}:provider_error",)
+    assert caplog.messages == [f"{message}scripted failure for {template_id}"]
+    for tag in ("claim", "what", "why", "entities"):
+        assert (getattr(ann, tag) in ((), {})) == (tag in failed_tags)
 
 
 def distinct_articles(n):
@@ -126,13 +182,13 @@ def test_cached_response_stored_byte_equal(tmp_path):
     article = make_article("a1", body=BODY)
     provider = ScriptedChatProvider({prompts.CLAIM: '["X claimed Y."]\n'})
     cache = ResponseCache(tmp_path)
-    extract_claim(article, provider, cache)
+    run_pass(article, prompts.CLAIM, provider, cache)
     prompt = prompts.render_prompt(prompts.CLAIM, BODY)
     key = cache_key(prompts.CLAIM, prompt, provider.model_name)
     stored = json.loads((tmp_path / f"{key}.json").read_text())["response"]
     assert stored == '["X claimed Y."]\n'
     # Warm read re-parses the stored bytes to the same value.
-    warm = extract_claim(article, provider, cache)
+    warm = run_pass(article, prompts.CLAIM, provider, cache)
     assert warm.value == ["X claimed Y."]
     assert provider.calls == 1
 
@@ -186,3 +242,68 @@ def test_annotations_jsonl_round_trip(tmp_path):
     path = tmp_path / "annotations.jsonl"
     save_annotations(annotations, path)
     assert load_annotations(path) == annotations
+
+
+def http_chat(max_retries=2):
+    config = ProviderConfig(
+        endpoint="http://chat.test/v1", max_retries=max_retries,
+        rate_limit=1e6, retry_base_seconds=0.0,
+    )
+    return HttpChatProvider(config)
+
+
+def chat_reply(content):
+    return StubResponse(200, {"choices": [{"message": {"content": content}}]})
+
+
+@pytest.mark.parametrize("content", [None, 3, ["X claimed Y."]])
+def test_http_chat_non_string_content_fails_the_call(stub_post, content):
+    stub_post(chat_reply(content))
+    with pytest.raises(ProviderCallError, match="malformed response body"):
+        http_chat().complete("prompt", prompts.CLAIM)
+
+
+def test_http_chat_null_content_fails_only_its_tag(stub_post, tmp_path):
+    """A 200 with null content fails its tag and caches nothing for it."""
+    synthetic = SyntheticChatProvider()
+
+    def reply(body):
+        prompt = body["messages"][0]["content"]
+        template_id = next(
+            t for t in prompts.TEMPLATE_IDS if prompt.startswith(prompts.TEMPLATES[t][:20])
+        )
+        if template_id == prompts.ENTITIES:
+            return chat_reply(None)
+        return chat_reply(synthetic.complete(prompt, template_id))
+
+    stub_post(reply)
+    corpus = make_corpus([make_article("a1", body=BODY)])
+    config = ProviderConfig(cache_dir=tmp_path / "cache")
+    ann = annotate_corpus(corpus, http_chat(), config)["a1"]
+    assert ann.failed_tags == ("entities",)
+    assert ann.flags == ("entities:provider_error",)
+    assert ann.claim == ("X claimed Y.",)
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+
+def test_http_chat_retries_5xx_then_succeeds(stub_post):
+    stub_post(StubResponse(503, {"error": "busy"}), chat_reply('["ok"]'))
+    provider = http_chat()
+    assert provider.complete("prompt", prompts.CLAIM) == '["ok"]'
+    assert provider.calls == 2
+
+
+def test_http_chat_4xx_fails_at_once(stub_post):
+    stub_post(StubResponse(400, {"error": "bad request"}))
+    provider = http_chat()
+    with pytest.raises(ProviderCallError, match="HTTP 400"):
+        provider.complete("prompt", prompts.CLAIM)
+    assert provider.calls == 1
+
+
+def test_http_chat_transport_errors_after_retries_are_unreachable(stub_post):
+    stub_post(requests.exceptions.ConnectionError("refused"))
+    provider = http_chat(max_retries=2)
+    with pytest.raises(ProviderUnreachableError, match="refused"):
+        provider.complete("prompt", prompts.CLAIM)
+    assert provider.calls == 3

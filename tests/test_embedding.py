@@ -17,9 +17,9 @@ from factlens.embedding import (
     load_embeddings,
     save_embeddings,
 )
-from factlens.providers import HashedEmbeddingProvider
+from factlens.providers import HashedEmbeddingProvider, HttpEmbeddingProvider, ProviderCallError
 from factlens.synthetic import make_articles
-from tests.conftest import make_corpus
+from tests.conftest import StubResponse, make_corpus
 
 
 def reference_hashed_vector(text: str, dim: int = 64) -> np.ndarray:
@@ -204,3 +204,46 @@ def test_sidecar_dimension_header_is_enforced(tmp_path):
     )
     with pytest.raises(ValueError):
         load_embeddings(path)
+
+
+def http_embedder(dim=4):
+    return HttpEmbeddingProvider(
+        "http://embed.test/v1", dim=dim, max_retries=2, retry_base_seconds=0.0
+    )
+
+
+MALFORMED_EMBEDDING_BODIES = {
+    "top-level-array": [[0.0, 0.0, 0.0, 1.0]],
+    "dict-cell": {"vectors": [[{"x": 1.0}, 0.0, 0.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize(
+    "body", MALFORMED_EMBEDDING_BODIES.values(), ids=MALFORMED_EMBEDDING_BODIES
+)
+def test_http_embedder_malformed_body_fails_the_batch(stub_post, body):
+    stub_post(StubResponse(200, body))
+    provider = http_embedder()
+    with pytest.raises(ProviderCallError, match="after retries"):
+        provider.embed(["alpha"])
+    assert provider.calls == 3
+
+
+@pytest.mark.parametrize(
+    "body", MALFORMED_EMBEDDING_BODIES.values(), ids=MALFORMED_EMBEDDING_BODIES
+)
+def test_http_embedder_malformed_body_marks_tags_absent(stub_post, body):
+    stub_post(StubResponse(200, body))
+    annotations = {"a1": Annotation("a1", claim=("alpha",), what=("beta",), why=())}
+    embeddings = embed_annotations(annotations, http_embedder())
+    assert all(emb.absent for emb in embeddings.values())
+
+
+def test_http_embedder_retries_5xx_then_succeeds(stub_post):
+    stub_post(
+        StubResponse(503, {"error": "busy"}),
+        StubResponse(200, {"vectors": [[0.0, 1.0, 0.0, 0.0]]}),
+    )
+    provider = http_embedder()
+    np.testing.assert_array_equal(provider.embed(["alpha"]), [[0.0, 1.0, 0.0, 0.0]])
+    assert provider.calls == 2
