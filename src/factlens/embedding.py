@@ -1,8 +1,9 @@
 """Tag embeddings: sentence vectors pooled into one unit vector per tag.
 
 Aggregation is mean pooling followed by L2 normalization. A tag with no
-usable sentences (or a zero mean vector) is stored as absent rather than
-as a zero-vector sentinel, so similarity never sees degenerate inputs.
+usable sentences (or a zero or non-finite mean vector) is stored as absent
+rather than as a zero-vector sentinel, so similarity never sees degenerate
+inputs.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ def embed_sentences(
 
 
 def aggregate_tag(sentence_vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray | None:
-    """Mean of the vectors, L2-normalized; None when absent or degenerate."""
+    """Mean of the vectors, L2-normalized; None when absent or degenerate
+    (zero, NaN or infinite mean or norm)."""
     arr = np.asarray(sentence_vectors, dtype=np.float64)
     if arr.size == 0:
         return None
@@ -66,6 +68,9 @@ def aggregate_tag(sentence_vectors: Sequence[np.ndarray] | np.ndarray) -> np.nda
     norm = float(np.linalg.norm(mean))
     if norm == 0.0:
         logger.info("zero mean vector; tag embedding marked absent")
+        return None
+    if not np.isfinite(norm):
+        logger.warning("non-finite mean vector; tag embedding marked absent")
         return None
     return mean / norm
 
@@ -83,7 +88,7 @@ def embed_annotations(
     """Aggregated unit vector per (article, tag); failed tags stay absent.
 
     A failed embedding batch discards its partial results and marks the
-    affected tags absent.
+    affected tags absent; an unreachable provider aborts the run.
     """
     out: dict[tuple[str, str], TagEmbedding] = {}
     pending: list[tuple[str, str, list[str]]] = []

@@ -107,10 +107,14 @@ def similarity(
     tags: tuple[str, ...] = SENTENCE_TAGS,
 ) -> list[SimilarityResult]:
     """Windowed max similarity per org pair and tag, pair-major."""
+    vectors = {
+        (org, tag): org_vectors(corpus, embeddings, org, tag)
+        for org in sorted({org for pair in pairs for org in pair})
+        for tag in tags
+    }
     return [
         windowed_max_similarity(
-            org_vectors(corpus, embeddings, org_x, tag),
-            org_vectors(corpus, embeddings, org_y, tag),
+            vectors[org_x, tag], vectors[org_y, tag],
             cfg.analysis, org_x=org_x, org_y=org_y, tag=tag,
         )
         for org_x, org_y in pairs

@@ -297,7 +297,13 @@ class HashedEmbeddingProvider:
 
 
 class HttpEmbeddingProvider:
-    """Sentence-embedding client for the ``{texts} -> {vectors}`` contract."""
+    """Sentence-embedding client for the ``{texts} -> {vectors}`` contract.
+
+    Failures follow HttpChatProvider's rules: 429, 5xx and a malformed 200
+    body are retried and end in ProviderCallError (only this batch's tags
+    fail), another 4xx fails at once, and a transport error on the last
+    attempt raises ProviderUnreachableError, which aborts the run.
+    """
 
     def __init__(
         self,
@@ -319,22 +325,35 @@ class HttpEmbeddingProvider:
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         last_error: Exception | None = None
+        unreachable = False
         for attempt in range(self.max_retries + 1):
             self.calls += 1
             try:
                 resp = requests.post(self.endpoint, json={"texts": list(texts)}, timeout=120)
-                resp.raise_for_status()
-                vectors = np.asarray(resp.json()["vectors"], dtype=np.float64)
-                if vectors.shape != (len(texts), self.dim):
-                    raise ProviderCallError(
-                        f"expected shape {(len(texts), self.dim)}, got {vectors.shape}"
-                    )
-                return vectors
-            except ProviderCallError:
-                raise
-            except (requests.exceptions.RequestException, ValueError, KeyError, TypeError) as exc:
-                last_error = exc
+            except requests.exceptions.RequestException as exc:
+                last_error, unreachable = exc, True
+            else:
+                if resp.status_code == 200:
+                    try:
+                        vectors = np.asarray(resp.json()["vectors"], dtype=np.float64)
+                    except (ValueError, KeyError, TypeError) as exc:
+                        last_error, unreachable = (
+                            ProviderCallError(f"malformed response body: {exc}"),
+                            False,
+                        )
+                    else:
+                        if vectors.shape != (len(texts), self.dim):
+                            raise ProviderCallError(
+                                f"expected shape {(len(texts), self.dim)}, got {vectors.shape}"
+                            )
+                        return vectors
+                elif resp.status_code == 429 or resp.status_code >= 500:
+                    last_error, unreachable = ProviderCallError(f"HTTP {resp.status_code}"), False
+                else:
+                    raise ProviderCallError(f"HTTP {resp.status_code}: {resp.text[:200]}")
             if attempt < self.max_retries:
                 base = self.retry_base_seconds * (2**attempt)
                 time.sleep(base + float(self._rng.uniform(0.0, base / 2.0)))
+        if unreachable:
+            raise ProviderUnreachableError(f"embedding endpoint unreachable: {last_error}")
         raise ProviderCallError(f"embedding batch failed after retries: {last_error}")

@@ -120,11 +120,92 @@ def bootstrap_median_ci(
     while done < cfg.bootstrap_resamples:
         take = min(chunk, cfg.bootstrap_resamples - done)
         idx = rng.integers(0, n, size=(take, m))
-        medians[done : done + take] = np.median(arr[idx], axis=1)
+        # np.median's arithmetic: the middle order statistic, or the mean of
+        # the two middle ones; a full row sort is faster than its partition.
+        ranked = arr[idx]
+        ranked.sort(axis=1)
+        half = m // 2
+        medians[done : done + take] = (
+            ranked[:, half] if m % 2 else np.mean(ranked[:, half - 1 : half + 1], axis=1)
+        )
         done += take
     alpha = 1.0 - cfg.confidence_level
     lo, hi = np.percentile(medians, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
     return float(lo), float(hi)
+
+
+# X rows per block product; temporaries are _BLOCK_ROWS x (Y rows in the
+# block's date slice).
+_BLOCK_ROWS = 64
+
+
+def _stacked(items: Sequence[DatedVector], dim: int) -> np.ndarray:
+    """The vectors as matrix rows; ValueError names an article whose vector
+    is not a finite float64 vector of length dim."""
+    for item in items:
+        if item.vector.shape != (dim,) or item.vector.dtype != np.float64:
+            raise ValueError(
+                f"article {item.article_id}: {item.vector.dtype} vector of shape "
+                f"{item.vector.shape}, expected float64 of shape {(dim,)}"
+            )
+    matrix = np.stack([item.vector for item in items])
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        bad = items[int(np.argmin(finite))].article_id
+        raise ValueError(f"non-finite vector for article {bad}")
+    return matrix
+
+
+def _window_maxima(
+    xs: Sequence[DatedVector], ys: Sequence[DatedVector], window_days: int
+) -> list[tuple[str | None, float | None]]:
+    """(best Y id, max cosine) per X against the (date, id)-sorted ys in its window.
+
+    X is taken in date-sorted blocks; each block is multiplied by the Y rows
+    of its date slice. An entry of that product differs from the scalar dot
+    product inside ``cosine`` by at most tol * |x| * |y| + slack (the
+    dot-product error bound for any summation order, twice, with room for
+    the computed norms; slack covers underflow). Every candidate whose upper
+    bound reaches the row's best lower bound is re-scored with ``cosine``,
+    so maxima and ids (ties to the smallest id) are exactly those of
+    comparing every pair with ``cosine``.
+    """
+    dim = xs[0].vector.size
+    x_mat, y_mat = _stacked(xs, dim), _stacked(ys, dim)
+    finfo = np.finfo(np.float64)
+    tol = 4 * (dim + 2) * finfo.eps
+    slack = (dim + 2) * finfo.smallest_subnormal
+    x_norms = np.linalg.norm(x_mat, axis=1)
+    y_norms = np.linalg.norm(y_mat, axis=1)
+    x_days = np.array([x.date.toordinal() for x in xs], dtype=np.int64)
+    y_days = np.array([y.date.toordinal() for y in ys], dtype=np.int64)
+    order = np.argsort(x_days, kind="stable")
+
+    best: list[tuple[str | None, float | None]] = [(None, None)] * len(xs)
+    for start in range(0, len(order), _BLOCK_ROWS):
+        rows = order[start : start + _BLOCK_ROWS]
+        lo = np.searchsorted(y_days, x_days[rows] - window_days, side="left")
+        hi = np.searchsorted(y_days, x_days[rows] + window_days, side="right")
+        first, last = int(lo[0]), int(hi[-1])
+        if first == last:
+            continue
+        cols = np.arange(first, last)
+        in_window = (cols >= lo[:, None]) & (cols < hi[:, None])
+        product = x_mat[rows] @ y_mat[first:last].T
+        product[~in_window] = -np.inf
+        # One error bound per row, taken at the slice's largest Y norm.
+        err = (tol * x_norms[rows] * y_norms[first:last].max() + slack)[:, None]
+        # fmax skips NaN (from overflow); a NaN bound keeps its candidates.
+        floor = np.clip(np.fmax.reduce(product, axis=1)[:, None] - err, -1.0, 1.0)
+        upper = np.clip(product + err, -1.0, 1.0)
+        row_ids, col_ids = np.nonzero(in_window & ~(upper < floor))
+        for i, j in zip(rows[row_ids].tolist(), (col_ids + first).tolist()):
+            sim = cosine(xs[i].vector, ys[j].vector)
+            best_id, best_sim = best[i]
+            y_id = ys[j].article_id
+            if best_sim is None or sim > best_sim or (sim == best_sim and y_id < best_id):
+                best[i] = (y_id, sim)
+    return best
 
 
 def windowed_max_similarity(
@@ -155,27 +236,9 @@ def windowed_max_similarity(
             n_embedded=len(x_present), flags=tuple(flags),
         )
 
-    y_ordinals = np.array([y.date.toordinal() for y in y_present], dtype=np.int64)
-    records: list[MatchRecord] = []
-    all_maxima: list[float] = []
-    for x in x_present:
-        day = x.date.toordinal()
-        lo = int(np.searchsorted(y_ordinals, day - cfg.window_days, side="left"))
-        hi = int(np.searchsorted(y_ordinals, day + cfg.window_days, side="right"))
-        best_sim: float | None = None
-        best_id: str | None = None
-        for j in range(lo, hi):
-            sim = cosine(x.vector, y_present[j].vector)
-            if (
-                best_sim is None
-                or sim > best_sim
-                or (sim == best_sim and y_present[j].article_id < best_id)
-            ):
-                best_sim = sim
-                best_id = y_present[j].article_id
-        records.append(MatchRecord(x.article_id, best_id, best_sim))
-        if best_sim is not None:
-            all_maxima.append(best_sim)
+    maxima = _window_maxima(x_present, y_present, cfg.window_days)
+    records = [MatchRecord(x.article_id, *best) for x, best in zip(x_present, maxima)]
+    all_maxima = [m.max_sim for m in records if m.max_sim is not None]
 
     matched = [s for s in all_maxima if s > cfg.tau]
     match_rate = len(matched) / len(x_present)

@@ -2,11 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from factlens import pipeline
+from factlens import pipeline, providers
 from factlens.annotation import Annotation, load_annotations
 from factlens.config import RunConfig
 from factlens.embedding import (
@@ -17,7 +18,13 @@ from factlens.embedding import (
     load_embeddings,
     save_embeddings,
 )
-from factlens.providers import HashedEmbeddingProvider, HttpEmbeddingProvider, ProviderCallError
+from factlens.corpus import write_corpus_file
+from factlens.providers import (
+    HashedEmbeddingProvider,
+    HttpEmbeddingProvider,
+    ProviderCallError,
+    ProviderUnreachableError,
+)
 from factlens.synthetic import make_articles
 from tests.conftest import StubResponse, make_corpus
 
@@ -77,6 +84,22 @@ def test_aggregate_symmetry():
 def test_aggregate_empty_and_zero_mean_are_absent():
     assert aggregate_tag([]) is None
     assert aggregate_tag([np.array([1.0, 0.0]), np.array([-1.0, 0.0])]) is None
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        [[np.nan, 1.0], [0.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[-np.inf, 0.0]],
+        [[1e308, 0.0], [1e308, 0.0]],  # the sum overflows
+        [[1e200, 1e200]],  # finite mean, infinite norm
+    ],
+    ids=["nan", "inf", "minus-inf", "overflowing-mean", "overflowing-norm"],
+)
+def test_aggregate_non_finite_is_absent(vectors):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert aggregate_tag(np.array(vectors)) is None
 
 
 def test_cosine_trivial_cases():
@@ -247,3 +270,68 @@ def test_http_embedder_retries_5xx_then_succeeds(stub_post):
     provider = http_embedder()
     np.testing.assert_array_equal(provider.embed(["alpha"]), [[0.0, 1.0, 0.0, 0.0]])
     assert provider.calls == 2
+
+
+def test_http_embedder_nan_vector_is_absent_and_sidecar_stays_json(stub_post, tmp_path):
+    stub_post(StubResponse(200, {"vectors": [[float("nan"), 1.0, 0.0, 0.0]]}))
+    annotations = {"a1": Annotation("a1", claim=("alpha",), what=(), why=())}
+    embeddings = embed_annotations(annotations, http_embedder())
+    assert embeddings[("a1", "claim")].absent
+    save_embeddings(embeddings, tmp_path / "emb.jsonl", dim=4)
+    assert "NaN" not in (tmp_path / "emb.jsonl").read_text()
+
+
+@pytest.mark.parametrize(
+    "reply, error, calls",
+    [
+        (requests.exceptions.ConnectionError("refused"), ProviderUnreachableError, 3),
+        (StubResponse(401, {"error": "bad key"}), ProviderCallError, 1),
+        (StubResponse(429, {"error": "slow down"}), ProviderCallError, 3),
+        (StubResponse(503, {"error": "busy"}), ProviderCallError, 3),
+    ],
+    ids=["connection-error", "401", "429", "503"],
+)
+def test_http_embedder_failure_kinds(stub_post, reply, error, calls):
+    stub_post(reply)
+    provider = http_embedder()
+    with pytest.raises(error) as info:
+        provider.embed(["alpha"])
+    assert type(info.value) is error
+    assert provider.calls == calls
+
+
+def test_http_embedder_last_attempt_decides_unreachable(stub_post):
+    stub_post(requests.exceptions.ConnectionError("refused"), StubResponse(503, {}))
+    provider = http_embedder()
+    with pytest.raises(ProviderCallError, match="HTTP 503"):
+        provider.embed(["alpha"])
+    assert provider.calls == 3
+
+
+def test_unreachable_embedder_aborts_embed_annotations(stub_post):
+    stub_post(requests.exceptions.ConnectionError("refused"))
+    annotations = {
+        "a1": Annotation("a1", claim=("alpha",), what=(), why=()),
+        "a2": Annotation("a2", claim=("beta",), what=(), why=()),
+    }
+    provider = http_embedder()
+    with pytest.raises(ProviderUnreachableError):
+        embed_annotations(annotations, provider)
+    assert provider.calls == 3  # the first batch only
+
+
+def test_unreachable_embedder_aborts_run_all_after_annotations(stub_post, monkeypatch, tmp_path):
+    stub_post(requests.exceptions.ConnectionError("refused"))
+    monkeypatch.setattr(providers.time, "sleep", lambda seconds: None)  # no backoff waits
+    write_corpus_file(make_articles(12, seed=3), tmp_path / "input.jsonl")
+    cfg = RunConfig(
+        input_file=str(tmp_path / "input.jsonl"),
+        cache_dir=str(tmp_path / "cache"),
+        embedding_kind="http",
+        embedding_endpoint="http://embed.test/v1",
+    )
+    with pytest.raises(ProviderUnreachableError):
+        pipeline.run_all(cfg, tmp_path / "store", tmp_path / "out")
+    assert len(load_annotations(tmp_path / "store" / pipeline.ANNOTATIONS_FILE)) == 12
+    assert not (tmp_path / "store" / pipeline.EMBEDDINGS_FILE).exists()
+    assert not (tmp_path / "out" / "similarity.csv").exists()

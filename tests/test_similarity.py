@@ -1,10 +1,15 @@
 import datetime as dt
+import math
 import random
 import statistics
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from factlens import similarity
 from factlens.config import AnalysisConfig
 from factlens.embedding import cosine
 from factlens.providers import HashedEmbeddingProvider
@@ -146,6 +151,82 @@ def test_empty_inputs_flagged():
     assert "empty:no_embedded_articles" in res.flags
 
 
+def hostile_vectors(prefix, n, dim, scale, rng, pool):
+    """Vectors built to stress the block kernel's re-scoring: absent ones,
+    exact copies of a pool vector under different ids, 1-ulp perturbed
+    copies, fresh directions; all times scale, on random days, unsorted."""
+    base = dt.date(2021, 3, 1)
+    out = []
+    for i in range(n):
+        kind = int(rng.integers(0, 4))
+        if kind == 0 and rng.random() < 0.5:
+            vector = None
+        elif kind <= 1:
+            vector = pool[int(rng.integers(0, len(pool)))] * scale
+        elif kind == 2:
+            vector = pool[int(rng.integers(0, len(pool)))] * scale
+            k = int(rng.integers(0, dim))
+            vector[k] = np.nextafter(vector[k], rng.choice([-np.inf, np.inf]))
+        else:
+            fresh = rng.normal(size=dim)
+            vector = fresh / np.linalg.norm(fresh) * scale
+        day = base + dt.timedelta(days=int(rng.integers(0, 45)))
+        # Random ids, so the smallest-id tie-break disagrees with date order.
+        out.append(DatedVector(f"{prefix}{int(rng.integers(0, 100)):02d}-{i}", day, vector))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_x=st.integers(0, similarity._BLOCK_ROWS + 12),
+    n_y=st.integers(0, similarity._BLOCK_ROWS + 12),
+    dim=st.integers(1, 8),
+    window_days=st.integers(0, 20),
+    x_scale=st.sampled_from([1.0, 1e3, 1e-3]),
+    y_scale=st.sampled_from([1.0, 1e3, 1e-3]),
+    block_rows=st.sampled_from([1, 5, similarity._BLOCK_ROWS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_kernel_matches_naive_oracle(
+    n_x, n_y, dim, window_days, x_scale, y_scale, block_rows, seed
+):
+    rng = np.random.default_rng(seed)
+    pool = [v / np.linalg.norm(v) for v in rng.normal(size=(3, dim))]
+    xs = hostile_vectors("x", n_x, dim, x_scale, rng, pool)
+    ys = hostile_vectors("y", n_y, dim, y_scale, rng, pool)
+    cfg = AnalysisConfig(seed=1, window_days=window_days, bootstrap_resamples=50)
+    with mock.patch.object(similarity, "_BLOCK_ROWS", block_rows):
+        res = windowed_max_similarity(xs, ys, cfg)
+    oracle = naive_windowed_max(xs, ys, window_days)
+    expected = [
+        (x.article_id, *oracle[x.article_id]) for x in xs if x.vector is not None
+    ]
+    if not any(y.vector is not None for y in ys):
+        expected = []
+    got = [(m.article_id, m.best_match_id, m.max_sim) for m in res.per_article]
+    assert got == expected  # X input order, exact ids and floats
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_non_finite_vector_is_an_error_naming_the_article(bad, side):
+    good = np.array([1.0, 0.0, 0.0])
+    broken = np.array([bad, 0.0, 0.0])
+    day = dt.date(2021, 6, 1)
+    xs = [DatedVector("x1", day, good), DatedVector("x2", day, broken if side == "x" else good)]
+    ys = [DatedVector("y1", day, good), DatedVector("y2", day, broken if side == "y" else good)]
+    with pytest.raises(ValueError, match=f"non-finite vector for article {side}2"):
+        windowed_max_similarity(xs, ys, CFG)
+
+
+def test_dimension_mismatch_is_an_error_naming_the_article():
+    day = dt.date(2021, 6, 1)
+    xs = [DatedVector("x1", day, np.array([1.0, 0.0]))]
+    ys = [DatedVector("y1", day, np.array([1.0, 0.0])), DatedVector("y2", day, np.ones(3))]
+    with pytest.raises(ValueError, match="article y2"):
+        windowed_max_similarity(xs, ys, CFG)
+
+
 # -- bootstrap ---------------------------------------------------------------
 
 
@@ -162,6 +243,53 @@ def independent_bootstrap(values, resamples, fraction, level, seed):
     lo = medians[int(alpha / 2 * resamples)]
     hi = medians[min(resamples - 1, int((1 - alpha / 2) * resamples))]
     return lo, hi
+
+
+def median_bootstrap_oracle(values, cfg, seed=None):
+    """bootstrap_median_ci as it was written with np.median, kept as the
+    bit-identity reference: the same PCG64 draws in the same chunks."""
+    arr = np.asarray(values, dtype=np.float64)
+    n = arr.size
+    m = max(1, math.ceil(cfg.bootstrap_fraction * n))
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    medians = np.empty(cfg.bootstrap_resamples, dtype=np.float64)
+    done = 0
+    while done < cfg.bootstrap_resamples:
+        take = min(2000, cfg.bootstrap_resamples - done)
+        idx = rng.integers(0, n, size=(take, m))
+        medians[done : done + take] = np.median(arr[idx], axis=1)
+        done += take
+    alpha = 1.0 - cfg.confidence_level
+    lo, hi = np.percentile(medians, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
+    return float(lo), float(hi)
+
+
+@pytest.mark.parametrize(
+    "values, fraction, resamples, level",
+    [
+        ([0.42], 0.2, 2000, 0.95),  # n = 1
+        ([0.1, 0.9], 0.2, 2000, 0.95),  # n = 2, m = 1
+        ([0.1, 0.9], 1.0, 2000, 0.5),  # n = 2, m = 2
+        ([i / 37 for i in range(37)], 0.2, 10000, 0.95),  # m = 8, even
+        ([i / 41 for i in range(41)], 0.2, 10000, 0.95),  # m = 9, odd
+        ([0.3] * 7 + [0.7] * 6 + [0.5] * 7, 0.5, 3001, 0.9),  # repeated values, m = 10
+        ([0.3] * 7 + [0.7] * 6 + [0.5] * 8, 0.5, 1999, 0.8),  # repeated values, m = 11
+        ([i / 37 for i in range(37)], 0.2, 4321, 0.95),  # a partial last chunk
+        ([i / 41 for i in range(41)], 0.2, 2001, 0.6),  # one draw in the last chunk
+        ([5e-324, 5e-324, 1e-323, 1.5e-323], 0.5, 2000, 0.9),  # subnormal midpoints, m = 2
+    ],
+)
+def test_bootstrap_bit_identical_to_median_formulation(values, fraction, resamples, level):
+    cfg = AnalysisConfig(
+        seed=9, bootstrap_fraction=fraction, bootstrap_resamples=resamples,
+        confidence_level=level,
+    )
+    rnd = np.random.default_rng(len(values))
+    shuffled = list(rnd.permutation(values))
+    for seed in (None, 17):
+        assert bootstrap_median_ci(shuffled, cfg, seed=seed) == median_bootstrap_oracle(
+            shuffled, cfg, seed=seed
+        )
 
 
 def test_bootstrap_constant_data_zero_width():
