@@ -23,6 +23,7 @@ from . import report as report_mod
 from .annotation import load_annotations
 from .config import DEFAULTS, ConfigError, RunConfig, load_config, override, serialize_config
 from .embedding import load_embeddings
+from .entities import org_mentions
 
 
 def _config(base: Callable[[], RunConfig], **flags) -> RunConfig:
@@ -169,9 +170,9 @@ def entities(store_dir, aliases_file, top_k, window, orgs, out_file) -> None:
     corpus = corpus_mod.load_store(store_dir)
     org_x, org_y = _org_pair(orgs, corpus)
     annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
-    tops, [payload] = pipeline.entity_overlap(
-        cfg, corpus, annotations, pipeline.load_alias_map(cfg), [(org_x, org_y)]
-    )
+    aliases = pipeline.load_alias_map(cfg)
+    mentions = {org: org_mentions(corpus, annotations, aliases, org) for org in (org_x, org_y)}
+    tops, [payload] = pipeline.entity_overlap(cfg, mentions, [(org_x, org_y)])
     payload["top_entities_x"] = [list(e) for e in tops[org_x].entities]
     payload["top_entities_y"] = [list(e) for e in tops[org_y].entities]
     report_mod.export_table([payload], "json", out_file)
@@ -200,7 +201,8 @@ def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_suppo
     corpus = corpus_mod.load_store(store_dir)
     annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
     aliases = pipeline.load_alias_map(cfg)
-    org_results, skipped = pipeline.polarity(cfg, corpus, annotations, aliases)
+    mentions = {org: org_mentions(corpus, annotations, aliases, org) for org in corpus.orgs()}
+    org_results, skipped = pipeline.polarity(cfg, mentions)
     for reason in skipped.values():
         click.echo(f"warning: {reason}", err=True)
     rows: list[dict] = []

@@ -3,8 +3,9 @@
 Surface forms map through a curated alias table to canonical names
 (canonical names are fixed points); unmapped surfaces canonicalize to
 themselves. ``entity_labels`` applies that mapping, the political filter
-and the one-tag-per-entity-per-article rule for overlap and polarity
-alike. Overlap between organizations is the Jaccard similarity of
+and the one-tag-per-entity-per-article rule; ``org_mentions`` applies it
+once per article of an org, and overlap and polarity both read that
+view. Overlap between organizations is the Jaccard similarity of
 their top-k political-entity sets, either globally or recomputed per
 +/-w day window around each publication day.
 """
@@ -27,7 +28,9 @@ from .corpus import Corpus
 
 logger = logging.getLogger(__name__)
 
-_date = itemgetter(0)  # key of a (date, names) mention
+# An org's entity view: one (date, canonical -> label) per article.
+Mentions = Sequence[tuple[dt.date, Mapping[str, str]]]
+_date = itemgetter(0)  # key of a mention
 
 
 def _lookup_key(surface: str) -> str:
@@ -128,9 +131,14 @@ def entity_labels(
     return labels
 
 
-def _top_k(counter: Counter, k: int) -> tuple[tuple[str, int], ...]:
+def entity_set(label_sets: Iterable[Iterable[str]], k: int, org: str = "") -> EntitySet:
+    """The k most frequent names, one count per article's labels; ties go
+    to the smaller name."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    counter = Counter(chain.from_iterable(label_sets))
     ranked = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
-    return tuple(ranked[:k])
+    return EntitySet(org=org, k=k, entities=tuple(ranked[:k]))
 
 
 def top_k_entities(
@@ -141,11 +149,8 @@ def top_k_entities(
     org: str = "",
 ) -> EntitySet:
     """Most frequent canonical entities; one count per mentioning article."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     per_article = (entity_labels(ann, aliases, political_only) for ann in annotations)
-    counter = Counter(chain.from_iterable(labels for labels in per_article if labels is not None))
-    return EntitySet(org=org, k=k, entities=_top_k(counter, k))
+    return entity_set((labels for labels in per_article if labels is not None), k, org)
 
 
 def jaccard(a: frozenset | set, b: frozenset | set) -> float | None:
@@ -171,29 +176,28 @@ def org_mentions(
     annotations: Mapping[str, Annotation],
     aliases: AliasMap,
     org: str,
-) -> list[tuple[dt.date, frozenset[str]]]:
-    """Dated political-entity sets per article, sorted by date."""
+    political_only: bool = True,
+) -> Mentions:
+    """The org's entity view: (date, canonical -> label) for every article
+    with usable entities, sorted by date. Overlap and polarity both read it."""
     out = []
     for article in corpus.by_org(org):
-        labels = entity_labels(annotations.get(article.id), aliases)
+        labels = entity_labels(annotations.get(article.id), aliases, political_only)
         if labels is not None:
-            out.append((article.published_at, frozenset(labels)))
+            out.append((article.published_at, labels))
     out.sort(key=_date)
     return out
 
 
-def _window_top_k(
-    ordered: Sequence[tuple[dt.date, frozenset[str]]], lo: dt.date, hi: dt.date, k: int
-) -> frozenset[str]:
+def _window_top_k(ordered: Mentions, lo: dt.date, hi: dt.date, k: int) -> frozenset[str]:
     """Top-k names over date-sorted mentions dated within [lo, hi]."""
     window = ordered[bisect_left(ordered, lo, key=_date) : bisect_right(ordered, hi, key=_date)]
-    counter = Counter(chain.from_iterable(names for _, names in window))
-    return frozenset(name for name, _ in _top_k(counter, k))
+    return entity_set((names for _, names in window), k).names()
 
 
 def windowed_jaccard(
-    x_mentions: Sequence[tuple[dt.date, frozenset[str]]],
-    y_mentions: Sequence[tuple[dt.date, frozenset[str]]],
+    x_mentions: Mentions,
+    y_mentions: Mentions,
     k: int,
     window_days: int,
     org_x: str = "X",

@@ -124,23 +124,16 @@ def similarity(
 
 def entity_overlap(
     cfg: RunConfig,
-    corpus: corpus_mod.Corpus,
-    annotations: dict[str, Annotation],
-    aliases: AliasMap,
+    mentions: dict[str, ent_mod.Mentions],
     pairs: list[tuple[str, str]],
 ) -> tuple[dict[str, ent_mod.EntitySet], list[dict]]:
     """Each paired org's top-k entity set, and per pair the global top-k
-    Jaccard plus the windowed distribution; per-org work is done once."""
-    orgs = sorted({org for pair in pairs for org in pair})
-    mentions = {
-        org: ent_mod.org_mentions(corpus, annotations, aliases, org) for org in orgs
-    }
+    Jaccard plus the windowed distribution."""
     tops = {
-        org: ent_mod.top_k_entities(
-            [annotations[a.id] for a in corpus.by_org(org) if a.id in annotations],
-            aliases, cfg.top_k_entities, org=org,
+        org: ent_mod.entity_set(
+            (labels for _, labels in mentions[org]), cfg.top_k_entities, org=org
         )
-        for org in orgs
+        for org in sorted({org for pair in pairs for org in pair})
     }
     overlaps = []
     for org_x, org_y in pairs:
@@ -164,22 +157,15 @@ def entity_overlap(
 
 
 def polarity(
-    cfg: RunConfig,
-    corpus: corpus_mod.Corpus,
-    annotations: dict[str, Annotation],
-    aliases: AliasMap,
+    cfg: RunConfig, mentions: dict[str, ent_mod.Mentions]
 ) -> tuple[list[pol_mod.OrgPolarity], dict[str, str]]:
     """Polarity per organization, plus the reason for each org skipped for lack of support."""
     results: list[pol_mod.OrgPolarity] = []
     skipped: dict[str, str] = {}
-    for org in corpus.orgs():
+    for org, view in mentions.items():
         try:
             results.append(
-                pol_mod.org_polarity(
-                    corpus, annotations, aliases, org,
-                    top_k=cfg.top_k_polarity, prec=cfg.precisions,
-                    min_support=cfg.min_support,
-                )
+                pol_mod.score_org(view, org, cfg.top_k_polarity, cfg.precisions, cfg.min_support)
             )
         except ValueError as exc:
             skipped[org] = str(exc)
@@ -230,9 +216,12 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
         sim_rows.append({key: payload[key] for key in SIMILARITY_COLUMNS})
     report.export_table(sim_rows, "csv", out / "similarity.csv", SIMILARITY_COLUMNS)
 
+    mentions = {
+        org: ent_mod.org_mentions(corpus, annotations, aliases, org) for org in corpus.orgs()
+    }
     (out / "entities").mkdir(exist_ok=True)
     js_rows = []
-    _, overlaps = entity_overlap(cfg, corpus, annotations, aliases, pairs)
+    _, overlaps = entity_overlap(cfg, mentions, pairs)
     for payload in overlaps:
         report.export_table(
             [payload], "json", out / "entities" / f"{payload['org_x']}-{payload['org_y']}.json"
@@ -240,7 +229,7 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
         js_rows.append({**payload, "n_days": len(payload["windowed_days"])})
     report.export_table(js_rows, "csv", out / "entities.csv", JACCARD_COLUMNS)
 
-    org_results, skipped = polarity(cfg, corpus, annotations, aliases)
+    org_results, skipped = polarity(cfg, mentions)
     for org, reason in skipped.items():
         logger.warning("skipping polarity for %s: %s", org, reason)
     pol_rows = [row for res in org_results for row in pol_mod.polarity_rows(res.entities)]

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .annotation import Annotation
 from .corpus import Corpus
-from .entities import AliasMap, canonicalize, entity_labels
+from .entities import AliasMap, Mentions, canonicalize, org_mentions
 
 logger = logging.getLogger(__name__)
 
@@ -88,22 +88,13 @@ def score(counts: PolarityCounts, prec: PrecisionConfig) -> PolarityResult:
     return PolarityResult(counts, polarity_score(counts), max_log_error(counts, prec))
 
 
-def _tag_counts(
-    corpus: Corpus,
-    annotations: Mapping[str, Annotation],
-    aliases: AliasMap,
-    org: str,
-    political_only: bool = True,
-) -> dict[str, dict[str, list[int]]]:
-    """entity -> period -> [n_pos, n_neg, n_total], article-level tags."""
+def _tag_counts(mentions: Mentions) -> dict[str, dict[str, list[int]]]:
+    """entity -> period -> [n_pos, n_neg, n_total] over an org's entity view."""
     counts: dict[str, dict[str, list[int]]] = defaultdict(
         lambda: defaultdict(lambda: [0, 0, 0])
     )
-    for article in corpus.by_org(org):
-        labels = entity_labels(annotations.get(article.id), aliases, political_only)
-        if labels is None:
-            continue
-        year = str(article.published_at.year)
+    for published_at, labels in mentions:
+        year = str(published_at.year)
         for name, label in labels.items():
             for period in (year, OVERALL):
                 cell = counts[name][period]
@@ -128,18 +119,16 @@ def entity_series(
     An entity with zero occurrences yields an empty list.
     """
     prec = prec or PrecisionConfig()
-    table = _tag_counts(corpus, annotations, aliases, org, political_only=False)
-    per_period = table.get(canonicalize(entity, aliases))
+    table = _tag_counts(org_mentions(corpus, annotations, aliases, org, political_only=False))
+    name = canonicalize(entity, aliases)
+    per_period = table.get(name)
     if not per_period:
         logger.warning("no occurrences of %r at %s", entity, org)
         return []
     periods = sorted(p for p in per_period if p != OVERALL) + [OVERALL]
-    results = []
-    for period in periods:
-        n_pos, n_neg, n_total = per_period[period]
-        counts = PolarityCounts(org, canonicalize(entity, aliases), period, n_pos, n_neg, n_total)
-        results.append(score(counts, prec))
-    return results
+    return [
+        score(PolarityCounts(org, name, period, *per_period[period]), prec) for period in periods
+    ]
 
 
 @dataclass(frozen=True)
@@ -159,7 +148,20 @@ def org_polarity(
     prec: PrecisionConfig | None = None,
     min_support: int = 10,
 ) -> OrgPolarity:
-    """Micro- and macro-averaged polarity for one organization.
+    """score_org over the organization's political-entity view."""
+    return score_org(
+        org_mentions(corpus, annotations, aliases, org), org, top_k, prec, min_support
+    )
+
+
+def score_org(
+    mentions: Mentions,
+    org: str,
+    top_k: int = 5,
+    prec: PrecisionConfig | None = None,
+    min_support: int = 10,
+) -> OrgPolarity:
+    """Micro- and macro-averaged polarity for one organization's entity view.
 
     Micro pools counts over every political entity; macro is the
     unweighted mean score of the top_k entities by occurrence count
@@ -168,32 +170,23 @@ def org_polarity(
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     prec = prec or PrecisionConfig()
-    table = _tag_counts(corpus, annotations, aliases, org, political_only=True)
+    table = _tag_counts(mentions)
     if not table:
         raise ValueError(f"no political entities tagged for organization {org!r}")
 
-    total_pos = total_neg = total = 0
-    overall: list[tuple[str, list[int]]] = []
-    for name, per_period in table.items():
-        n_pos, n_neg, n_total = per_period[OVERALL]
-        total_pos += n_pos
-        total_neg += n_neg
-        total += n_total
-        overall.append((name, per_period[OVERALL]))
+    overall = {name: per_period[OVERALL] for name, per_period in table.items()}
+    total_pos, total_neg, total = (sum(cell[i] for cell in overall.values()) for i in range(3))
     micro = (total_pos - total_neg) / total
-
-    ranked = [
-        (name, cell) for name, cell in overall if cell[2] >= min_support
-    ]
-    ranked.sort(key=lambda item: (-item[1][2], item[0]))
+    ranked = sorted(
+        (item for item in overall.items() if item[1][2] >= min_support),
+        key=lambda item: (-item[1][2], item[0]),
+    )
     results = tuple(
         score(PolarityCounts(org, name, OVERALL, *cell), prec) for name, cell in ranked
     )
     top = results[:top_k]
     if not top:
-        raise ValueError(
-            f"no entities with support >= {min_support} for organization {org!r}"
-        )
+        raise ValueError(f"no entities with support >= {min_support} for organization {org!r}")
     macro = sum(r.ps for r in top) / len(top)
     return OrgPolarity(org, micro, macro, results)
 
@@ -211,7 +204,7 @@ def negativity_ratio(
     Evaluated as (a_neg * b_total) / (a_total * b_neg), the exact integer
     form of (a_neg/a_total) / (b_neg/b_total).
     """
-    table = _tag_counts(corpus, annotations, aliases, org, political_only=False)
+    table = _tag_counts(org_mentions(corpus, annotations, aliases, org, political_only=False))
     cells = []
     for entity in (entity_a, entity_b):
         per_period = table.get(canonicalize(entity, aliases))
