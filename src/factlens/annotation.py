@@ -224,12 +224,26 @@ def save_annotations(annotations: Mapping[str, Annotation], path: str | Path) ->
             )
 
 
+# What decoding a store line that is not a row raises (a truncated line,
+# a wrong type, a missing key, deep nesting).
+ROW_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
+
+
+def bad_row(path: str | Path, line_no: int, exc: Exception) -> ValueError:
+    return ValueError(f"{path}:{line_no}: not a valid row ({type(exc).__name__}: {exc})")
+
+
 def load_annotations(path: str | Path) -> dict[str, Annotation]:
+    """Load annotations.jsonl; a line that is not a row is a ValueError
+    naming the file and the line."""
     annotations: dict[str, Annotation] = {}
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            ann = Annotation.from_json_dict(json.loads(line))
+            try:
+                ann = Annotation.from_json_dict(json.loads(line))
+            except ROW_ERRORS as exc:
+                raise bad_row(path, line_no, exc) from None
             annotations[ann.article_id] = ann
     return annotations

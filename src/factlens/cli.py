@@ -35,6 +35,14 @@ def _config(base: Callable[[], RunConfig], **flags) -> RunConfig:
         raise click.ClickException(str(exc)) from None
 
 
+def _read(load: Callable, path):
+    """load(path); a store file that is missing or damaged is a clean error."""
+    try:
+        return load(path)
+    except (corpus_mod.CorpusError, OSError, ValueError) as exc:
+        raise click.ClickException(str(exc)) from None
+
+
 def _org_pair(orgs: str, corpus: corpus_mod.Corpus) -> tuple[str, str]:
     """The --orgs pair X,Y; both must be organizations of the store."""
     try:
@@ -90,7 +98,7 @@ def annotate(store_dir, config_file, cache_dir, fixtures_dir) -> None:
         provider_kind="fixtures" if fixtures_dir else None, provider_fixtures_dir=fixtures_dir,
     )
     store = Path(store_dir)
-    annotations = pipeline.annotate(cfg, corpus_mod.load_store(store), store)
+    annotations = pipeline.annotate(cfg, _read(corpus_mod.load_store, store), store)
     failed = sum(1 for a in annotations.values() if a.failed_tags)
     click.echo(
         f"annotated {len(annotations)} articles ({failed} with failed tags) "
@@ -105,7 +113,8 @@ def embed(store_dir, config_file) -> None:
     """Embed annotation sentences into per-tag unit vectors."""
     cfg = _config(lambda: load_config(config_file))
     store = Path(store_dir)
-    embeddings = pipeline.embed(cfg, load_annotations(store / pipeline.ANNOTATIONS_FILE), store)
+    annotations = _read(load_annotations, store / pipeline.ANNOTATIONS_FILE)
+    embeddings = pipeline.embed(cfg, annotations, store)
     present = sum(1 for e in embeddings.values() if not e.absent)
     click.echo(
         f"embedded {present}/{len(embeddings)} (article, tag) pairs "
@@ -134,7 +143,7 @@ def similarity(store_dir, tag, orgs, window, tau, seed, resamples, fraction, lev
         RunConfig, window_days=window, tau=tau, seed=seed, bootstrap_resamples=resamples,
         bootstrap_fraction=fraction, confidence_level=level,
     )
-    corpus = corpus_mod.load_store(store_dir)
+    corpus = _read(corpus_mod.load_store, store_dir)
     org_x, org_y = _org_pair(orgs, corpus)
     if corpus.by_org(org_x)[0].country != corpus.by_org(org_y)[0].country:
         click.echo(
@@ -142,7 +151,7 @@ def similarity(store_dir, tag, orgs, window, tau, seed, resamples, fraction, lev
             "stay within one geography",
             err=True,
         )
-    embeddings, _ = load_embeddings(Path(store_dir) / pipeline.EMBEDDINGS_FILE)
+    embeddings, _ = _read(load_embeddings, Path(store_dir) / pipeline.EMBEDDINGS_FILE)
     [result] = pipeline.similarity(cfg, corpus, embeddings, [(org_x, org_y)], (tag,))
     payload = result.to_json_dict()
     report_mod.export_table([payload], "json", out_file)
@@ -167,9 +176,9 @@ def similarity(store_dir, tag, orgs, window, tau, seed, resamples, fraction, lev
 def entities(store_dir, aliases_file, top_k, window, orgs, out_file) -> None:
     """Top-k political-entity overlap (global and windowed) for one pair."""
     cfg = _config(RunConfig, aliases_file=aliases_file, top_k_entities=top_k, window_days=window)
-    corpus = corpus_mod.load_store(store_dir)
+    corpus = _read(corpus_mod.load_store, store_dir)
     org_x, org_y = _org_pair(orgs, corpus)
-    annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
+    annotations = _read(load_annotations, Path(store_dir) / pipeline.ANNOTATIONS_FILE)
     aliases = pipeline.load_alias_map(cfg)
     mentions = {org: org_mentions(corpus, annotations, aliases, org) for org in (org_x, org_y)}
     tops, [payload] = pipeline.entity_overlap(cfg, mentions, [(org_x, org_y)])
@@ -198,8 +207,8 @@ def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_suppo
             cfg = replace(cfg, precisions=pol_mod.load_precisions_csv(precisions_file))
         except ValueError as exc:
             raise click.ClickException(str(exc)) from None
-    corpus = corpus_mod.load_store(store_dir)
-    annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
+    corpus = _read(corpus_mod.load_store, store_dir)
+    annotations = _read(load_annotations, Path(store_dir) / pipeline.ANNOTATIONS_FILE)
     aliases = pipeline.load_alias_map(cfg)
     mentions = {org: org_mentions(corpus, annotations, aliases, org) for org in corpus.orgs()}
     org_results, skipped = pipeline.polarity(cfg, mentions)

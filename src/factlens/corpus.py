@@ -239,8 +239,10 @@ def load_store(store_dir: str | Path) -> Corpus:
     )
     result = ingest(store / "corpus.jsonl", date_range)
     if result.rejections:
+        first = result.rejections[0]
         raise CorpusError(
-            f"store corpus is not canonical: {len(result.rejections)} bad lines"
+            f"{store / 'corpus.jsonl'}:{first.line_no}: store corpus is not canonical "
+            f"({len(result.rejections)} bad lines; first: {first.reason})"
         )
     return result.corpus
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .annotation import SENTENCE_TAGS, Annotation
+from .annotation import ROW_ERRORS, SENTENCE_TAGS, Annotation, bad_row
 from .providers import EmbeddingProvider, ProviderCallError
 
 logger = logging.getLogger(__name__)
@@ -142,25 +142,30 @@ def save_embeddings(
 
 
 def load_embeddings(path: str | Path) -> tuple[dict[tuple[str, str], TagEmbedding], int]:
-    """Load a sidecar; validates the dimension header against every row."""
+    """Load a sidecar; validates the dimension header against every row. A
+    line that is not a row is a ValueError naming the file and the line."""
     embeddings: dict[tuple[str, str], TagEmbedding] = {}
+    line_no = 1
     with Path(path).open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "header" or "dim" not in header:
-            raise ValueError("embedding sidecar is missing its dimension header")
-        dim = int(header["dim"])
-        for line in fh:
-            if not line.strip():
-                continue
-            raw = json.loads(line)
-            vector = raw["vector"]
-            if vector is not None:
-                vector = np.asarray(vector, dtype=np.float64)
-                if vector.shape != (dim,):
-                    raise ValueError(
-                        f"row ({raw['article_id']}, {raw['tag']}) has dimension "
-                        f"{vector.shape[0]}, header says {dim}"
-                    )
-            emb = TagEmbedding(raw["article_id"], raw["tag"], vector, int(raw["n_sentences"]))
-            embeddings[(emb.article_id, emb.tag)] = emb
+        try:
+            header = json.loads(fh.readline())
+            if header.get("kind") != "header" or "dim" not in header:
+                raise ValueError("embedding sidecar is missing its dimension header")
+            dim = int(header["dim"])
+            for line_no, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                raw = json.loads(line)
+                vector = raw["vector"]
+                if vector is not None:
+                    vector = np.asarray(vector, dtype=np.float64)
+                    if vector.shape != (dim,):
+                        raise ValueError(
+                            f"row ({raw['article_id']}, {raw['tag']}) has dimension "
+                            f"{vector.shape[0]}, header says {dim}"
+                        )
+                emb = TagEmbedding(raw["article_id"], raw["tag"], vector, int(raw["n_sentences"]))
+                embeddings[(emb.article_id, emb.tag)] = emb
+        except ROW_ERRORS as exc:
+            raise bad_row(path, line_no, exc) from None
     return embeddings, dim

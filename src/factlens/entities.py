@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import logging
+import statistics
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -226,15 +227,6 @@ def windowed_jaccard(
         values.append(js)
     if not values:
         logger.warning("windowed jaccard %s-%s: no qualifying days", org_x, org_y)
-        median = None
-    else:
-        ordered = sorted(values)
-        mid = len(ordered) // 2
-        median = (
-            ordered[mid]
-            if len(ordered) % 2
-            else (ordered[mid - 1] + ordered[mid]) / 2.0
-        )
     return WindowedJaccard(
         org_x=org_x,
         org_y=org_y,
@@ -242,5 +234,5 @@ def windowed_jaccard(
         window_days=window_days,
         days=tuple(kept_days),
         values=tuple(values),
-        median=median,
+        median=statistics.median(values) if values else None,
     )

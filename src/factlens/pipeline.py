@@ -69,6 +69,17 @@ def load_alias_map(cfg: RunConfig) -> AliasMap:
     return AliasMap.empty()
 
 
+def _escaped(name: str) -> str:
+    """name as one flat file-name part: '%', '-', path separators, control
+    characters and a leading '.' become %XX, so no two names collide."""
+    return "".join(
+        f"%{ord(ch):02X}"
+        if ch in "%-/\\" or ord(ch) < 32 or 127 <= ord(ch) < 160 or (ch == "." and i == 0)
+        else ch
+        for i, ch in enumerate(name)
+    )
+
+
 def _org_pairs(corpus: corpus_mod.Corpus) -> list[tuple[str, str]]:
     """Ordered org pairs within each country, in sorted order."""
     by_country: dict[str, list[str]] = {}
@@ -211,7 +222,8 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
     for res in similarity(cfg, corpus, embeddings, pairs):
         payload = res.to_json_dict()
         report.export_table(
-            [payload], "json", out / "similarity" / f"{res.org_x}-{res.org_y}-{res.tag}.json"
+            [payload], "json",
+            out / "similarity" / f"{_escaped(res.org_x)}-{_escaped(res.org_y)}-{res.tag}.json",
         )
         sim_rows.append({key: payload[key] for key in SIMILARITY_COLUMNS})
     report.export_table(sim_rows, "csv", out / "similarity.csv", SIMILARITY_COLUMNS)
@@ -224,7 +236,8 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
     _, overlaps = entity_overlap(cfg, mentions, pairs)
     for payload in overlaps:
         report.export_table(
-            [payload], "json", out / "entities" / f"{payload['org_x']}-{payload['org_y']}.json"
+            [payload], "json",
+            out / "entities" / f"{_escaped(payload['org_x'])}-{_escaped(payload['org_y'])}.json",
         )
         js_rows.append({**payload, "n_days": len(payload["windowed_days"])})
     report.export_table(js_rows, "csv", out / "entities.csv", JACCARD_COLUMNS)

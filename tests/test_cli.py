@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -262,3 +263,48 @@ def test_polarity_reports_each_skipped_org(runner, workspace):
             in result.stderr
         )
     assert "0 polarity rows" in result.stdout
+
+
+@pytest.fixture(scope="module")
+def built_store(tmp_path_factory):
+    """A store after ingest, annotate and embed; tests copy it before damaging it."""
+    base = tmp_path_factory.mktemp("built")
+    write_corpus_file(make_articles(30, seed=4), base / "input.jsonl")
+    runner = CliRunner()
+    invoke(runner, ["ingest", "--input", str(base / "input.jsonl"), "--out", str(base / "store")])
+    invoke(runner, ["annotate", "--store", str(base / "store"), "--cache", str(base / "cache")])
+    invoke(runner, ["embed", "--store", str(base / "store")])
+    return base / "store"
+
+
+@pytest.mark.parametrize(
+    ("damaged", "command"),
+    [
+        ("embeddings.jsonl", ["similarity", "--tag", "claim", "--orgs", "PolitiFact,Snopes"]),
+        ("annotations.jsonl", ["embed"]),
+        ("annotations.jsonl", ["entities", "--orgs", "PolitiFact,Snopes"]),
+        ("annotations.jsonl", ["polarity"]),
+        ("corpus.jsonl", ["annotate"]),
+        ("corpus.jsonl", ["similarity", "--tag", "claim", "--orgs", "PolitiFact,Snopes"]),
+        ("corpus.jsonl", ["entities", "--orgs", "PolitiFact,Snopes"]),
+        ("corpus.jsonl", ["polarity"]),
+    ],
+)
+def test_truncated_store_file_is_clean_error(runner, built_store, tmp_path, damaged, command):
+    """A store file cut mid-line (say, by a killed run) names itself in an
+    `Error:` line instead of a traceback."""
+    store = tmp_path / "store"
+    shutil.copytree(built_store, store)
+    data = (store / damaged).read_bytes()
+    (store / damaged).write_bytes(data[: len(data) // 2])
+    args = [*command, "--store", str(store)]
+    if command[0] in ("similarity", "entities", "polarity"):
+        args += ["--out", str(tmp_path / "out.json")]
+    if command[0] == "annotate":
+        args += ["--cache", str(tmp_path / "cache")]
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("Error:")
+    assert str(store / damaged) in result.stderr
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out.json").exists()

@@ -1,4 +1,5 @@
 import datetime as dt
+import statistics
 from collections import Counter
 
 import pytest
@@ -202,8 +203,10 @@ dated_mentions = st.lists(
 @given(dated_mentions, dated_mentions, st.integers(1, 8), st.integers(0, 20))
 def test_windowed_matches_per_day_brute_force(x, y, k, w):
     result = windowed_jaccard(x, y, k=k, window_days=w)
-    assert dict(zip(result.days, result.values)) == naive_windowed_jaccard(x, y, k, w)
+    oracle = naive_windowed_jaccard(x, y, k, w)
+    assert dict(zip(result.days, result.values)) == oracle
     assert list(result.days) == sorted(result.days)
+    assert result.median == (statistics.median(oracle.values()) if oracle else None)
 
 
 def test_alias_csv_round_trip(tmp_path):

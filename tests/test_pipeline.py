@@ -84,3 +84,20 @@ def test_stages_on_the_view_match_the_public_functions(annotated, min_support, n
         anns = [annotations[a.id] for a in corpus.by_org(org)]
         assert top == top_k_entities(anns, aliases, cfg.top_k_entities, org=org)
 
+
+def test_hostile_org_names_stay_flat_and_distinct_under_out(tmp_path):
+    orgs = ("../../escaped", "A-B", "C", "A", "B-C", "A/B")  # one country
+    work = tmp_path / "a" / "b"
+    work.mkdir(parents=True)
+    cfg = synthetic_cfg(work, make_articles(60, orgs=orgs, seed=7))
+    before = set(tmp_path.rglob("*"))
+    pipeline.run_all(cfg, work / "store", work / "out")
+
+    roots = [work / "out", work / "store", work / "cache"]
+    for path in set(tmp_path.rglob("*")) - before:
+        assert any(path == root or root in path.parents for root in roots), path
+    pairs = len(orgs) * (len(orgs) - 1)
+    for name, expected in (("similarity", 3 * pairs), ("entities", pairs)):
+        written = list((work / "out" / name).iterdir())
+        assert len(written) == expected
+        assert all(path.is_file() for path in written)
