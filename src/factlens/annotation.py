@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
@@ -109,22 +110,46 @@ def _verbatim_flags(sentences: Iterable[str], body: str, tag: str) -> list[str]:
     ]
 
 
-def _fetch(
-    article: Article,
-    template_id: str,
-    provider: ChatProvider,
-    cache: ResponseCache | None,
-) -> str:
-    prompt = prompts.render_prompt(template_id, article.body)
-    key = cache_key(template_id, prompt, provider.model_name)
-    if cache is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    response = provider.complete(prompt, template_id)
+def _call(
+    provider: ChatProvider, cache: ResponseCache | None, key: str, template_id: str, prompt: str
+) -> str | ProviderCallError:
+    """The provider's response, cached as it arrives, or the call's
+    permanent failure; an unreachable endpoint raises."""
+    try:
+        response = provider.complete(prompt, template_id)
+    except ProviderCallError as exc:
+        return exc
     if cache is not None:
         cache.put(key, response)
     return response
+
+
+def _call_all(
+    misses: Mapping[str, tuple[str, str]],
+    provider: ChatProvider,
+    cache: ResponseCache | None,
+) -> dict[str, str | ProviderCallError]:
+    """_call for each cache key -> (template id, prompt).
+
+    A provider that declares ``workers`` > 1 gets that many requests in
+    flight at once; others are called one at a time, in order. An
+    unreachable endpoint cancels the requests not yet sent, lets those in
+    flight finish (and be cached), and raises.
+    """
+    width = min(getattr(provider, "workers", 1), len(misses))
+    if width <= 1:
+        return {key: _call(provider, cache, key, *req) for key, req in misses.items()}
+    pool = ThreadPoolExecutor(max_workers=width)
+    try:
+        futures = {
+            key: pool.submit(_call, provider, cache, key, *req) for key, req in misses.items()
+        }
+        wait(futures.values(), return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # Requests start in submission order, so a raised error comes before
+    # any cancelled request and result() re-raises it first.
+    return {key: future.result() for key, future in futures.items()}
 
 
 # Template id -> (parser, the Annotation fields its value fills, name in
@@ -141,22 +166,12 @@ def _field_values(fields: tuple[str, ...], value: Any) -> dict[str, Any]:
     return {fields[0]: value} if len(fields) == 1 else {f: value[f] for f in fields}
 
 
-def run_pass(
-    article: Article,
-    template_id: str,
-    provider: ChatProvider,
-    cache: ResponseCache | None = None,
+def _parse_pass(
+    article: Article, template_id: str, raw: str | ProviderCallError
 ) -> parsing.ParsedTag:
-    """One prompt pass for one article; failure is recorded, not raised.
-
-    Sentence fields of a parsed value are flagged ``<tag>:not_verbatim``
-    per sentence not found in the article body.
-    """
     parser, fields, name = PASSES[template_id]
-    try:
-        raw = _fetch(article, template_id, provider, cache)
-    except ProviderCallError as exc:
-        logger.warning("%s call failed for %s: %s", name, article.id, exc)
+    if isinstance(raw, ProviderCallError):
+        logger.warning("%s call failed for %s: %s", name, article.id, raw)
         return parsing.ParsedTag(failed=True, flags=[f"{template_id}:provider_error"])
     parsed = parser(raw)
     if parsed.failed:
@@ -168,15 +183,35 @@ def run_pass(
     return parsed
 
 
-def annotate_article(
-    article: Article, provider: ChatProvider, cache: ResponseCache | None = None
+def run_pass(
+    article: Article,
+    template_id: str,
+    provider: ChatProvider,
+    cache: ResponseCache | None = None,
+) -> parsing.ParsedTag:
+    """One prompt pass for one article; failure is recorded, not raised.
+
+    Sentence fields of a parsed value are flagged ``<tag>:not_verbatim``
+    per sentence not found in the article body.
+    """
+    prompt = prompts.render_prompt(template_id, article.body)
+    key = cache_key(template_id, prompt, provider.model_name)
+    raw = cache.get(key) if cache is not None else None
+    if raw is None:
+        raw = _call(provider, cache, key, template_id, prompt)
+    return _parse_pass(article, template_id, raw)
+
+
+def _annotation(
+    article: Article, raws: Iterable[tuple[str, str | ProviderCallError]]
 ) -> Annotation:
+    """The article's Annotation from each pass's raw response, in pass order."""
     values: dict[str, Any] = {}
     failed: list[str] = []
     flags: list[str] = []
-    for template_id in prompts.TEMPLATE_IDS:
+    for template_id, raw in raws:
         fields = PASSES[template_id][1]
-        parsed = run_pass(article, template_id, provider, cache)
+        parsed = _parse_pass(article, template_id, raw)
         flags.extend(parsed.flags)
         if parsed.failed:
             failed.extend(fields)
@@ -195,24 +230,46 @@ def annotate_corpus(
 ) -> dict[str, Annotation]:
     """Annotate every article; deterministic given the cache or a mock.
 
-    A per-call failure marks only that tag failed; an unreachable
-    provider aborts the run with all completed cache entries preserved.
+    Three phases: each (article, template) prompt is rendered and its
+    cache entry read once; the misses go to the provider (concurrently
+    when it declares ``workers``), each response cached as it arrives;
+    then annotations are parsed and assembled in corpus order. A per-call
+    failure marks only that tag failed; an unreachable provider aborts
+    the run with all completed cache entries preserved.
     """
     cache = None
     if config is not None and config.cache_dir is not None:
         cache = ResponseCache(config.cache_dir)
-    annotations: dict[str, Annotation] = {}
+    article_keys: list[list[str]] = []
+    responses: dict[str, str | ProviderCallError] = {}
+    misses: dict[str, tuple[str, str]] = {}
     for article in corpus:
-        try:
-            annotations[article.id] = annotate_article(article, provider, cache)
-        except ProviderUnreachableError:
-            logger.error(
-                "provider unreachable at article %s; aborting with %d done",
-                article.id,
-                len(annotations),
-            )
-            raise
-    return annotations
+        keys = []
+        for template_id in prompts.TEMPLATE_IDS:
+            prompt = prompts.render_prompt(template_id, article.body)
+            key = cache_key(template_id, prompt, provider.model_name)
+            cached = cache.get(key) if cache is not None else None
+            if cached is not None:
+                responses[key] = cached
+            else:
+                misses.setdefault(key, (template_id, prompt))
+            keys.append(key)
+        article_keys.append(keys)
+    try:
+        responses.update(_call_all(misses, provider, cache))
+    except ProviderUnreachableError:
+        logger.error(
+            "provider unreachable with %d uncached requests; aborting, "
+            "completed responses stay cached",
+            len(misses),
+        )
+        raise
+    return {
+        article.id: _annotation(
+            article, [(t, responses[key]) for t, key in zip(prompts.TEMPLATE_IDS, keys)]
+        )
+        for article, keys in zip(corpus, article_keys)
+    }
 
 
 def save_annotations(annotations: Mapping[str, Annotation], path: str | Path) -> None:

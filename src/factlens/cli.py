@@ -23,7 +23,7 @@ from . import report as report_mod
 from .annotation import load_annotations
 from .config import DEFAULTS, ConfigError, RunConfig, load_config, override, serialize_config
 from .embedding import load_embeddings
-from .entities import org_mentions
+from .entities import org_mentions, political
 
 
 def _config(base: Callable[[], RunConfig], **flags) -> RunConfig:
@@ -210,18 +210,22 @@ def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_suppo
     corpus = _read(corpus_mod.load_store, store_dir)
     annotations = _read(load_annotations, Path(store_dir) / pipeline.ANNOTATIONS_FILE)
     aliases = pipeline.load_alias_map(cfg)
-    mentions = {org: org_mentions(corpus, annotations, aliases, org) for org in corpus.orgs()}
-    org_results, skipped = pipeline.polarity(cfg, mentions)
+    # One view per org with every entity; the political one is filtered from it.
+    views = {
+        org: org_mentions(corpus, annotations, aliases, org, political_only=False)
+        for org in corpus.orgs()
+    }
+    org_results, skipped = pipeline.polarity(
+        cfg, {org: political(view, aliases) for org, view in views.items()}
+    )
     for reason in skipped.values():
         click.echo(f"warning: {reason}", err=True)
     rows: list[dict] = []
     for res in org_results:
         if by_year:
-            for r in res.entities[: cfg.top_k_polarity]:
-                series = pol_mod.entity_series(
-                    corpus, annotations, aliases, res.org, r.counts.entity, prec=cfg.precisions
-                )
-                rows.extend(pol_mod.polarity_rows(series))
+            top = [r.counts.entity for r in res.entities[: cfg.top_k_polarity]]
+            series = pol_mod.view_series(views[res.org], res.org, top, aliases, cfg.precisions)
+            rows.extend(pol_mod.polarity_rows(series))
         else:
             rows.extend(pol_mod.polarity_rows(res.entities))
     fmt = "json" if str(out_file).endswith(".json") else "csv"

@@ -232,11 +232,16 @@ def load_store(store_dir: str | Path) -> Corpus:
     meta_path = store / "meta.json"
     if not meta_path.exists():
         raise CorpusError(f"store {store} has no meta.json (run ingest first)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    date_range = (
-        dt.date.fromisoformat(meta["date_from"]),
-        dt.date.fromisoformat(meta["date_to"]),
-    )
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        date_range = (
+            dt.date.fromisoformat(meta["date_from"]),
+            dt.date.fromisoformat(meta["date_to"]),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorpusError(
+            f"{meta_path}: not a valid store meta file ({type(exc).__name__}: {exc})"
+        ) from None
     result = ingest(store / "corpus.jsonl", date_range)
     if result.rejections:
         first = result.rejections[0]

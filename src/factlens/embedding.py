@@ -82,38 +82,66 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return min(1.0, max(-1.0, float(np.dot(u, v))))
 
 
+_Group = tuple[str, str, list[str]]  # (article id, tag, its sentences)
+
+
+def _embed_groups(
+    groups: Sequence[_Group],
+    provider: EmbeddingProvider,
+    out: dict[tuple[str, str], TagEmbedding],
+) -> None:
+    """Embed the groups' sentences in one request and pool each group from
+    its own rows. A failed request is split in half until the failing
+    (article, tag) is alone; only that one is stored as absent."""
+    try:
+        vectors = embed_sentences([s for _, _, sentences in groups for s in sentences], provider)
+    except ProviderCallError as exc:
+        if len(groups) > 1:
+            mid = len(groups) // 2
+            _embed_groups(groups[:mid], provider, out)
+            _embed_groups(groups[mid:], provider, out)
+            return
+        article_id, tag, _ = groups[0]
+        logger.warning("embedding failed for (%s, %s): %s", article_id, tag, exc)
+        out[(article_id, tag)] = TagEmbedding(article_id, tag, None, 0)
+        return
+    row = 0
+    for article_id, tag, sentences in groups:
+        pooled = aggregate_tag(vectors[row : row + len(sentences)])
+        row += len(sentences)
+        n = len(sentences) if pooled is not None else 0
+        out[(article_id, tag)] = TagEmbedding(article_id, tag, pooled, n)
+
+
 def embed_annotations(
     annotations: Mapping[str, Annotation], provider: EmbeddingProvider
 ) -> dict[tuple[str, str], TagEmbedding]:
     """Aggregated unit vector per (article, tag); failed tags stay absent.
 
-    A failed embedding batch discards its partial results and marks the
-    affected tags absent; an unreachable provider aborts the run.
+    Sentences of many (article, tag) groups share a request of up to
+    _BATCH_SIZE texts; a group with more sentences gets requests of its
+    own. A vector is taken to depend on its text alone, so each tag's
+    vector does not depend on what else was in its request. A failed
+    (article, tag) is stored as absent; an unreachable provider aborts the
+    run.
     """
     out: dict[tuple[str, str], TagEmbedding] = {}
-    pending: list[tuple[str, str, list[str]]] = []
+    batches: list[list[_Group]] = []
+    size = _BATCH_SIZE
     for article_id in sorted(annotations):
         ann = annotations[article_id]
         for tag in SENTENCE_TAGS:
-            if tag in ann.failed_tags:
-                out[(article_id, tag)] = TagEmbedding(article_id, tag, None, 0)
-                continue
             sentences = [s for s in ann.sentences(tag) if s.strip()]
-            if not sentences:
+            if tag in ann.failed_tags or not sentences:
                 out[(article_id, tag)] = TagEmbedding(article_id, tag, None, 0)
                 continue
-            pending.append((article_id, tag, sentences))
-
-    for article_id, tag, sentences in pending:
-        try:
-            vectors = embed_sentences(sentences, provider)
-        except ProviderCallError as exc:
-            logger.warning("embedding failed for (%s, %s): %s", article_id, tag, exc)
-            out[(article_id, tag)] = TagEmbedding(article_id, tag, None, 0)
-            continue
-        pooled = aggregate_tag(vectors)
-        n = len(sentences) if pooled is not None else 0
-        out[(article_id, tag)] = TagEmbedding(article_id, tag, pooled, n)
+            if size + len(sentences) > _BATCH_SIZE:
+                batches.append([])
+                size = 0
+            batches[-1].append((article_id, tag, sentences))
+            size += len(sentences)
+    for batch in batches:
+        _embed_groups(batch, provider, out)
     return out
 
 

@@ -7,6 +7,7 @@ same inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import logging
 from dataclasses import dataclass
@@ -69,15 +70,31 @@ def load_alias_map(cfg: RunConfig) -> AliasMap:
     return AliasMap.empty()
 
 
+# The longest escaped name, in UTF-8 bytes, used as is: with two of them,
+# "{x}-{y}-{tag}.json" stays within the usual 255-byte file-name limit.
+_NAME_BYTES = 120
+
+
 def _escaped(name: str) -> str:
     """name as one flat file-name part: '%', '-', path separators, control
-    characters and a leading '.' become %XX, so no two names collide."""
-    return "".join(
+    characters and a leading '.' become %XX, so no two names collide.
+
+    An escaped name over _NAME_BYTES becomes a prefix of it, '%%' and the
+    SHA-256 of the name; escaping never yields '%%', so this form cannot
+    collide with a short name either.
+    """
+    escaped = "".join(
         f"%{ord(ch):02X}"
         if ch in "%-/\\" or ord(ch) < 32 or 127 <= ord(ch) < 160 or (ch == "." and i == 0)
         else ch
         for i, ch in enumerate(name)
     )
+    raw = escaped.encode("utf-8", "surrogatepass")
+    if len(raw) <= _NAME_BYTES:
+        return escaped
+    digest = hashlib.sha256(name.encode("utf-8", "surrogatepass")).hexdigest()
+    prefix = raw[: _NAME_BYTES - len(digest) - 2].decode("utf-8", "ignore")
+    return f"{prefix}%%{digest}"
 
 
 def _org_pairs(corpus: corpus_mod.Corpus) -> list[tuple[str, str]]:

@@ -118,17 +118,34 @@ def entity_series(
 
     An entity with zero occurrences yields an empty list.
     """
+    view = org_mentions(corpus, annotations, aliases, org, political_only=False)
+    return view_series(view, org, [entity], aliases, prec)
+
+
+def view_series(
+    mentions: Mentions,
+    org: str,
+    entities: Iterable[str],
+    aliases: AliasMap,
+    prec: PrecisionConfig | None = None,
+) -> list[PolarityResult]:
+    """entity_series of each entity in turn, concatenated, all read from
+    one org's entity view built with ``political_only=False``."""
     prec = prec or PrecisionConfig()
-    table = _tag_counts(org_mentions(corpus, annotations, aliases, org, political_only=False))
-    name = canonicalize(entity, aliases)
-    per_period = table.get(name)
-    if not per_period:
-        logger.warning("no occurrences of %r at %s", entity, org)
-        return []
-    periods = sorted(p for p in per_period if p != OVERALL) + [OVERALL]
-    return [
-        score(PolarityCounts(org, name, period, *per_period[period]), prec) for period in periods
-    ]
+    table = _tag_counts(mentions)
+    out = []
+    for entity in entities:
+        name = canonicalize(entity, aliases)
+        per_period = table.get(name)
+        if not per_period:
+            logger.warning("no occurrences of %r at %s", entity, org)
+            continue
+        periods = sorted(p for p in per_period if p != OVERALL) + [OVERALL]
+        out.extend(
+            score(PolarityCounts(org, name, period, *per_period[period]), prec)
+            for period in periods
+        )
+    return out
 
 
 @dataclass(frozen=True)

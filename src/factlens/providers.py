@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import re
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,12 +72,21 @@ class ChatProvider(Protocol):
     def complete(self, prompt: str, template_id: str) -> str: ...
 
 
+# Chat requests an HTTP provider keeps in flight at once, all behind its
+# one rate limiter; in-process providers are called one at a time.
+CHAT_WORKERS = 8
+
+
 class HttpChatProvider:
     """Chat-completion client with retries, backoff, and rate limiting.
 
-    Backoff jitter is drawn from a generator derived from the run seed so
-    retry schedules reproduce in tests.
+    Safe to call from up to ``workers`` threads at once: send slots are
+    reserved under a lock, ``1/rate_limit`` apart. Backoff jitter is a
+    function of the run seed, the request's cache key and the attempt, so
+    retry schedules reproduce whatever order concurrent calls finish in.
     """
+
+    workers = CHAT_WORKERS
 
     def __init__(self, config: ProviderConfig, api_key: str | None = None, seed: int = 0):
         if not config.endpoint:
@@ -84,23 +94,30 @@ class HttpChatProvider:
         self.config = config
         self.model_name = config.model_name
         self.api_key = api_key
-        self._rng = np.random.default_rng(derive_seed(seed, "chat-retry-jitter"))
+        self._seed = seed
         self._min_interval = 1.0 / config.rate_limit
-        self._last_call = 0.0
+        self._lock = threading.Lock()
+        self._next_slot = 0.0
         self.calls = 0
 
     def _throttle(self) -> None:
-        wait = self._last_call + self._min_interval - time.monotonic()
+        """Reserve the next send slot and wait for it; counts the call."""
+        with self._lock:
+            slot = max(time.monotonic(), self._next_slot)
+            self._next_slot = slot + self._min_interval
+            self.calls += 1
+        wait = slot - time.monotonic()
         if wait > 0:
             time.sleep(wait)
-        self._last_call = time.monotonic()
 
-    def _backoff(self, attempt: int) -> float:
+    def _backoff(self, key: str, attempt: int) -> float:
         base = self.config.retry_base_seconds * (2**attempt)
-        return base + float(self._rng.uniform(0.0, base / 2.0))
+        rng = np.random.default_rng(derive_seed(self._seed, f"chat-retry:{key}:{attempt}"))
+        return base + float(rng.uniform(0.0, base / 2.0))
 
     def complete(self, prompt: str, template_id: str) -> str:
-        del template_id  # wire contract carries only the messages
+        # The wire contract carries only the messages; the template id only
+        # keys the retry jitter.
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -112,7 +129,6 @@ class HttpChatProvider:
         unreachable = False
         for attempt in range(self.config.max_retries + 1):
             self._throttle()
-            self.calls += 1
             try:
                 resp = requests.post(
                     self.config.endpoint, json=body, headers=headers, timeout=60
@@ -138,7 +154,7 @@ class HttpChatProvider:
                 else:
                     raise ProviderCallError(f"HTTP {resp.status_code}: {resp.text[:200]}")
             if attempt < self.config.max_retries:
-                delay = self._backoff(attempt)
+                delay = self._backoff(cache_key(template_id, prompt, self.model_name), attempt)
                 logger.warning("chat call failed (%s); retrying in %.2fs", last_error, delay)
                 time.sleep(delay)
         if unreachable:

@@ -1,12 +1,17 @@
 import json
 import shutil
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
-from factlens import prompts
+import factlens.entities as ent_mod
+from factlens import pipeline, prompts
+from factlens.annotation import load_annotations
 from factlens.cli import main
-from factlens.corpus import write_corpus_file
+from factlens.corpus import load_store, write_corpus_file
+from factlens.polarity import entity_series, org_polarity, polarity_rows
+from factlens.report import export_table
 from factlens.providers import write_fixture
 from factlens.synthetic import make_articles, write_alias_csv
 
@@ -265,6 +270,46 @@ def test_polarity_reports_each_skipped_org(runner, workspace):
     assert "0 polarity rows" in result.stdout
 
 
+def test_polarity_by_year_derives_labels_once_per_article(runner, workspace, monkeypatch):
+    store = workspace / "store"
+    invoke(runner, ["ingest", "--input", str(workspace / "input.jsonl"), "--out", str(store)])
+    invoke(runner, ["annotate", "--store", str(store), "--cache", str(workspace / "cache")])
+    calls = Counter()
+    real = ent_mod.entity_labels
+
+    def counting(ann, *args, **kwargs):
+        calls[None if ann is None else ann.article_id] += 1
+        return real(ann, *args, **kwargs)
+
+    monkeypatch.setattr(ent_mod, "entity_labels", counting)
+    aliases_file = workspace / "aliases.csv"
+    result = invoke(
+        runner,
+        ["polarity", "--store", str(store), "--aliases", str(aliases_file), "--by-year",
+         "--top-k", "3", "--min-support", "2", "--out", str(workspace / "pol.csv")],
+    )
+    monkeypatch.setattr(ent_mod, "entity_labels", real)
+    corpus = load_store(store)
+    assert sum(calls.values()) == len(corpus) == 60
+    assert set(calls.values()) == {1}
+
+    # The rows equal those of the per-entity public functions.
+    annotations = load_annotations(store / pipeline.ANNOTATIONS_FILE)
+    aliases = ent_mod.load_aliases_csv(aliases_file)
+    rows = []
+    for org in corpus.orgs():
+        try:
+            res = org_polarity(corpus, annotations, aliases, org, top_k=3, min_support=2)
+        except ValueError:
+            continue
+        for r in res.entities[:3]:
+            series = entity_series(corpus, annotations, aliases, org, r.counts.entity)
+            rows.extend(polarity_rows(series))
+    assert f"{len(rows)} polarity rows" in result.stdout and rows
+    export_table(rows, "csv", workspace / "expected.csv", pipeline.POLARITY_COLUMNS)
+    assert (workspace / "pol.csv").read_bytes() == (workspace / "expected.csv").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def built_store(tmp_path_factory):
     """A store after ingest, annotate and embed; tests copy it before damaging it."""
@@ -288,6 +333,9 @@ def built_store(tmp_path_factory):
         ("corpus.jsonl", ["similarity", "--tag", "claim", "--orgs", "PolitiFact,Snopes"]),
         ("corpus.jsonl", ["entities", "--orgs", "PolitiFact,Snopes"]),
         ("corpus.jsonl", ["polarity"]),
+        ("meta.json", ["annotate"]),
+        ("meta.json", ["entities", "--orgs", "PolitiFact,Snopes"]),
+        ("meta.json", ["polarity"]),
     ],
 )
 def test_truncated_store_file_is_clean_error(runner, built_store, tmp_path, damaged, command):

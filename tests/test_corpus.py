@@ -189,3 +189,26 @@ def test_by_org_matches_a_scan_of_the_corpus(tmp_path):
         assert corpus.orgs() == sorted({a.org for a in corpus})
         for org in corpus.orgs() + ["Unknown Org"]:
             assert corpus.by_org(org) == [a for a in corpus if a.org == org]
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        '{"date_fr',
+        '{"date_from": "2018-01-01"}',
+        '{"date_from": "2018-01-01", "date_to": "2023-13-01"}',
+        '{"date_from": 2018, "date_to": "2023-12-31"}',
+        '["2018-01-01", "2023-12-31"]',
+        b'\xff\xfe',
+    ],
+    ids=["truncated", "missing-key", "bad-date", "not-a-string", "not-an-object", "not-utf8"],
+)
+def test_damaged_meta_json_names_itself(tmp_path, meta):
+    write_store(ingest(write_lines(tmp_path / "c.jsonl", [record("a1")]), RANGE), tmp_path / "s")
+    meta_path = tmp_path / "s" / "meta.json"
+    if isinstance(meta, bytes):
+        meta_path.write_bytes(meta)
+    else:
+        meta_path.write_text(meta, encoding="utf-8")
+    with pytest.raises(CorpusError, match="meta.json: not a valid store meta file"):
+        load_store(tmp_path / "s")

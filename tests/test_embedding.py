@@ -335,3 +335,47 @@ def test_unreachable_embedder_aborts_run_all_after_annotations(stub_post, monkey
     assert len(load_annotations(tmp_path / "store" / pipeline.ANNOTATIONS_FILE)) == 12
     assert not (tmp_path / "store" / pipeline.EMBEDDINGS_FILE).exists()
     assert not (tmp_path / "out" / "similarity.csv").exists()
+
+
+def test_one_poisoned_text_in_a_full_batch_fails_only_its_tag():
+    """Texts of many (article, tag) groups share a request; a failed request
+    is split until the poisoned group is alone, and every other tag's vector
+    is bit-identical to embedding that tag on its own."""
+
+    class PoisonEmbedder(HashedEmbeddingProvider):
+        def __init__(self):
+            super().__init__(dim=64)
+            self.batch_sizes = []
+
+        def embed(self, texts):
+            self.batch_sizes.append(len(texts))
+            if any("poison" in t for t in texts):
+                raise ProviderCallError("batch rejected")
+            return super().embed(texts)
+
+    # 40 articles of 4 texts: the first 32 fill one batch of 128.
+    annotations = {
+        f"a{i:02d}": Annotation(
+            f"a{i:02d}",
+            claim=(f"Claim {i} went viral.", f"It named senator {i}."),
+            what=("poison pill",) if i == 7 else (f"What {i} happened.",),
+            why=(f"Because of post {i}.",),
+        )
+        for i in range(40)
+    }
+    provider = PoisonEmbedder()
+    embeddings = embed_annotations(annotations, provider)
+    assert provider.batch_sizes[0] == 128
+    # Halving 96 groups takes 7 levels of two requests: 2 batches + 14.
+    assert len(provider.batch_sizes) == 2 + 2 * 7
+    assert [key for key, emb in embeddings.items() if emb.absent] == [("a07", "what")]
+    assert len(embeddings) == 40 * 3
+
+    unbatched = HashedEmbeddingProvider(dim=64)
+    for (article_id, tag), emb in embeddings.items():
+        if emb.absent:
+            continue
+        sentences = annotations[article_id].sentences(tag)
+        expected = aggregate_tag(embed_sentences(list(sentences), unbatched))
+        assert np.array_equal(emb.vector, expected)
+        assert emb.n_sentences == len(sentences)

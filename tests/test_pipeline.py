@@ -101,3 +101,29 @@ def test_hostile_org_names_stay_flat_and_distinct_under_out(tmp_path):
         written = list((work / "out" / name).iterdir())
         assert len(written) == expected
         assert all(path.is_file() for path in written)
+
+
+def test_long_org_names_get_bounded_distinct_file_names(tmp_path):
+    orgs = ("A" * 250, "A" * 249 + "B", "B")  # one country
+    cfg = synthetic_cfg(tmp_path, make_articles(30, orgs=orgs, seed=7))
+    pipeline.run_all(cfg, tmp_path / "store", tmp_path / "out")
+
+    pairs = len(orgs) * (len(orgs) - 1)
+    written = [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+    assert len(written) - 1 == 6 + 4 * pairs  # all but run_config.txt
+    assert all(len(p.name.encode("utf-8")) <= 255 for p in written)
+    for name, expected in (("similarity", 3 * pairs), ("entities", pairs)):
+        assert len(list((tmp_path / "out" / name).iterdir())) == expected
+
+
+def test_escaped_names_keep_short_names_and_bound_long_ones():
+    for org in ("PolitiFact", "CheckYourFact", "A-B", "../x", "é" * 60):
+        assert len(pipeline._escaped(org).encode("utf-8")) <= pipeline._NAME_BYTES
+        assert "%%" not in pipeline._escaped(org)
+    assert pipeline._escaped("PolitiFact") == "PolitiFact"
+    long = ["A" * 250, "A" * 249 + "B", "é" * 200, "%" * 100, "-" * 41]
+    escaped = [pipeline._escaped(org) for org in long]
+    assert len(set(escaped)) == len(long)
+    for org, name in zip(long, escaped):
+        assert len(name.encode("utf-8")) <= pipeline._NAME_BYTES
+        assert "%%" in name
