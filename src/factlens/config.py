@@ -3,8 +3,9 @@
 The dataclasses below are the one statement of every setting. A run.cfg
 key is a field name, with the fields of the nested analysis and
 precision configs flattened in; its type is the type of its default, and
-its check sits in the owning dataclass's __post_init__. Secrets (the API
-key) are read from the environment only and never serialized.
+its check sits in the owning dataclass's __post_init__ (ProviderConfig's
+for the provider_ keys it takes). Secrets (the API key) are read from the
+environment only and never serialized.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ class RunConfig:
     date_to: dt.date = dt.date(2023, 12, 31)
     provider_kind: str = "synthetic"  # synthetic | fixtures | http
     provider_endpoint: str = ""
-    provider_model: str = "gpt-3.5-turbo"
-    provider_max_retries: int = 3
-    provider_rate_limit: float = 5.0
+    provider_model: str = ProviderConfig.model_name
+    provider_max_retries: int = ProviderConfig.max_retries
+    provider_rate_limit: float = ProviderConfig.rate_limit
     provider_fixtures_dir: str = ""
     embedding_kind: str = "hashed"  # hashed | http
     embedding_endpoint: str = ""
@@ -90,10 +91,10 @@ class RunConfig:
             raise ConfigError("provider_fixtures_dir: required when provider_kind = fixtures")
         if self.embedding_kind == "http" and not self.embedding_endpoint:
             raise ConfigError("embedding_endpoint: required when embedding_kind = http")
-        if self.provider_max_retries < 0:
-            raise ConfigError("provider_max_retries: must be >= 0")
-        if self.provider_rate_limit <= 0:
-            raise ConfigError("provider_rate_limit: must be > 0")
+        try:
+            self.provider_config()  # ProviderConfig holds the provider checks
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def provider_config(self) -> ProviderConfig:
         return ProviderConfig(

@@ -21,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 import requests
@@ -54,10 +54,11 @@ class ProviderConfig:
     retry_base_seconds: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.rate_limit <= 0:
-            raise ValueError("rate_limit must be > 0")
+        # Named by their run.cfg keys; written so that NaN fails too.
+        if not self.max_retries >= 0:
+            raise ValueError("provider_max_retries: must be >= 0")
+        if not self.rate_limit > 0:
+            raise ValueError("provider_rate_limit: must be > 0")
 
 
 def cache_key(template_id: str, prompt: str, model_name: str) -> str:
@@ -77,25 +78,33 @@ class ChatProvider(Protocol):
 CHAT_WORKERS = 8
 
 
-class HttpChatProvider:
-    """Chat-completion client with retries, backoff, and rate limiting.
+class _RetryBody(ProviderCallError):
+    """Raised by a parser for a 200 body that is worth asking for again."""
 
-    Safe to call from up to ``workers`` threads at once: send slots are
-    reserved under a lock, ``1/rate_limit`` apart. Backoff jitter is a
-    function of the run seed, the request's cache key and the attempt, so
-    retry schedules reproduce whatever order concurrent calls finish in.
+
+class _HttpClient:
+    """The one live-provider request policy, for chat and embeddings.
+
+    Thread-safe: send slots are reserved under a lock, ``min_interval``
+    apart, and counted in ``calls``. HTTP 429, 5xx and a 200 body whose
+    parser raises _RetryBody are retried with backoff; another 4xx or
+    ProviderCallError fails at once; a transport error on the last attempt
+    raises ProviderUnreachableError. Jitter is a function of the run seed,
+    the request's key and the attempt, not of the other requests.
     """
 
-    workers = CHAT_WORKERS
+    _kind = ""  # "chat" or "embed": names the jitter stream and the errors
+    _timeout = 60
 
-    def __init__(self, config: ProviderConfig, api_key: str | None = None, seed: int = 0):
-        if not config.endpoint:
-            raise ValueError("HTTP chat provider needs an endpoint")
-        self.config = config
-        self.model_name = config.model_name
-        self.api_key = api_key
+    def __init__(self, endpoint: str, max_retries: int, retry_base_seconds: float,
+                 seed: int, min_interval: float = 0.0):
+        if not endpoint:
+            raise ValueError(f"HTTP {self._kind} provider needs an endpoint")
+        self.endpoint = endpoint
+        self.max_retries = max_retries
+        self.retry_base_seconds = retry_base_seconds
         self._seed = seed
-        self._min_interval = 1.0 / config.rate_limit
+        self._min_interval = min_interval
         self._lock = threading.Lock()
         self._next_slot = 0.0
         self.calls = 0
@@ -111,55 +120,76 @@ class HttpChatProvider:
             time.sleep(wait)
 
     def _backoff(self, key: str, attempt: int) -> float:
-        base = self.config.retry_base_seconds * (2**attempt)
-        rng = np.random.default_rng(derive_seed(self._seed, f"chat-retry:{key}:{attempt}"))
+        base = self.retry_base_seconds * (2**attempt)
+        rng = np.random.default_rng(derive_seed(self._seed, f"{self._kind}-retry:{key}:{attempt}"))
         return base + float(rng.uniform(0.0, base / 2.0))
 
-    def complete(self, prompt: str, template_id: str) -> str:
-        # The wire contract carries only the messages; the template id only
-        # keys the retry jitter.
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        body = {
-            "model": self.model_name,
-            "messages": [{"role": "user", "content": prompt}],
-        }
+    def _send(self, body: dict, key: str, parse: Callable[[Any], Any], headers=None) -> Any:
+        """POST body until parse accepts a 200 response; key names the request."""
         last_error: Exception | None = None
         unreachable = False
-        for attempt in range(self.config.max_retries + 1):
+        for attempt in range(self.max_retries + 1):
             self._throttle()
             try:
                 resp = requests.post(
-                    self.config.endpoint, json=body, headers=headers, timeout=60
+                    self.endpoint, json=body, headers=headers, timeout=self._timeout
                 )
             except requests.exceptions.RequestException as exc:
                 last_error, unreachable = exc, True
             else:
+                unreachable = False
                 if resp.status_code == 200:
                     try:
-                        content = resp.json()["choices"][0]["message"]["content"]
-                    except (ValueError, KeyError, IndexError, TypeError) as exc:
-                        raise ProviderCallError(f"malformed response body: {exc}") from exc
-                    if not isinstance(content, str):
-                        raise ProviderCallError(
-                            f"malformed response body: content is {type(content).__name__}"
-                        )
-                    return content
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    last_error, unreachable = (
-                        ProviderCallError(f"HTTP {resp.status_code}"),
-                        False,
-                    )
+                        return parse(resp)
+                    except _RetryBody as exc:
+                        last_error = exc
+                elif resp.status_code == 429 or resp.status_code >= 500:
+                    last_error = ProviderCallError(f"HTTP {resp.status_code}")
                 else:
                     raise ProviderCallError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            if attempt < self.config.max_retries:
-                delay = self._backoff(cache_key(template_id, prompt, self.model_name), attempt)
-                logger.warning("chat call failed (%s); retrying in %.2fs", last_error, delay)
+            if attempt < self.max_retries:
+                delay = self._backoff(key, attempt)
+                logger.warning(
+                    "%s call failed (%s); retrying in %.2fs", self._kind, last_error, delay
+                )
                 time.sleep(delay)
         if unreachable:
-            raise ProviderUnreachableError(f"endpoint unreachable: {last_error}")
-        raise ProviderCallError(f"failed after retries: {last_error}")
+            raise ProviderUnreachableError(f"{self._kind} endpoint unreachable: {last_error}")
+        raise ProviderCallError(f"{self._kind} request failed after retries: {last_error}")
+
+
+def _chat_content(resp: Any) -> str:
+    try:
+        content = resp.json()["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise ProviderCallError(f"malformed response body: {exc}") from exc
+    if not isinstance(content, str):
+        raise ProviderCallError(f"malformed response body: content is {type(content).__name__}")
+    return content
+
+
+class HttpChatProvider(_HttpClient):
+    """Chat client, ``1/rate_limit`` between sends; a malformed 200 body
+    fails the call at once. Retry jitter is keyed by the cache key."""
+
+    workers = CHAT_WORKERS
+    _kind = "chat"
+
+    def __init__(self, config: ProviderConfig, api_key: str | None = None, seed: int = 0):
+        super().__init__(
+            config.endpoint, config.max_retries, config.retry_base_seconds, seed,
+            min_interval=1.0 / config.rate_limit,
+        )
+        self.model_name = config.model_name
+        self.api_key = api_key
+
+    def complete(self, prompt: str, template_id: str) -> str:
+        # The wire contract carries only the messages; the template id only
+        # keys the retry jitter.
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
+        body = {"model": self.model_name, "messages": [{"role": "user", "content": prompt}]}
+        key = cache_key(template_id, prompt, self.model_name)
+        return self._send(body, key, _chat_content, headers)
 
 
 class FixtureChatProvider:
@@ -312,64 +342,30 @@ class HashedEmbeddingProvider:
         return out
 
 
-class HttpEmbeddingProvider:
-    """Sentence-embedding client for the ``{texts} -> {vectors}`` contract.
+class HttpEmbeddingProvider(_HttpClient):
+    """Embedding client, no rate limit; a 200 body with no vector array is
+    retried, vectors of the wrong shape fail at once. Retry jitter is keyed
+    by the SHA-256 of the request's JSON texts."""
 
-    Failures follow HttpChatProvider's rules: 429, 5xx and a malformed 200
-    body are retried and end in ProviderCallError (only this batch's tags
-    fail), another 4xx fails at once, and a transport error on the last
-    attempt raises ProviderUnreachableError, which aborts the run.
-    """
+    _kind = "embed"
+    _timeout = 120
 
-    def __init__(
-        self,
-        endpoint: str,
-        dim: int,
-        max_retries: int = 3,
-        retry_base_seconds: float = 0.5,
-        seed: int = 0,
-    ):
-        if not endpoint:
-            raise ValueError("HTTP embedding provider needs an endpoint")
-        self.endpoint = endpoint
+    def __init__(self, endpoint: str, dim: int, max_retries: int = ProviderConfig.max_retries,
+                 retry_base_seconds: float = ProviderConfig.retry_base_seconds, seed: int = 0):
+        super().__init__(endpoint, max_retries, retry_base_seconds, seed)
         self.dim = dim
         self.name = f"http:{endpoint}"
-        self.max_retries = max_retries
-        self.retry_base_seconds = retry_base_seconds
-        self._rng = np.random.default_rng(derive_seed(seed, "embed-retry-jitter"))
-        self.calls = 0
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        last_error: Exception | None = None
-        unreachable = False
-        for attempt in range(self.max_retries + 1):
-            self.calls += 1
-            try:
-                resp = requests.post(self.endpoint, json={"texts": list(texts)}, timeout=120)
-            except requests.exceptions.RequestException as exc:
-                last_error, unreachable = exc, True
-            else:
-                if resp.status_code == 200:
-                    try:
-                        vectors = np.asarray(resp.json()["vectors"], dtype=np.float64)
-                    except (ValueError, KeyError, TypeError) as exc:
-                        last_error, unreachable = (
-                            ProviderCallError(f"malformed response body: {exc}"),
-                            False,
-                        )
-                    else:
-                        if vectors.shape != (len(texts), self.dim):
-                            raise ProviderCallError(
-                                f"expected shape {(len(texts), self.dim)}, got {vectors.shape}"
-                            )
-                        return vectors
-                elif resp.status_code == 429 or resp.status_code >= 500:
-                    last_error, unreachable = ProviderCallError(f"HTTP {resp.status_code}"), False
-                else:
-                    raise ProviderCallError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            if attempt < self.max_retries:
-                base = self.retry_base_seconds * (2**attempt)
-                time.sleep(base + float(self._rng.uniform(0.0, base / 2.0)))
-        if unreachable:
-            raise ProviderUnreachableError(f"embedding endpoint unreachable: {last_error}")
-        raise ProviderCallError(f"embedding batch failed after retries: {last_error}")
+        texts = list(texts)
+        key = hashlib.sha256(json.dumps(texts).encode("utf-8")).hexdigest()
+        return self._send({"texts": texts}, key, lambda resp: self._vectors(resp, len(texts)))
+
+    def _vectors(self, resp: Any, n: int) -> np.ndarray:
+        try:
+            vectors = np.asarray(resp.json()["vectors"], dtype=np.float64)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _RetryBody(f"malformed response body: {exc}") from exc
+        if vectors.shape != (n, self.dim):
+            raise ProviderCallError(f"expected shape {(n, self.dim)}, got {vectors.shape}")
+        return vectors
