@@ -58,14 +58,27 @@ class Annotation:
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "Annotation":
+        """The annotation of a stored row; a field of the wrong type is a TypeError."""
+
+        def strings(key: str) -> tuple[str, ...]:
+            value = raw.get(key, [])
+            if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+                raise TypeError(f"{key}: expected a list of strings")
+            return tuple(value)
+
+        if not isinstance(raw["article_id"], str):
+            raise TypeError("article_id: expected a string")
+        entities = raw.get("entities", {})
+        if not isinstance(entities, dict) or not all(isinstance(v, str) for v in entities.values()):
+            raise TypeError("entities: expected an object of strings")
         return cls(
             article_id=raw["article_id"],
-            claim=tuple(raw.get("claim", [])),
-            what=tuple(raw.get("what", [])),
-            why=tuple(raw.get("why", [])),
-            entities=dict(raw.get("entities", {})),
-            failed_tags=tuple(raw.get("failed_tags", [])),
-            flags=tuple(raw.get("flags", [])),
+            claim=strings("claim"),
+            what=strings("what"),
+            why=strings("why"),
+            entities=dict(entities),
+            failed_tags=strings("failed_tags"),
+            flags=strings("flags"),
         )
 
 

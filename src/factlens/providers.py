@@ -224,7 +224,7 @@ def write_fixture(
 ) -> Path:
     """Store a fixture response for the prompt rendered from ``post``."""
     prompt = prompts.render_prompt(template_id, post)
-    path = Path(fixtures_dir) / f"{cache_key(template_id, prompt, model_name)}.txt"
+    path = FixtureChatProvider(fixtures_dir, model_name).fixture_path(prompt, template_id)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(response, encoding="utf-8")
     return path

@@ -356,3 +356,33 @@ def test_truncated_store_file_is_clean_error(runner, built_store, tmp_path, dama
     assert str(store / damaged) in result.stderr
     assert "Traceback" not in result.output
     assert not (tmp_path / "out.json").exists()
+
+
+MISTYPED_ROWS = {
+    "article-id-int": {"article_id": 3},
+    "claim-of-ints": {"claim": [1]},
+    "claim-string": {"claim": "abc"},
+    "failed-tags-string": {"failed_tags": "entities"},
+    "entity-label-int": {"entities": {"Joe Biden": 3}},
+}
+
+
+@pytest.mark.parametrize("command", [["embed"], ["polarity"]], ids=["embed", "polarity"])
+@pytest.mark.parametrize("fields", MISTYPED_ROWS.values(), ids=MISTYPED_ROWS)
+def test_mistyped_annotation_row_is_clean_error(runner, built_store, tmp_path, fields, command):
+    """A row whose fields have the wrong types is named in an `Error:` line,
+    not loaded as something else or left to fail later with a traceback."""
+    store = tmp_path / "store"
+    shutil.copytree(built_store, store)
+    path = store / "annotations.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), **fields}) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    args = [*command, "--store", str(store)]
+    if command[0] == "polarity":
+        args += ["--out", str(tmp_path / "out.json")]
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(f"Error: {path}:2: not a valid row (TypeError: ")
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out.json").exists()

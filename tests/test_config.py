@@ -8,6 +8,7 @@ from factlens.config import (
     load_config,
     serialize_config,
 )
+from factlens.providers import ProviderConfig
 
 
 def test_empty_file_gives_reference_defaults(tmp_path):
@@ -113,3 +114,27 @@ def test_date_order_validated(tmp_path):
     path.write_text("date_from = 2022-01-01\ndate_to = 2020-01-01\n")
     with pytest.raises(ConfigError, match="date_from"):
         load_config(path, env={})
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("provider_rate_limit = nan", "provider_rate_limit"),
+        ("provider_rate_limit = 0", "provider_rate_limit"),
+        ("provider_rate_limit = -1", "provider_rate_limit"),
+        ("provider_max_retries = -1", "provider_max_retries"),
+    ],
+)
+def test_bad_provider_settings_name_the_key(tmp_path, line, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=f"^{key}: must be"):
+        load_config(path, env={})
+
+
+def test_provider_checks_live_in_provider_config(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("provider_rate_limit = inf\n")
+    assert load_config(path, env={}).provider_config().rate_limit == float("inf")
+    with pytest.raises(ValueError, match="provider_rate_limit"):
+        ProviderConfig(rate_limit=float("nan"))

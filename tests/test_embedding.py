@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from factlens import pipeline, providers
+from factlens import pipeline, prompts, providers
 from factlens.annotation import Annotation, load_annotations
 from factlens.config import RunConfig
 from factlens.embedding import (
@@ -21,8 +21,10 @@ from factlens.embedding import (
 from factlens.corpus import write_corpus_file
 from factlens.providers import (
     HashedEmbeddingProvider,
+    HttpChatProvider,
     HttpEmbeddingProvider,
     ProviderCallError,
+    ProviderConfig,
     ProviderUnreachableError,
 )
 from factlens.synthetic import make_articles
@@ -281,31 +283,84 @@ def test_http_embedder_nan_vector_is_absent_and_sidecar_stays_json(stub_post, tm
     assert "NaN" not in (tmp_path / "emb.jsonl").read_text()
 
 
+def http_chat():
+    config = ProviderConfig(
+        endpoint="http://chat.test/v1", max_retries=2, rate_limit=1e6, retry_base_seconds=0.0
+    )
+    return HttpChatProvider(config)
+
+
+# Both HTTP providers follow one failure policy: each maker is paired with
+# one request through the provider it makes.
+HTTP_REQUESTS = {
+    "embedder": (http_embedder, lambda provider: provider.embed(["alpha"])),
+    "chat": (http_chat, lambda provider: provider.complete("prompt", prompts.CLAIM)),
+}
+FAILURE_KINDS = {
+    "connection-error": (
+        requests.exceptions.ConnectionError("refused"), ProviderUnreachableError, 3
+    ),
+    "401": (StubResponse(401, {"error": "bad key"}), ProviderCallError, 1),
+    "429": (StubResponse(429, {"error": "slow down"}), ProviderCallError, 3),
+    "503": (StubResponse(503, {"error": "busy"}), ProviderCallError, 3),
+}
+
+
 @pytest.mark.parametrize(
-    "reply, error, calls",
+    "make, send, reply, error, calls",
     [
-        (requests.exceptions.ConnectionError("refused"), ProviderUnreachableError, 3),
-        (StubResponse(401, {"error": "bad key"}), ProviderCallError, 1),
-        (StubResponse(429, {"error": "slow down"}), ProviderCallError, 3),
-        (StubResponse(503, {"error": "busy"}), ProviderCallError, 3),
+        pytest.param(make, send, *case, id=kind if who == "embedder" else f"{who}-{kind}")
+        for who, (make, send) in HTTP_REQUESTS.items()
+        for kind, case in FAILURE_KINDS.items()
     ],
-    ids=["connection-error", "401", "429", "503"],
 )
-def test_http_embedder_failure_kinds(stub_post, reply, error, calls):
+def test_http_embedder_failure_kinds(stub_post, make, send, reply, error, calls):
     stub_post(reply)
-    provider = http_embedder()
+    provider = make()
     with pytest.raises(error) as info:
-        provider.embed(["alpha"])
+        send(provider)
     assert type(info.value) is error
     assert provider.calls == calls
 
 
-def test_http_embedder_last_attempt_decides_unreachable(stub_post):
+@pytest.mark.parametrize("make, send", HTTP_REQUESTS.values(), ids=HTTP_REQUESTS)
+def test_http_embedder_last_attempt_decides_unreachable(stub_post, make, send):
     stub_post(requests.exceptions.ConnectionError("refused"), StubResponse(503, {}))
-    provider = http_embedder()
+    provider = make()
     with pytest.raises(ProviderCallError, match="HTTP 503"):
-        provider.embed(["alpha"])
+        send(provider)
     assert provider.calls == 3
+
+
+def test_http_embedder_retry_delays_follow_the_request(stub_post, monkeypatch):
+    """Two 503s, then vectors, for every request: a request's backoff delays
+    are the same whether it is sent first or after another that retried."""
+    attempts = {}
+
+    def reply(body):
+        texts = tuple(body["texts"])
+        attempts[texts] = attempts.get(texts, 0) + 1
+        if attempts[texts] <= 2:
+            return StubResponse(503, {"error": "busy"})
+        return StubResponse(200, {"vectors": [[1.0, 0.0, 0.0, 0.0]] * len(texts)})
+
+    def delays(*requests_texts):
+        attempts.clear()
+        slept = []
+        monkeypatch.setattr(providers.time, "sleep", slept.append)
+        provider = HttpEmbeddingProvider(
+            "http://embed.test/v1", dim=4, retry_base_seconds=1.0, seed=7
+        )
+        for texts in requests_texts:
+            provider.embed(texts)
+        return slept
+
+    stub_post(reply)
+    first = delays(["beta"])
+    second = delays(["alpha"], ["beta"])
+    assert len(first) == 2 and len(second) == 4
+    assert second[2:] == first
+    assert second[:2] != first  # the jitter differs per request
 
 
 def test_unreachable_embedder_aborts_embed_annotations(stub_post):
