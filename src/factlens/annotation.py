@@ -182,6 +182,8 @@ def _field_values(fields: tuple[str, ...], value: Any) -> dict[str, Any]:
 def _parse_pass(
     article: Article, template_id: str, raw: str | ProviderCallError
 ) -> parsing.ParsedTag:
+    """One pass's parsed value. A failed call or parse is recorded, not
+    raised; each sentence not found in the body is flagged <tag>:not_verbatim."""
     parser, fields, name = PASSES[template_id]
     if isinstance(raw, ProviderCallError):
         logger.warning("%s call failed for %s: %s", name, article.id, raw)
@@ -194,25 +196,6 @@ def _parse_pass(
         if tag in SENTENCE_TAGS:
             parsed.flags.extend(_verbatim_flags(value, article.body, tag))
     return parsed
-
-
-def run_pass(
-    article: Article,
-    template_id: str,
-    provider: ChatProvider,
-    cache: ResponseCache | None = None,
-) -> parsing.ParsedTag:
-    """One prompt pass for one article; failure is recorded, not raised.
-
-    Sentence fields of a parsed value are flagged ``<tag>:not_verbatim``
-    per sentence not found in the article body.
-    """
-    prompt = prompts.render_prompt(template_id, article.body)
-    key = cache_key(template_id, prompt, provider.model_name)
-    raw = cache.get(key) if cache is not None else None
-    if raw is None:
-        raw = _call(provider, cache, key, template_id, prompt)
-    return _parse_pass(article, template_id, raw)
 
 
 def _annotation(

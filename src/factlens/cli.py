@@ -23,24 +23,13 @@ from . import report as report_mod
 from .annotation import load_annotations
 from .config import DEFAULTS, ConfigError, RunConfig, load_config, override, serialize_config
 from .embedding import load_embeddings
-from .entities import org_mentions, political
+from .entities import org_mentions
+from .providers import ProviderUnreachableError
 
 
 def _config(base: Callable[[], RunConfig], **flags) -> RunConfig:
-    """base() with each flag given (not None) overriding its setting; a
-    value the config's checks reject is a clean error."""
-    try:
-        return override(base(), **{key: value for key, value in flags.items() if value is not None})
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from None
-
-
-def _read(load: Callable, path):
-    """load(path); a store file that is missing or damaged is a clean error."""
-    try:
-        return load(path)
-    except (corpus_mod.CorpusError, OSError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from None
+    """base() with each flag given (not None) overriding its setting."""
+    return override(base(), **{key: value for key, value in flags.items() if value is not None})
 
 
 def _org_pair(orgs: str, corpus: corpus_mod.Corpus) -> tuple[str, str]:
@@ -57,7 +46,19 @@ def _org_pair(orgs: str, corpus: corpus_mod.Corpus) -> tuple[str, str]:
     return org_x, org_y
 
 
-@click.group()
+class _Group(click.Group):
+    """Runs a command; unreadable or malformed input (a store file, run.cfg,
+    a CSV, a report input) or an unreachable provider is a clean error."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, corpus_mod.CorpusError, OSError, ValueError,
+                ProviderUnreachableError) as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Group)
 @click.option("-v", "--verbose", is_flag=True, help="Enable info logging.")
 def main(verbose: bool) -> None:
     """Measure topical overlap and political neutrality in fact-check corpora."""
@@ -77,10 +78,7 @@ def main(verbose: bool) -> None:
 def ingest(input_file, date_from, date_to, store_dir) -> None:
     """Load a JSON-lines corpus into a canonical store directory."""
     cfg = _config(RunConfig, date_from=date_from.date(), date_to=date_to.date())
-    try:
-        result = corpus_mod.ingest(input_file, (cfg.date_from, cfg.date_to))
-    except corpus_mod.CorpusError as exc:
-        raise click.ClickException(str(exc))
+    result = corpus_mod.ingest(input_file, (cfg.date_from, cfg.date_to))
     corpus_path, rejects_path = corpus_mod.write_store(result, store_dir)
     click.echo(f"ingested {len(result.corpus)} articles -> {corpus_path}")
     click.echo(f"rejected {len(result.rejections)} records -> {rejects_path}")
@@ -98,7 +96,7 @@ def annotate(store_dir, config_file, cache_dir, fixtures_dir) -> None:
         provider_kind="fixtures" if fixtures_dir else None, provider_fixtures_dir=fixtures_dir,
     )
     store = Path(store_dir)
-    annotations = pipeline.annotate(cfg, _read(corpus_mod.load_store, store), store)
+    annotations = pipeline.annotate(cfg, corpus_mod.load_store(store), store)
     failed = sum(1 for a in annotations.values() if a.failed_tags)
     click.echo(
         f"annotated {len(annotations)} articles ({failed} with failed tags) "
@@ -113,7 +111,7 @@ def embed(store_dir, config_file) -> None:
     """Embed annotation sentences into per-tag unit vectors."""
     cfg = _config(lambda: load_config(config_file))
     store = Path(store_dir)
-    annotations = _read(load_annotations, store / pipeline.ANNOTATIONS_FILE)
+    annotations = load_annotations(store / pipeline.ANNOTATIONS_FILE)
     embeddings = pipeline.embed(cfg, annotations, store)
     present = sum(1 for e in embeddings.values() if not e.absent)
     click.echo(
@@ -143,7 +141,7 @@ def similarity(store_dir, tag, orgs, window, tau, seed, resamples, fraction, lev
         RunConfig, window_days=window, tau=tau, seed=seed, bootstrap_resamples=resamples,
         bootstrap_fraction=fraction, confidence_level=level,
     )
-    corpus = _read(corpus_mod.load_store, store_dir)
+    corpus = corpus_mod.load_store(store_dir)
     org_x, org_y = _org_pair(orgs, corpus)
     if corpus.by_org(org_x)[0].country != corpus.by_org(org_y)[0].country:
         click.echo(
@@ -151,7 +149,7 @@ def similarity(store_dir, tag, orgs, window, tau, seed, resamples, fraction, lev
             "stay within one geography",
             err=True,
         )
-    embeddings, _ = _read(load_embeddings, Path(store_dir) / pipeline.EMBEDDINGS_FILE)
+    embeddings, _ = load_embeddings(Path(store_dir) / pipeline.EMBEDDINGS_FILE)
     [result] = pipeline.similarity(cfg, corpus, embeddings, [(org_x, org_y)], (tag,))
     payload = result.to_json_dict()
     report_mod.export_table([payload], "json", out_file)
@@ -176,9 +174,9 @@ def similarity(store_dir, tag, orgs, window, tau, seed, resamples, fraction, lev
 def entities(store_dir, aliases_file, top_k, window, orgs, out_file) -> None:
     """Top-k political-entity overlap (global and windowed) for one pair."""
     cfg = _config(RunConfig, aliases_file=aliases_file, top_k_entities=top_k, window_days=window)
-    corpus = _read(corpus_mod.load_store, store_dir)
+    corpus = corpus_mod.load_store(store_dir)
     org_x, org_y = _org_pair(orgs, corpus)
-    annotations = _read(load_annotations, Path(store_dir) / pipeline.ANNOTATIONS_FILE)
+    annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
     aliases = pipeline.load_alias_map(cfg)
     mentions = {org: org_mentions(corpus, annotations, aliases, org) for org in (org_x, org_y)}
     tops, [payload] = pipeline.entity_overlap(cfg, mentions, [(org_x, org_y)])
@@ -203,21 +201,12 @@ def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_suppo
     cfg = _config(RunConfig, aliases_file=aliases_file, top_k_polarity=top_k,
                   min_support=min_support)
     if precisions_file:
-        try:
-            cfg = replace(cfg, precisions=pol_mod.load_precisions_csv(precisions_file))
-        except ValueError as exc:
-            raise click.ClickException(str(exc)) from None
-    corpus = _read(corpus_mod.load_store, store_dir)
-    annotations = _read(load_annotations, Path(store_dir) / pipeline.ANNOTATIONS_FILE)
+        cfg = replace(cfg, precisions=pol_mod.load_precisions_csv(precisions_file))
+    corpus = corpus_mod.load_store(store_dir)
+    annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
     aliases = pipeline.load_alias_map(cfg)
-    # One view per org with every entity; the political one is filtered from it.
-    views = {
-        org: org_mentions(corpus, annotations, aliases, org, political_only=False)
-        for org in corpus.orgs()
-    }
-    org_results, skipped = pipeline.polarity(
-        cfg, {org: political(view, aliases) for org, view in views.items()}
-    )
+    views = {org: org_mentions(corpus, annotations, aliases, org) for org in corpus.orgs()}
+    org_results, skipped = pipeline.polarity(cfg, views)
     for reason in skipped.values():
         click.echo(f"warning: {reason}", err=True)
     rows: list[dict] = []
@@ -275,10 +264,7 @@ def run_all_cmd(store_dir, config_file, out_dir, print_config) -> None:
     if print_config:
         click.echo(serialize_config(cfg), nl=False)
         return
-    try:
-        summary = pipeline.run_all(cfg, store_dir, out_dir)
-    except (corpus_mod.CorpusError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    summary = pipeline.run_all(cfg, store_dir, out_dir)
     click.echo(
         f"pipeline done: {summary.n_articles} articles, "
         f"{summary.n_annotations} annotations, "

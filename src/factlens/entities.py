@@ -190,15 +190,6 @@ def org_mentions(
     return out
 
 
-def political(mentions: Mentions, aliases: AliasMap) -> Mentions:
-    """The political entities of a ``political_only=False`` view: the
-    org's ``political_only=True`` view, without deriving labels again."""
-    return [
-        (day, {name: label for name, label in labels.items() if aliases.is_political(name)})
-        for day, labels in mentions
-    ]
-
-
 def _window_top_k(ordered: Mentions, lo: dt.date, hi: dt.date, k: int) -> frozenset[str]:
     """Top-k names over date-sorted mentions dated within [lo, hi]."""
     window = ordered[bisect_left(ordered, lo, key=_date) : bisect_right(ordered, hi, key=_date)]

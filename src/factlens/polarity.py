@@ -130,7 +130,7 @@ def view_series(
     prec: PrecisionConfig | None = None,
 ) -> list[PolarityResult]:
     """entity_series of each entity in turn, concatenated, all read from
-    one org's entity view built with ``political_only=False``."""
+    one org's entity view (any view that holds the entities)."""
     prec = prec or PrecisionConfig()
     table = _tag_counts(mentions)
     out = []

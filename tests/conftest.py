@@ -8,7 +8,9 @@ from factlens.annotation import Annotation
 from factlens.corpus import Article, Corpus
 from factlens.providers import (
     HashedEmbeddingProvider,
+    HttpChatProvider,
     ProviderCallError,
+    ProviderConfig,
     ProviderUnreachableError,
     SyntheticChatProvider,
 )
@@ -42,7 +44,8 @@ def make_annotation(article_id: str, entities: dict[str, str], **kwargs) -> Anno
 
 
 class ScriptedChatProvider:
-    """Returns one canned response per template id; fails where told to."""
+    """Returns one canned response per template id; a template that is not
+    scripted, or that it is told to fail, fails the call."""
 
     def __init__(self, responses: dict[str, str], fail: set[str] = frozenset(),
                  unreachable: bool = False, model_name: str = "mock-scripted"):
@@ -56,7 +59,7 @@ class ScriptedChatProvider:
         self.calls += 1
         if self.unreachable:
             raise ProviderUnreachableError("scripted outage")
-        if template_id in self.fail:
+        if template_id in self.fail or template_id not in self.responses:
             raise ProviderCallError(f"scripted failure for {template_id}")
         return self.responses[template_id]
 
@@ -110,3 +113,15 @@ def stub_post(monkeypatch):
         monkeypatch.setattr(requests, "post", post)
 
     return install
+
+
+def http_chat(max_retries=2, rate_limit=1e6, retry_base_seconds=0.0, seed=0):
+    config = ProviderConfig(
+        endpoint="http://chat.test/v1", max_retries=max_retries,
+        rate_limit=rate_limit, retry_base_seconds=retry_base_seconds,
+    )
+    return HttpChatProvider(config, seed=seed)
+
+
+def chat_reply(content):
+    return StubResponse(200, {"choices": [{"message": {"content": content}}]})

@@ -6,16 +6,9 @@ import pytest
 import requests
 
 from factlens import prompts
-from factlens.annotation import (
-    annotate_corpus,
-    load_annotations,
-    ResponseCache,
-    run_pass,
-    save_annotations,
-)
+from factlens.annotation import annotate_corpus, load_annotations, save_annotations
 from factlens.providers import (
     FixtureChatProvider,
-    HttpChatProvider,
     ProviderCallError,
     ProviderConfig,
     ProviderUnreachableError,
@@ -23,53 +16,63 @@ from factlens.providers import (
     cache_key,
     write_fixture,
 )
-from tests.conftest import ScriptedChatProvider, StubResponse, make_article, make_corpus
+from tests.conftest import (
+    ScriptedChatProvider,
+    StubResponse,
+    chat_reply,
+    http_chat,
+    make_article,
+    make_corpus,
+)
 
 BODY = "X claimed Y. It spread because of a parody account."
 
 
+def annotate_one(provider, cache_dir=None):
+    """The Annotation of one article with body BODY; a pass the provider
+    has no answer for fails its own fields only."""
+    config = None if cache_dir is None else ProviderConfig(cache_dir=cache_dir)
+    return annotate_corpus(make_corpus([make_article("a1", body=BODY)]), provider, config)["a1"]
+
+
 def test_extract_claim_echoes_fixture(tmp_path):
-    article = make_article("a1", body=BODY)
     write_fixture(tmp_path, prompts.CLAIM, BODY, '["X claimed Y."]')
-    provider = FixtureChatProvider(tmp_path)
-    parsed = run_pass(article, prompts.CLAIM, provider)
-    assert not parsed.failed
-    assert parsed.value == ["X claimed Y."]
-    assert "claim:not_verbatim" not in parsed.flags
+    ann = annotate_one(FixtureChatProvider(tmp_path))
+    assert "claim" not in ann.failed_tags
+    assert ann.claim == ("X claimed Y.",)
+    assert "claim:not_verbatim" not in ann.flags
 
 
 def test_extract_claim_strips_code_fences():
     provider = ScriptedChatProvider({prompts.CLAIM: '```json\n["X claimed Y."]\n```'})
-    parsed = run_pass(make_article("a1", body=BODY), prompts.CLAIM, provider)
-    assert parsed.value == ["X claimed Y."]
+    assert annotate_one(provider).claim == ("X claimed Y.",)
 
 
 def test_extract_claim_unparseable_marks_failed():
     provider = ScriptedChatProvider({prompts.CLAIM: "not json"})
-    parsed = run_pass(make_article("a1", body=BODY), prompts.CLAIM, provider)
-    assert parsed.failed
+    assert "claim" in annotate_one(provider).failed_tags
 
 
 def test_extract_claim_flags_non_verbatim():
     provider = ScriptedChatProvider({prompts.CLAIM: '["Absent sentence."]'})
-    parsed = run_pass(make_article("a1", body=BODY), prompts.CLAIM, provider)
-    assert parsed.value == ["Absent sentence."]
-    assert "claim:not_verbatim" in parsed.flags
+    ann = annotate_one(provider)
+    assert ann.claim == ("Absent sentence.",)
+    assert "claim:not_verbatim" in ann.flags
 
 
 def test_extract_what_why_defaults_missing_key():
     provider = ScriptedChatProvider({prompts.WHAT_WHY: '{"what":["X claimed Y."]}'})
-    parsed = run_pass(make_article("a1", body=BODY), prompts.WHAT_WHY, provider)
-    assert parsed.value == {"what": ["X claimed Y."], "why": []}
-    assert "why:missing" in parsed.flags
+    ann = annotate_one(provider)
+    assert not {"what", "why"} & set(ann.failed_tags)
+    assert (ann.what, ann.why) == (("X claimed Y.",), ())
+    assert "why:missing" in ann.flags
 
 
 def test_tag_entities_normalizes_labels():
     provider = ScriptedChatProvider(
         {prompts.ENTITIES: '{"Joe Biden":"positive","GOP":"Negative "}'}
     )
-    parsed = run_pass(make_article("a1", body=BODY), prompts.ENTITIES, provider)
-    assert parsed.value == {"Joe Biden": "positive", "GOP": "negative"}
+    assert annotate_one(provider).entities == {"Joe Biden": "positive", "GOP": "negative"}
 
 
 def test_annotate_article_keeps_pass_order_of_flags_and_failures(caplog):
@@ -179,18 +182,22 @@ def test_cache_corruption_refetches_exactly_one(tmp_path):
 
 def test_cached_response_stored_byte_equal(tmp_path):
     """Cache soundness: the stored response is byte-equal to the provider's."""
-    article = make_article("a1", body=BODY)
-    provider = ScriptedChatProvider({prompts.CLAIM: '["X claimed Y."]\n'})
-    cache = ResponseCache(tmp_path)
-    run_pass(article, prompts.CLAIM, provider, cache)
+    provider = ScriptedChatProvider(
+        {
+            prompts.CLAIM: '["X claimed Y."]\n',
+            prompts.WHAT_WHY: '{"what":[],"why":[]}',
+            prompts.ENTITIES: "{}",
+        }
+    )
+    annotate_one(provider, tmp_path)
     prompt = prompts.render_prompt(prompts.CLAIM, BODY)
     key = cache_key(prompts.CLAIM, prompt, provider.model_name)
     stored = json.loads((tmp_path / f"{key}.json").read_text())["response"]
     assert stored == '["X claimed Y."]\n'
     # Warm read re-parses the stored bytes to the same value.
-    warm = run_pass(article, prompts.CLAIM, provider, cache)
-    assert warm.value == ["X claimed Y."]
-    assert provider.calls == 1
+    warm = annotate_one(provider, tmp_path)
+    assert warm.claim == ("X claimed Y.",)
+    assert provider.calls == 3  # each pass sent once, by the cold run
 
 
 def test_partial_failure_isolation():
@@ -242,18 +249,6 @@ def test_annotations_jsonl_round_trip(tmp_path):
     path = tmp_path / "annotations.jsonl"
     save_annotations(annotations, path)
     assert load_annotations(path) == annotations
-
-
-def http_chat(max_retries=2):
-    config = ProviderConfig(
-        endpoint="http://chat.test/v1", max_retries=max_retries,
-        rate_limit=1e6, retry_base_seconds=0.0,
-    )
-    return HttpChatProvider(config)
-
-
-def chat_reply(content):
-    return StubResponse(200, {"choices": [{"message": {"content": content}}]})
 
 
 @pytest.mark.parametrize("content", [None, 3, ["X claimed Y."]])

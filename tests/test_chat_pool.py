@@ -15,27 +15,14 @@ import requests
 from factlens import prompts, providers
 from factlens.annotation import annotate_corpus, save_annotations
 from factlens.providers import (
-    HttpChatProvider,
     ProviderConfig,
     ProviderUnreachableError,
     SyntheticChatProvider,
     cache_key,
 )
-from tests.conftest import StubResponse, make_article, make_corpus
+from tests.conftest import StubResponse, chat_reply, http_chat, make_article, make_corpus
 
 MODEL = ProviderConfig().model_name
-
-
-def http_chat(max_retries=2, rate_limit=1e6, retry_base_seconds=0.0, seed=0):
-    config = ProviderConfig(
-        endpoint="http://chat.test/v1", max_retries=max_retries,
-        rate_limit=rate_limit, retry_base_seconds=retry_base_seconds,
-    )
-    return HttpChatProvider(config, seed=seed)
-
-
-def chat_reply(content):
-    return StubResponse(200, {"choices": [{"message": {"content": content}}]})
 
 
 def prompt_of(body):

@@ -21,14 +21,13 @@ from factlens.embedding import (
 from factlens.corpus import write_corpus_file
 from factlens.providers import (
     HashedEmbeddingProvider,
-    HttpChatProvider,
     HttpEmbeddingProvider,
     ProviderCallError,
     ProviderConfig,
     ProviderUnreachableError,
 )
 from factlens.synthetic import make_articles
-from tests.conftest import StubResponse, make_corpus
+from tests.conftest import StubResponse, http_chat, make_corpus
 
 
 def reference_hashed_vector(text: str, dim: int = 64) -> np.ndarray:
@@ -281,13 +280,6 @@ def test_http_embedder_nan_vector_is_absent_and_sidecar_stays_json(stub_post, tm
     assert embeddings[("a1", "claim")].absent
     save_embeddings(embeddings, tmp_path / "emb.jsonl", dim=4)
     assert "NaN" not in (tmp_path / "emb.jsonl").read_text()
-
-
-def http_chat():
-    config = ProviderConfig(
-        endpoint="http://chat.test/v1", max_retries=2, rate_limit=1e6, retry_base_seconds=0.0
-    )
-    return HttpChatProvider(config)
 
 
 # Both HTTP providers follow one failure policy: each maker is paired with
