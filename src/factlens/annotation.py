@@ -278,8 +278,8 @@ def save_annotations(annotations: Mapping[str, Annotation], path: str | Path) ->
 
 
 # What decoding a store line that is not a row raises (a truncated line,
-# a wrong type, a missing key, deep nesting).
-ROW_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
+# a wrong type, a missing key, deep nesting, a number too large for a float).
+ROW_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError, OverflowError)
 
 
 def bad_row(path: str | Path, line_no: int, exc: Exception) -> ValueError:

@@ -236,14 +236,7 @@ def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_suppo
 @click.option("--title", default="Entity polarity", show_default=True)
 def report(input_files, fmt, out_file, title) -> None:
     """Re-render analysis outputs as a table or an SVG chart."""
-    rows: list[dict] = []
-    for path in input_files:
-        text = Path(path).read_text(encoding="utf-8")
-        if path.endswith(".json"):
-            data = report_mod.parse_json(text)
-            rows.extend(data if isinstance(data, list) else [data])
-        else:
-            rows.extend(report_mod.parse_csv(text))
+    rows = [row for path in input_files for row in report_mod.read_table(path)]
     if fmt == "svg":
         svg = report_mod.render_polarity_chart(rows, title=title)
         Path(out_file).write_text(svg, encoding="utf-8")

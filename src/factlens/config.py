@@ -183,7 +183,7 @@ def load_config(
         p = Path(path)
         try:
             values = parse_config_text(p.read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {p}: {exc}") from exc
     for env_key, env_value in env.items():
         if env_key == API_KEY_ENV or not env_key.startswith(ENV_PREFIX):

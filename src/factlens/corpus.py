@@ -123,21 +123,29 @@ def _parse_record(raw: dict, date_range: tuple[dt.date, dt.date]) -> Article:
 def ingest(path: str | Path, date_range: tuple[dt.date, dt.date]) -> IngestResult:
     """Load a JSON-lines corpus file, keeping valid in-range records.
 
-    Every input line becomes either one Article or one Rejection, so
-    ``len(corpus) + len(rejections)`` equals the number of lines.
+    Lines end at ``\n``, ``\r\n`` or ``\r``, as a text-mode file reads
+    them. Every input line becomes either one Article or one Rejection
+    (a line that is not UTF-8 too), so ``len(corpus) + len(rejections)``
+    equals the number of lines.
     """
     path = Path(path)
     start, end = date_range
     if start > end:
         raise CorpusError(f"date range start {start} after end {end}")
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_bytes().splitlines()
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
     articles: dict[str, Article] = {}
     rejections: list[Rejection] = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, raw_line in enumerate(lines, start=1):
+        try:
+            line = raw_line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            reason = f"invalid UTF-8: {exc.reason} at byte {exc.start}"
+            rejections.append(Rejection(line_no, None, reason))
+            continue
         if not line.strip():
             rejections.append(Rejection(line_no, None, "blank line"))
             continue

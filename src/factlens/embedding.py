@@ -169,9 +169,16 @@ def save_embeddings(
             )
 
 
+def _integer(value: object, key: str) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{key}: expected an integer")
+    return value
+
+
 def load_embeddings(path: str | Path) -> tuple[dict[tuple[str, str], TagEmbedding], int]:
     """Load a sidecar; validates the dimension header against every row. A
-    line that is not a row is a ValueError naming the file and the line."""
+    line that is not a row (a mistyped field, a wrong dimension, a
+    non-finite vector) is a ValueError naming the file and the line."""
     embeddings: dict[tuple[str, str], TagEmbedding] = {}
     line_no = 1
     with Path(path).open("r", encoding="utf-8") as fh:
@@ -179,21 +186,25 @@ def load_embeddings(path: str | Path) -> tuple[dict[tuple[str, str], TagEmbeddin
             header = json.loads(fh.readline())
             if header.get("kind") != "header" or "dim" not in header:
                 raise ValueError("embedding sidecar is missing its dimension header")
-            dim = int(header["dim"])
+            dim = _integer(header["dim"], "dim")
             for line_no, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
                 raw = json.loads(line)
-                vector = raw["vector"]
+                article_id, tag, vector = raw["article_id"], raw["tag"], raw["vector"]
+                if not isinstance(article_id, str) or not isinstance(tag, str):
+                    raise TypeError("article_id, tag: expected strings")
                 if vector is not None:
                     vector = np.asarray(vector, dtype=np.float64)
                     if vector.shape != (dim,):
                         raise ValueError(
-                            f"row ({raw['article_id']}, {raw['tag']}) has dimension "
-                            f"{vector.shape[0]}, header says {dim}"
+                            f"row ({article_id}, {tag}) has shape {vector.shape}, "
+                            f"header says dimension {dim}"
                         )
-                emb = TagEmbedding(raw["article_id"], raw["tag"], vector, int(raw["n_sentences"]))
-                embeddings[(emb.article_id, emb.tag)] = emb
+                    if not np.isfinite(vector).all():
+                        raise ValueError(f"row ({article_id}, {tag}) has a non-finite vector")
+                n_sentences = _integer(raw["n_sentences"], "n_sentences")
+                embeddings[(article_id, tag)] = TagEmbedding(article_id, tag, vector, n_sentences)
         except ROW_ERRORS as exc:
             raise bad_row(path, line_no, exc) from None
     return embeddings, dim

@@ -130,7 +130,7 @@ def view_series(
     prec: PrecisionConfig | None = None,
 ) -> list[PolarityResult]:
     """entity_series of each entity in turn, concatenated, all read from
-    one org's entity view (any view that holds the entities)."""
+    one org's entity view."""
     prec = prec or PrecisionConfig()
     table = _tag_counts(mentions)
     out = []

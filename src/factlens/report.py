@@ -44,9 +44,10 @@ def _esc(text: str) -> str:
 def render_polarity_chart(rows: Sequence[dict], title: str = "Entity polarity") -> str:
     """Grouped bar chart of polarity scores with error bars, as SVG text.
 
-    Expects rows with org, entity, ps, delta_ps. Bars group by entity,
-    one bar per organization; the y axis is fixed to [-1, 1] and error
-    bars span ps +/- delta_ps (clipped to the axis).
+    Expects rows with org, entity, ps, delta_ps; any other row is a
+    ValueError. Bars group by entity, one bar per organization; the y
+    axis is fixed to [-1, 1] and error bars span ps +/- delta_ps (clipped
+    to the axis).
     """
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -64,8 +65,15 @@ def render_polarity_chart(rows: Sequence[dict], title: str = "Entity polarity") 
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
 
-    for row in rows:
-        ps, delta = float(row["ps"]), float(row["delta_ps"])
+    for i, row in enumerate(rows):
+        try:
+            ps, delta = float(row["ps"]), float(row["delta_ps"])
+            row["org"], row["entity"]
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"chart row {i}: expected an object with numeric ps and delta_ps, "
+                f"org and entity ({type(exc).__name__}: {exc})"
+            ) from None
         if not -1.0 <= ps <= 1.0:
             raise ValueError(f"ps out of range: {ps}")
         if delta < 0.0:
@@ -195,6 +203,21 @@ def export_json(rows) -> str:
 
 def parse_json(text: str):
     return json.loads(text)
+
+
+def read_table(path: str | Path) -> list[dict]:
+    """The rows of a table file: JSON (one object or a list of objects) when
+    the name ends in .json, else CSV. Any other content is a ValueError
+    naming the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        data = parse_json(text) if str(path).endswith(".json") else parse_csv(text)
+        rows = data if isinstance(data, list) else [data]
+        if not all(isinstance(row, dict) for row in rows):
+            raise ValueError("expected an object or a list of objects")
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a table ({exc})") from None
+    return rows
 
 
 def export_table(

@@ -358,6 +358,70 @@ def test_truncated_store_file_is_clean_error(runner, built_store, tmp_path, dama
     assert not (tmp_path / "out.json").exists()
 
 
+def write(path, data):
+    """data (text as UTF-8, or bytes) written to path; returns the path as str."""
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    return str(path)
+
+
+def nan_vector_store(tmp):
+    """The store with a NaN in the first stored vector of its sidecar."""
+    path = tmp / "store" / pipeline.EMBEDDINGS_FILE
+    lines = path.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if json.loads(line).get("vector"))
+    row = json.loads(lines[i])
+    row["vector"][0] = float("nan")
+    lines[i] = json.dumps(row)
+    write(path, "".join(f"{line}\n" for line in lines))
+    return str(tmp / "store")
+
+
+NOT_UTF8 = b"surface,canonical,political\nJoe Biden,Joe Biden,yes\n\xff\xfe,Joe Biden,yes\n"
+
+# Each case: the arguments, before --out, of a command whose input is bad.
+BAD_INPUTS = {
+    "report-no-ps-column": lambda tmp: [
+        "report", "--format", "svg",
+        "--inputs", write(tmp / "pol.csv", "org,entity,delta_ps\nSnopes,Joe Biden,0.01\n"),
+    ],
+    "report-json-not-json": lambda tmp: [
+        "report", "--format", "svg", "--inputs", write(tmp / "pol.json", '[{"org": '),
+    ],
+    "report-json-row-not-object": lambda tmp: [
+        "report", "--format", "csv", "--inputs", write(tmp / "pol.json", "[1, 2]"),
+    ],
+    "entities-aliases-not-utf8": lambda tmp: [
+        "entities", "--store", str(tmp / "store"), "--orgs", "PolitiFact,Snopes",
+        "--aliases", write(tmp / "aliases.csv", NOT_UTF8),
+    ],
+    "polarity-aliases-not-utf8": lambda tmp: [
+        "polarity", "--store", str(tmp / "store"),
+        "--aliases", write(tmp / "aliases.csv", NOT_UTF8),
+    ],
+    "run-all-config-not-utf8": lambda tmp: [
+        "run-all", "--store", str(tmp / "store"),
+        "--config", write(tmp / "run.cfg", b"min_support = 1\ncache_dir = \xff\n"),
+    ],
+    "similarity-nan-vector": lambda tmp: [
+        "similarity", "--store", nan_vector_store(tmp), "--tag", "claim",
+        "--orgs", "PolitiFact,Snopes",
+    ],
+}
+
+
+@pytest.mark.parametrize("make_args", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_is_clean_error(runner, built_store, tmp_path, make_args):
+    """Malformed or undecodable input to any command ends in one `Error:`
+    line and exit status 1, and writes no output."""
+    shutil.copytree(built_store, tmp_path / "store")
+    args = [*make_args(tmp_path), "--out", str(tmp_path / "out")]
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("Error:")
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 MISTYPED_ROWS = {
     "article-id-int": {"article_id": 3},
     "claim-of-ints": {"claim": [1]},

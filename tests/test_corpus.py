@@ -41,8 +41,25 @@ def record(article_id, org="PolitiFact", date="2020-06-01", body="Body text.", *
 
 
 def write_lines(path, lines):
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    """One line per item: a str is written as UTF-8, bytes as they are."""
+    path.write_bytes(b"".join(
+        (line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n" for line in lines
+    ))
     return path
+
+
+# A body with U+2028 and U+0085, which str.splitlines() treats as line
+# breaks; in JSON they may be escaped or raw.
+SEPARATOR_BODY = "First part.\u2028Second part.\u0085Third part."
+
+
+def separator_records(first_id):
+    """The same record with its separators escaped and raw, under two ids."""
+    escaped = record(first_id, body=SEPARATOR_BODY)
+    raw = record(f"{first_id}-raw", body=SEPARATOR_BODY)
+    raw = raw.replace("\\u2028", "\u2028").replace("\\u0085", "\u0085")
+    assert "\u2028" in raw and "\u2028" not in escaped
+    return [escaped, raw]
 
 
 def test_ingest_basic(tmp_path):
@@ -83,12 +100,14 @@ def test_ingest_range_filter(tmp_path):
         # Past CPython's int-string conversion limit and its recursion limit.
         pytest.param('{"id": ' + "1" * 5000 + "}", "invalid JSON", id="huge-int"),
         pytest.param("[" * 100_000, "invalid JSON", id="deep-nesting"),
+        pytest.param(b'{"id": "x\xff\xfe"}', "invalid UTF-8", id="invalid-utf8"),
     ],
 )
 def test_ingest_rejects_malformed(tmp_path, bad_line, reason_part):
     result = ingest(write_lines(tmp_path / "c.jsonl", [record("ok"), bad_line]), RANGE)
     assert len(result.corpus) == 1
     assert len(result.rejections) == 1
+    assert result.rejections[0].line_no == 2
     assert reason_part in result.rejections[0].reason
 
 
@@ -102,8 +121,10 @@ def test_duplicate_id_first_wins(tmp_path):
 
 def test_every_line_accounted_for(tmp_path):
     lines = [record(f"a{i}") for i in range(5)] + ["", "{bad", record("a0")]
+    lines += separator_records("s1") + [b"\xff{bad utf-8", record("a9")]
     result = ingest(write_lines(tmp_path / "c.jsonl", lines), RANGE)
     assert len(result.corpus) + len(result.rejections) == len(lines)
+    assert [r.line_no for r in result.rejections] == [6, 7, 8, 11]
 
 
 def test_unreadable_file_is_fatal(tmp_path):
@@ -166,12 +187,13 @@ def test_released_dataset_scale_counts(tmp_path):
 
 
 def test_store_round_trip(tmp_path):
-    lines = [record("a1"), record("a2", date="2021-01-01"), "{bad"]
+    lines = [record("a1"), record("a2", date="2021-01-01"), "{bad", *separator_records("s1")]
     result = ingest(write_lines(tmp_path / "c.jsonl", lines), RANGE)
     corpus_path, rejects_path = write_store(result, tmp_path / "store")
     assert corpus_path.exists() and rejects_path.exists()
     loaded = load_store(tmp_path / "store")
     assert loaded == result.corpus
+    assert [a.body for a in loaded if a.id.startswith("s1")] == [SEPARATOR_BODY] * 2
     logged = [json.loads(l) for l in rejects_path.read_text().splitlines()]
     assert len(logged) == 1 and "invalid JSON" in logged[0]["reason"]
 

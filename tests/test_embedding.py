@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +220,40 @@ def test_pipeline_stages_hold_what_the_store_reloads(tmp_path):
         if not emb.absent:
             assert got.vector.dtype == emb.vector.dtype
             assert got.vector.tobytes() == emb.vector.tobytes()
+
+
+def sidecar_row(**fields):
+    row = {"article_id": "a", "tag": "claim", "n_sentences": 1, "vector": [0.0, 1.0, 0.0, 0.0]}
+    return json.dumps({**row, **fields})
+
+
+# Line number -> the damaged text put there, in a header + two-row sidecar.
+DAMAGED_SIDECAR_LINES = {
+    "dim-overflow": (1, '{"kind": "header", "dim": 1e400}'),
+    "dim-float": (1, '{"kind": "header", "dim": 4.0}'),
+    "n-sentences-overflow": (3, sidecar_row(n_sentences=None).replace("null", "1e400")),
+    "n-sentences-infinity": (3, sidecar_row(n_sentences=float("inf"))),
+    "n-sentences-string": (3, sidecar_row(n_sentences="1")),
+    "nan-vector": (3, sidecar_row(vector=[float("nan"), 0.0, 0.0, 1.0])),
+    "huge-int-vector": (3, sidecar_row(vector=[10**400, 0.0, 0.0, 1.0])),
+    "scalar-vector": (3, sidecar_row(vector=3)),
+    "article-id-int": (3, sidecar_row(article_id=3)),
+    "tag-list": (3, sidecar_row(tag=["claim"])),
+}
+
+
+@pytest.mark.parametrize(
+    "line_no, line", DAMAGED_SIDECAR_LINES.values(), ids=DAMAGED_SIDECAR_LINES
+)
+def test_damaged_sidecar_line_names_itself(tmp_path, line_no, line):
+    """A sidecar line that is not a row is a ValueError naming the file and
+    the line, never a row loaded with a mistyped or non-finite field."""
+    lines = ['{"kind": "header", "dim": 4}', sidecar_row(tag="what"), sidecar_row()]
+    lines[line_no - 1] = line
+    path = tmp_path / "embeddings.jsonl"
+    path.write_text("".join(f"{entry}\n" for entry in lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: not a valid row"):
+        load_embeddings(path)
 
 
 def test_sidecar_dimension_header_is_enforced(tmp_path):

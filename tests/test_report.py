@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from factlens.report import (
@@ -6,6 +8,7 @@ from factlens.report import (
     export_table,
     parse_csv,
     parse_json,
+    read_table,
     render_polarity_chart,
 )
 
@@ -49,6 +52,24 @@ def test_chart_rejects_out_of_range():
         render_polarity_chart([{"org": "O", "entity": "E", "ps": 1.5, "delta_ps": 0.0}])
     with pytest.raises(ValueError):
         render_polarity_chart([{"org": "O", "entity": "E", "ps": 0.5, "delta_ps": -0.1}])
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        ["O", "E", 0.5, 0.0],
+        "O,E,0.5,0.0",
+        {"org": "O", "entity": "E", "delta_ps": 0.0},
+        {"org": "O", "entity": "E", "ps": None, "delta_ps": 0.0},
+        {"org": "O", "entity": "E", "ps": "high", "delta_ps": 0.0},
+        {"entity": "E", "ps": 0.5, "delta_ps": 0.0},
+        {"org": "O", "ps": 0.5, "delta_ps": 0.0},
+    ],
+    ids=["list", "string", "no-ps", "null-ps", "text-ps", "no-org", "no-entity"],
+)
+def test_chart_rejects_a_row_that_is_not_a_polarity_row(row):
+    with pytest.raises(ValueError, match="chart row 1: expected an object"):
+        render_polarity_chart([rows_fixture()[0], row])
 
 
 def test_chart_has_one_bar_and_error_bar_per_row():
@@ -110,3 +131,23 @@ def test_none_cells_round_trip():
     text = export_csv(rows, columns)
     assert text.splitlines()[1] == ",1"
     assert export_csv(parse_csv(text), columns) == text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_read_table_reads_what_export_table_wrote(tmp_path, fmt):
+    path = export_table(rows_fixture(), fmt, tmp_path / f"t.{fmt}")
+    parse = parse_csv if fmt == "csv" else parse_json
+    assert read_table(path) == parse(path.read_text())
+    (tmp_path / "one.json").write_text('{"org": "O"}')
+    assert read_table(tmp_path / "one.json") == [{"org": "O"}]
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [("t.json", b"[1, 2]"), ("t.json", b'[{"org": '), ("t.json", b'"text"'), ("t.csv", b"\xff\n")],
+    ids=["rows-not-objects", "truncated-json", "json-string", "not-utf8"],
+)
+def test_read_table_names_a_file_that_is_not_a_table(tmp_path, name, data):
+    (tmp_path / name).write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / name))}: not a table"):
+        read_table(tmp_path / name)
