@@ -8,8 +8,10 @@ a warm run never touches the provider and parses identically.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
+import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,32 +84,37 @@ class Annotation:
         )
 
 
+# The errors for which Path.exists() reads False: no entry, not a corrupt one.
+_NO_ENTRY = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
 class ResponseCache:
     """Disk cache of raw provider responses, one JSON file per cache key."""
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self._prefix = os.path.join(self.cache_dir, "")
 
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._prefix}{key}.json"
 
     def get(self, key: str) -> str | None:
-        path = self._path(key)
-        if not path.exists():
-            return None
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            with open(self._path(key), "rb") as fh:
+                raw = fh.read()
+            # Decoded as UTF-8 first: json.loads would accept UTF-16 bytes.
+            payload = json.loads(raw.decode("utf-8"))
             response = payload["response"]
-        except (OSError, ValueError, KeyError, TypeError):
-            logger.warning("cache entry %s is corrupt; refetching", key)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            if not (isinstance(exc, OSError) and exc.errno in _NO_ENTRY):
+                logger.warning("cache entry %s is corrupt; refetching", key)
             return None
         return response if isinstance(response, str) else None
 
     def put(self, key: str, response: str) -> None:
-        self._path(key).write_text(
-            json.dumps({"response": response}, ensure_ascii=False), encoding="utf-8"
-        )
+        with open(self._path(key), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"response": response}, ensure_ascii=False))
 
 
 def _normalize_ws(text: str) -> str:

@@ -12,7 +12,6 @@ their top-k political-entity sets, either globally or recomputed per
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import logging
 import statistics
@@ -26,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .annotation import Annotation
 from .corpus import Corpus
+from .report import read_csv_records
 
 logger = logging.getLogger(__name__)
 
@@ -90,16 +90,15 @@ def load_aliases_csv(path: str | Path) -> AliasMap:
     """
     pairs: list[tuple[str, str]] = []
     political: set[str] = set()
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            surface = (row.get("surface") or "").strip()
-            canonical = (row.get("canonical") or "").strip()
-            if not surface or not canonical:
-                continue
-            pairs.append((surface, canonical))
-            flag = (row.get("political") or "").strip().lower()
-            if flag == "yes":
-                political.add(" ".join(canonical.split()))
+    for row in read_csv_records(path):
+        surface = (row.get("surface") or "").strip()
+        canonical = (row.get("canonical") or "").strip()
+        if not surface or not canonical:
+            continue
+        pairs.append((surface, canonical))
+        flag = (row.get("political") or "").strip().lower()
+        if flag == "yes":
+            political.add(" ".join(canonical.split()))
     return build_alias_map(pairs, political)
 
 

@@ -8,7 +8,6 @@ error from imperfect tag precision is
 
 from __future__ import annotations
 
-import csv
 import logging
 from fractions import Fraction
 from collections import defaultdict
@@ -19,6 +18,7 @@ from typing import Iterable, Mapping
 from .annotation import Annotation
 from .corpus import Corpus
 from .entities import AliasMap, Mentions, canonicalize, org_mentions
+from .report import read_csv_records
 
 logger = logging.getLogger(__name__)
 
@@ -240,8 +240,7 @@ def negativity_ratio(
 
 def load_precisions_csv(path: str | Path) -> PrecisionConfig:
     """Read a 3-column CSV (positive, negative, neutral) with one value row."""
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = read_csv_records(path)
     if len(rows) != 1:
         raise ValueError(f"expected exactly one precision row, got {len(rows)}")
     row = rows[0]

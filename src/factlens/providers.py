@@ -327,18 +327,34 @@ class HashedEmbeddingProvider:
         self.dim = dim
         self.name = f"hashed-bow-{dim}"
         self.calls = 0
+        # Token -> (coordinate, sign), computed the first time a token is
+        # seen: tokens repeat, and their digests dominate the cost.
+        self._slots: dict[str, tuple[int, float]] = {}
+
+    def _slot(self, token: str) -> tuple[int, float]:
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        slot = (int.from_bytes(digest[:4], "big") % self.dim, 1.0 if digest[4] % 2 == 0 else -1.0)
+        self._slots[token] = slot
+        return slot
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         self.calls += 1
-        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        slots, dim = self._slots, self.dim
+        cells: list[int] = []
+        signs: list[float] = []
         for row, text in enumerate(texts):
+            base = row * dim
             for token in self._TOKEN_RE.findall(text.lower()):
-                digest = hashlib.sha256(token.encode("utf-8")).digest()
-                idx = int.from_bytes(digest[:4], "big") % self.dim
-                out[row, idx] += 1.0 if digest[4] % 2 == 0 else -1.0
-            norm = float(np.linalg.norm(out[row]))
-            if norm > 0.0:
-                out[row] /= norm
+                idx, sign = slots.get(token) or self._slot(token)
+                cells.append(base + idx)
+                signs.append(sign)
+        # Coordinates are small integers, so every sum (and sum of squares)
+        # is exact whatever the order: the same bits as one update per token.
+        out = np.zeros((len(texts), dim), dtype=np.float64)
+        np.add.at(out.reshape(-1), np.asarray(cells, dtype=np.intp), np.asarray(signs))
+        norms = np.linalg.norm(out, axis=1)
+        nonzero = norms > 0.0
+        out[nonzero] /= norms[nonzero, None]
         return out
 
 

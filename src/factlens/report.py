@@ -76,7 +76,7 @@ def render_polarity_chart(rows: Sequence[dict], title: str = "Entity polarity") 
             ) from None
         if not -1.0 <= ps <= 1.0:
             raise ValueError(f"ps out of range: {ps}")
-        if delta < 0.0:
+        if not delta >= 0.0:  # NaN fails too
             raise ValueError(f"delta_ps must be >= 0, got {delta}")
 
     entities = sorted({str(r["entity"]) for r in rows})
@@ -215,9 +215,20 @@ def read_table(path: str | Path) -> list[dict]:
         rows = data if isinstance(data, list) else [data]
         if not all(isinstance(row, dict) for row in rows):
             raise ValueError("expected an object or a list of objects")
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         raise ValueError(f"{path}: not a table ({exc})") from None
     return rows
+
+
+def read_csv_records(path: str | Path) -> list[dict]:
+    """The rows of a UTF-8 CSV file keyed by its header (csv.DictReader's
+    rows). Undecodable text or a malformed CSV (say, a field over the csv
+    module's size limit) is a ValueError naming the file."""
+    try:
+        with Path(path).open("r", encoding="utf-8", newline="") as fh:
+            return list(csv.DictReader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: not a readable CSV file ({exc})") from None
 
 
 def export_table(

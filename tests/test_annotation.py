@@ -6,7 +6,12 @@ import pytest
 import requests
 
 from factlens import prompts
-from factlens.annotation import annotate_corpus, load_annotations, save_annotations
+from factlens.annotation import (
+    ResponseCache,
+    annotate_corpus,
+    load_annotations,
+    save_annotations,
+)
 from factlens.providers import (
     FixtureChatProvider,
     ProviderCallError,
@@ -178,6 +183,49 @@ def test_cache_corruption_refetches_exactly_one(tmp_path):
     provider = SyntheticChatProvider()
     annotate_corpus(corpus, provider, config)
     assert provider.calls == 1
+
+
+def _symlink_loop(path):
+    path.symlink_to(path.name)
+
+
+def _cache_dir_replaced_by_file(path):
+    for entry in path.parent.iterdir():
+        entry.unlink()
+    path.parent.rmdir()
+    path.parent.write_text("not a directory", encoding="utf-8")
+
+
+# Each case: how the entry's file is made, the value get() returns, and
+# whether it is reported as corrupt (a miss is not).
+CACHE_ENTRIES = {
+    "valid": (lambda p: p.write_bytes(b'{"response": "ok"}'), "ok", False),
+    "valid-crlf": (lambda p: p.write_bytes(b'{\r\n"response": "ok"}\r\n'), "ok", False),
+    "missing": (lambda p: None, None, False),
+    "dangling-symlink": (lambda p: p.symlink_to("elsewhere.json"), None, False),
+    "symlink-loop": (_symlink_loop, None, False),
+    "cache-dir-is-a-file": (_cache_dir_replaced_by_file, None, False),
+    "directory": (lambda p: p.mkdir(), None, True),
+    "not-utf8": (lambda p: p.write_bytes(b'{"response": "\xff"}'), None, True),
+    "utf8-bom": (lambda p: p.write_bytes(b'\xef\xbb\xbf{"response": "ok"}'), None, True),
+    "utf16": (lambda p: p.write_bytes('{"response": "ok"}'.encode("utf-16")), None, True),
+    "truncated": (lambda p: p.write_bytes(b'{"response": "o'), None, True),
+    "not-an-object": (lambda p: p.write_bytes(b'["ok"]'), None, True),
+    "no-response": (lambda p: p.write_bytes(b'{"other": "ok"}'), None, True),
+    "non-string-response": (lambda p: p.write_bytes(b'{"response": 3}'), None, False),
+}
+
+
+@pytest.mark.parametrize("make, value, corrupt", CACHE_ENTRIES.values(), ids=CACHE_ENTRIES)
+def test_cache_get_on_each_kind_of_entry(tmp_path, caplog, make, value, corrupt):
+    """get() returns a stored string response and None for anything else;
+    only an entry that exists but cannot be read as one is reported."""
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("other", "kept")
+    make(tmp_path / "cache" / "key.json")
+    with caplog.at_level(logging.WARNING, logger="factlens.annotation"):
+        assert cache.get("key") == value
+    assert ("cache entry key is corrupt" in caplog.text) == corrupt
 
 
 def test_cached_response_stored_byte_equal(tmp_path):

@@ -406,6 +406,10 @@ BAD_INPUTS = {
         "similarity", "--store", nan_vector_store(tmp), "--tag", "claim",
         "--orgs", "PolitiFact,Snopes",
     ],
+    "report-nan-delta": lambda tmp: [
+        "report", "--format", "svg",
+        "--inputs", write(tmp / "pol.csv", "org,entity,ps,delta_ps\nO,E,0.5,nan\n"),
+    ],
 }
 
 
@@ -418,6 +422,51 @@ def test_bad_input_is_clean_error(runner, built_store, tmp_path, make_args):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 1, result.output
     assert result.stderr.startswith("Error:")
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+# Over the csv module's default field size limit of 131,072 characters.
+BIG_FIELD = "x" * 200_000
+
+# Each case: the arguments, before --out, of a command given tmp/bad.csv.
+BAD_CSV_FILES = {
+    "entities-aliases-not-utf8": lambda tmp: [
+        "entities", "--store", str(tmp / "store"), "--orgs", "PolitiFact,Snopes",
+        "--aliases", write(tmp / "bad.csv", NOT_UTF8),
+    ],
+    "polarity-precisions-not-utf8": lambda tmp: [
+        "polarity", "--store", str(tmp / "store"),
+        "--precisions", write(tmp / "bad.csv", b"positive,negative,neutral\n1.0,\xff,1.0\n"),
+    ],
+    "entities-aliases-field-too-large": lambda tmp: [
+        "entities", "--store", str(tmp / "store"), "--orgs", "PolitiFact,Snopes",
+        "--aliases", write(tmp / "bad.csv", f"surface,canonical,political\nA,{BIG_FIELD},yes\n"),
+    ],
+    "polarity-aliases-field-too-large": lambda tmp: [
+        "polarity", "--store", str(tmp / "store"),
+        "--aliases", write(tmp / "bad.csv", f"surface,canonical,political\nA,{BIG_FIELD},yes\n"),
+    ],
+    "polarity-precisions-field-too-large": lambda tmp: [
+        "polarity", "--store", str(tmp / "store"),
+        "--precisions", write(tmp / "bad.csv", f"positive,negative,neutral\n1.0,{BIG_FIELD},1.0\n"),
+    ],
+    "report-field-too-large": lambda tmp: [
+        "report", "--format", "csv",
+        "--inputs", write(tmp / "bad.csv", f"org,entity,ps,delta_ps\nO,{BIG_FIELD},0.5,0.1\n"),
+    ],
+}
+
+
+@pytest.mark.parametrize("make_args", BAD_CSV_FILES.values(), ids=BAD_CSV_FILES)
+def test_bad_csv_file_is_named_in_error(runner, built_store, tmp_path, make_args):
+    """An undecodable or malformed CSV input ends in one `Error:` line that
+    names the file, and exit status 1."""
+    shutil.copytree(built_store, tmp_path / "store")
+    args = [*make_args(tmp_path), "--out", str(tmp_path / "out")]
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(f"Error: {tmp_path / 'bad.csv'}: ")
     assert "Traceback" not in result.output
     assert not (tmp_path / "out").exists()
 

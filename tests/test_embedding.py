@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import random
 import re
 
 import numpy as np
@@ -32,17 +34,15 @@ from factlens.synthetic import make_articles
 from tests.conftest import StubResponse, http_chat, make_corpus
 
 
-def reference_hashed_vector(text: str, dim: int = 64) -> np.ndarray:
-    """Independent evaluation of the documented mock hash function."""
-    import re
-
-    vec = np.zeros(dim)
+def reference_hashed_vector(text: str, dim: int) -> list[float]:
+    """Independent evaluation of the documented mock hash function, one
+    token at a time in plain Python floats."""
+    counts = [0.0] * dim
     for token in re.findall(r"[a-z0-9']+", text.lower()):
         digest = hashlib.sha256(token.encode("utf-8")).digest()
-        idx = int.from_bytes(digest[:4], "big") % dim
-        vec[idx] += 1.0 if digest[4] % 2 == 0 else -1.0
-    norm = np.linalg.norm(vec)
-    return vec / norm if norm > 0 else vec
+        counts[int.from_bytes(digest[:4], "big") % dim] += 1.0 if digest[4] % 2 == 0 else -1.0
+    norm = math.sqrt(sum(c * c for c in counts))
+    return [c / norm for c in counts] if norm > 0.0 else counts
 
 
 def test_mock_embedder_deterministic(hashed_provider):
@@ -57,9 +57,32 @@ def test_embed_empty_list(hashed_provider):
 
 def test_mock_embedder_matches_reference_oracle(hashed_provider):
     vectors = embed_sentences(["a", "b"], hashed_provider)
-    assert np.array_equal(vectors[0], reference_hashed_vector("a"))
-    assert np.array_equal(vectors[1], reference_hashed_vector("b"))
+    assert np.array_equal(vectors[0], reference_hashed_vector("a", 64))
+    assert np.array_equal(vectors[1], reference_hashed_vector("b", 64))
     assert np.any(vectors[0] != vectors[1])
+
+
+embedder_texts = st.lists(
+    st.one_of(
+        st.text(max_size=40),
+        st.text(alphabet="aAbB019' -.,\u00e9\u2019", max_size=40),
+        st.sampled_from(["", "   ", "?!", "don't won't 2020", "a a a A a", "b'' ''b 7 7"]),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(embedder_texts, embedder_texts, st.sampled_from([1, 7, 64]))
+def test_hashed_embedder_matches_scalar_reference(first, second, dim):
+    """Every call, including those that read token slots remembered from an
+    earlier call on the same instance, gives the bits of the definition."""
+    provider = HashedEmbeddingProvider(dim=dim)
+    for texts in (first, second, first + second):
+        vectors = provider.embed(texts)
+        assert vectors.dtype == np.float64 and vectors.shape == (len(texts), dim)
+        expected = np.array([reference_hashed_vector(t, dim) for t in texts]).reshape(-1, dim)
+        assert vectors.tobytes() == expected.tobytes()
 
 
 def test_embed_rejects_empty_strings(hashed_provider):
@@ -462,3 +485,71 @@ def test_one_poisoned_text_in_a_full_batch_fails_only_its_tag():
         expected = aggregate_tag(embed_sentences(list(sentences), unbatched))
         assert np.array_equal(emb.vector, expected)
         assert emb.n_sentences == len(sentences)
+
+
+class FloatEmbedder:
+    """Vectors of arbitrary floats, a pure function of the text: a sentence
+    "cancel- x" is the negation of "cancel+ x", "nan x" and "inf x" hold a
+    non-finite coordinate, and "huge x" overflows any sum of two."""
+
+    dim = 7
+    name = "float"
+
+    def embed(self, texts):
+        return np.array([self.vector(t) for t in texts])
+
+    def vector(self, text):
+        if text.startswith("cancel-"):
+            return -self.vector("cancel+" + text[len("cancel-"):])
+        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+        rng = np.random.default_rng(seed)
+        vec = rng.standard_normal(self.dim) * 10.0 ** rng.integers(-3, 4)
+        if text.startswith(("nan", "inf")):
+            vec[int(rng.integers(self.dim))] = float(text[:3])
+        if text.startswith("huge"):
+            vec[:] = 1e308
+        return vec
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # the "overflow" group
+def test_embed_annotations_pools_each_group_as_aggregate_tag():
+    """Groups of 1 to 8 sentences pooled together in shared requests give,
+    group by group, the bits of aggregate_tag and of the mean-then-normalize
+    rule written out here; zero-mean and non-finite groups are absent."""
+    rnd = random.Random(5)
+    degenerate = {
+        "zero": ("cancel+ a", "cancel- a"),
+        "zero-of-four": ("cancel+ b", "cancel- b", "cancel- b", "cancel+ b"),
+        "nan": ("nan c", "s2"),
+        "inf": ("s3", "inf d", "s4"),
+        "overflow": ("huge e", "huge f"),
+    }
+    annotations = {}
+    for i in range(120):
+        groups = [
+            tuple(f"s{rnd.randrange(400)}" for _ in range(rnd.randint(1, 8)))
+            for _ in range(3)
+        ]
+        annotations[f"a{i:03d}"] = Annotation(f"a{i:03d}", *groups)
+    for name, sentences in degenerate.items():
+        annotations[f"d-{name}"] = Annotation(f"d-{name}", claim=sentences, what=("s9",))
+
+    provider = FloatEmbedder()
+    embeddings = embed_annotations(annotations, provider)
+    assert len(embeddings) == 3 * len(annotations)
+    for (article_id, tag), emb in embeddings.items():
+        sentences = annotations[article_id].sentences(tag)
+        if not sentences:
+            assert emb.absent
+            continue
+        rows = provider.embed(list(sentences))
+        mean = rows.mean(axis=0)
+        norm = float(np.linalg.norm(mean))
+        if article_id.startswith("d-") and tag == "claim":
+            assert emb.absent and emb.n_sentences == 0
+            assert aggregate_tag(rows) is None
+            assert norm == 0.0 or not math.isfinite(norm)
+            continue
+        assert emb.n_sentences == len(sentences)
+        assert emb.vector.tobytes() == aggregate_tag(rows).tobytes()
+        assert emb.vector.tobytes() == (mean / norm).tobytes()

@@ -52,6 +52,8 @@ def test_chart_rejects_out_of_range():
         render_polarity_chart([{"org": "O", "entity": "E", "ps": 1.5, "delta_ps": 0.0}])
     with pytest.raises(ValueError):
         render_polarity_chart([{"org": "O", "entity": "E", "ps": 0.5, "delta_ps": -0.1}])
+    with pytest.raises(ValueError, match="delta_ps must be >= 0, got nan"):
+        render_polarity_chart([{"org": "O", "entity": "E", "ps": 0.5, "delta_ps": float("nan")}])
 
 
 @pytest.mark.parametrize(
