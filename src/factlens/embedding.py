@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -57,27 +56,6 @@ def embed_sentences(
     return np.concatenate(chunks, axis=0)
 
 
-def _pool_tags(stack: np.ndarray) -> list[np.ndarray | None]:
-    """Pool each group of a (groups, sentences, dim) stack: the mean of its
-    vectors, L2-normalized; None when degenerate (zero, NaN or infinite
-    mean or norm). The one definition of a tag's vector."""
-    means = stack.mean(axis=1)
-    # vecdot takes the same dot product as norm() of one mean vector.
-    norms = np.sqrt(np.vecdot(means, means))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        units = means / norms[:, None]
-    pooled: list[np.ndarray | None] = []
-    for unit, norm in zip(units, norms.tolist()):
-        if norm == 0.0:
-            logger.info("zero mean vector; tag embedding marked absent")
-            unit = None
-        elif not math.isfinite(norm):
-            logger.warning("non-finite mean vector; tag embedding marked absent")
-            unit = None
-        pooled.append(unit)
-    return pooled
-
-
 def aggregate_tag(sentence_vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray | None:
     """Mean of the vectors, L2-normalized; None when absent or degenerate
     (zero, NaN or infinite mean or norm)."""
@@ -86,7 +64,15 @@ def aggregate_tag(sentence_vectors: Sequence[np.ndarray] | np.ndarray) -> np.nda
         return None
     if arr.ndim != 2:
         raise ValueError("expected a list of equal-dimension vectors")
-    return _pool_tags(arr[None])[0]
+    mean = arr.mean(axis=0)
+    norm = float(np.linalg.norm(mean))
+    if norm == 0.0:
+        logger.info("zero mean vector; tag embedding marked absent")
+        return None
+    if not np.isfinite(norm):
+        logger.warning("non-finite mean vector; tag embedding marked absent")
+        return None
+    return mean / norm
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -119,18 +105,12 @@ def _embed_groups(
         logger.warning("embedding failed for (%s, %s): %s", article_id, tag, exc)
         out[(article_id, tag)] = TagEmbedding(article_id, tag, None, 0)
         return
-    # Groups with the same sentence count are pooled as one stack.
-    counts = [len(sentences) for _, _, sentences in groups]
-    starts = np.cumsum([0] + counts[:-1])
-    pooled: list[np.ndarray | None] = [None] * len(groups)
-    for count in sorted(set(counts)):
-        ids = [i for i, c in enumerate(counts) if c == count]
-        rows = starts[ids][:, None] + np.arange(count)
-        for i, unit in zip(ids, _pool_tags(vectors[rows])):
-            pooled[i] = unit
-    for (article_id, tag, _), count, unit in zip(groups, counts, pooled):
-        n = count if unit is not None else 0
-        out[(article_id, tag)] = TagEmbedding(article_id, tag, unit, n)
+    row = 0
+    for article_id, tag, sentences in groups:
+        pooled = aggregate_tag(vectors[row : row + len(sentences)])
+        row += len(sentences)
+        n = len(sentences) if pooled is not None else 0
+        out[(article_id, tag)] = TagEmbedding(article_id, tag, pooled, n)
 
 
 def embed_annotations(
