@@ -26,6 +26,7 @@ from .providers import (
     ProviderUnreachableError,
     cache_key,
 )
+from .report import DECODE_ERRORS, read_json_lines
 
 logger = logging.getLogger(__name__)
 
@@ -106,7 +107,7 @@ class ResponseCache:
             # Decoded as UTF-8 first: json.loads would accept UTF-16 bytes.
             payload = json.loads(raw.decode("utf-8"))
             response = payload["response"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, *DECODE_ERRORS) as exc:
             if not (isinstance(exc, OSError) and exc.errno in _NO_ENTRY):
                 logger.warning("cache entry %s is corrupt; refetching", key)
             return None
@@ -284,26 +285,7 @@ def save_annotations(annotations: Mapping[str, Annotation], path: str | Path) ->
             )
 
 
-# What decoding a store line that is not a row raises (a truncated line,
-# a wrong type, a missing key, deep nesting, a number too large for a float).
-ROW_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError, OverflowError)
-
-
-def bad_row(path: str | Path, line_no: int, exc: Exception) -> ValueError:
-    return ValueError(f"{path}:{line_no}: not a valid row ({type(exc).__name__}: {exc})")
-
-
 def load_annotations(path: str | Path) -> dict[str, Annotation]:
     """Load annotations.jsonl; a line that is not a row is a ValueError
     naming the file and the line."""
-    annotations: dict[str, Annotation] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                ann = Annotation.from_json_dict(json.loads(line))
-            except ROW_ERRORS as exc:
-                raise bad_row(path, line_no, exc) from None
-            annotations[ann.article_id] = ann
-    return annotations
+    return {ann.article_id: ann for ann in read_json_lines(path, Annotation.from_json_dict)}

@@ -17,6 +17,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .report import reading
+
 logger = logging.getLogger(__name__)
 
 # Well-known organizations and their country; org remains an open string.
@@ -240,17 +242,12 @@ def load_store(store_dir: str | Path) -> Corpus:
     meta_path = store / "meta.json"
     if not meta_path.exists():
         raise CorpusError(f"store {store} has no meta.json (run ingest first)")
-    try:
+    with reading(meta_path, "not a valid store meta file", error=CorpusError):
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        date_range = (
-            dt.date.fromisoformat(meta["date_from"]),
-            dt.date.fromisoformat(meta["date_to"]),
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CorpusError(
-            f"{meta_path}: not a valid store meta file ({type(exc).__name__}: {exc})"
-        ) from None
-    result = ingest(store / "corpus.jsonl", date_range)
+        start, end = (dt.date.fromisoformat(meta[key]) for key in ("date_from", "date_to"))
+        if start > end:
+            raise ValueError(f"date_from {start} is after date_to {end}")
+    result = ingest(store / "corpus.jsonl", (start, end))
     if result.rejections:
         first = result.rejections[0]
         raise CorpusError(

@@ -16,8 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .annotation import ROW_ERRORS, SENTENCE_TAGS, Annotation, bad_row
+from .annotation import SENTENCE_TAGS, Annotation
 from .providers import EmbeddingProvider, ProviderCallError
+from .report import read_json_lines, reading
 
 logger = logging.getLogger(__name__)
 
@@ -176,35 +177,34 @@ def _integer(value: object, key: str) -> int:
 
 
 def load_embeddings(path: str | Path) -> tuple[dict[tuple[str, str], TagEmbedding], int]:
-    """Load a sidecar; validates the dimension header against every row. A
-    line that is not a row (a mistyped field, a wrong dimension, a
-    non-finite vector) is a ValueError naming the file and the line."""
-    embeddings: dict[tuple[str, str], TagEmbedding] = {}
-    line_no = 1
-    with Path(path).open("r", encoding="utf-8") as fh:
-        try:
-            header = json.loads(fh.readline())
-            if header.get("kind") != "header" or "dim" not in header:
+    """Load a sidecar; validates the dimension header (its first row)
+    against every row. A line that is not a row (a mistyped field, a wrong
+    dimension, a non-finite vector) is a ValueError naming its line."""
+    dims: list[int] = []  # the header's dimension, once its row is read
+
+    def row(raw: dict) -> TagEmbedding | None:
+        if not dims:
+            if raw.get("kind") != "header" or "dim" not in raw:
                 raise ValueError("embedding sidecar is missing its dimension header")
-            dim = _integer(header["dim"], "dim")
-            for line_no, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                raw = json.loads(line)
-                article_id, tag, vector = raw["article_id"], raw["tag"], raw["vector"]
-                if not isinstance(article_id, str) or not isinstance(tag, str):
-                    raise TypeError("article_id, tag: expected strings")
-                if vector is not None:
-                    vector = np.asarray(vector, dtype=np.float64)
-                    if vector.shape != (dim,):
-                        raise ValueError(
-                            f"row ({article_id}, {tag}) has shape {vector.shape}, "
-                            f"header says dimension {dim}"
-                        )
-                    if not np.isfinite(vector).all():
-                        raise ValueError(f"row ({article_id}, {tag}) has a non-finite vector")
-                n_sentences = _integer(raw["n_sentences"], "n_sentences")
-                embeddings[(article_id, tag)] = TagEmbedding(article_id, tag, vector, n_sentences)
-        except ROW_ERRORS as exc:
-            raise bad_row(path, line_no, exc) from None
-    return embeddings, dim
+            dims.append(_integer(raw["dim"], "dim"))
+            return None
+        article_id, tag, vector = raw["article_id"], raw["tag"], raw["vector"]
+        if not isinstance(article_id, str) or not isinstance(tag, str):
+            raise TypeError("article_id, tag: expected strings")
+        if vector is not None:
+            vector = np.asarray(vector, dtype=np.float64)
+            if vector.shape != (dims[0],):
+                raise ValueError(
+                    f"row ({article_id}, {tag}) has shape {vector.shape}, "
+                    f"header says dimension {dims[0]}"
+                )
+            if not np.isfinite(vector).all():
+                raise ValueError(f"row ({article_id}, {tag}) has a non-finite vector")
+        n_sentences = _integer(raw["n_sentences"], "n_sentences")
+        return TagEmbedding(article_id, tag, vector, n_sentences)
+
+    rows = read_json_lines(path, row)
+    with reading(path, "not a valid row", 1):
+        if not dims:  # an empty file
+            raise ValueError("embedding sidecar is missing its dimension header")
+    return {(emb.article_id, emb.tag): emb for emb in rows[1:]}, dims[0]

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 from .annotation import Annotation
 from .corpus import Corpus
 from .entities import AliasMap, Mentions, canonicalize, org_mentions
-from .report import read_csv_records
+from .report import read_csv_records, reading
 
 logger = logging.getLogger(__name__)
 
@@ -239,19 +239,17 @@ def negativity_ratio(
 
 
 def load_precisions_csv(path: str | Path) -> PrecisionConfig:
-    """Read a 3-column CSV (positive, negative, neutral) with one value row."""
+    """Read a 3-column CSV (positive, negative, neutral) with one value row.
+    Any other content is a ValueError naming the file."""
     rows = read_csv_records(path)
-    if len(rows) != 1:
-        raise ValueError(f"expected exactly one precision row, got {len(rows)}")
-    row = rows[0]
-    try:
-        return PrecisionConfig(
-            positive=float(row["positive"]),
-            negative=float(row["negative"]),
-            neutral=float(row["neutral"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"precision_{exc.args[0]}: column missing from precision CSV") from None
+    with reading(path, "not a valid precision file"):
+        if len(rows) != 1:
+            raise ValueError(f"expected exactly one precision row, got {len(rows)}")
+        cells = {name: rows[0].get(name) for name in ("positive", "negative", "neutral")}
+        for name, cell in cells.items():
+            if cell is None:
+                raise ValueError(f"precision_{name}: missing")
+        return PrecisionConfig(**{name: float(cell) for name, cell in cells.items()})
 
 
 def polarity_rows(

@@ -4,6 +4,8 @@ Everything here is a pure function of its inputs. Floats in CSV cells
 are fixed at 4 decimal places and JSON floats are rounded to 4 decimals,
 so export -> parse -> export is byte-identical in both formats and the
 SVG never changes between runs on the same data.
+
+Also the one rule for reading input files (``reading``); this module imports no package code.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 _PALETTE = (
     "#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3",
@@ -69,7 +72,7 @@ def render_polarity_chart(rows: Sequence[dict], title: str = "Entity polarity") 
         try:
             ps, delta = float(row["ps"]), float(row["delta_ps"])
             row["org"], row["entity"]
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        except DECODE_ERRORS as exc:
             raise ValueError(
                 f"chart row {i}: expected an object with numeric ps and delta_ps, "
                 f"org and entity ({type(exc).__name__}: {exc})"
@@ -205,18 +208,46 @@ def parse_json(text: str):
     return json.loads(text)
 
 
+# What decoding malformed input raises: undecodable bytes, bad JSON or CSV,
+# a wrong type or a missing key, deep nesting, a number too large for a float.
+DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError, OverflowError,
+                 csv.Error)
+
+
+@contextmanager
+def reading(source: str | Path, what: str, line: int | None = None, error=ValueError):
+    """Runs its body under the reading rule: a DECODE_ERRORS failure means the
+    input is malformed, raised as error("<source>[:<line>]: <what> (<Type>: <detail>)")."""
+    try:
+        yield
+    except DECODE_ERRORS as exc:
+        where = source if line is None else f"{source}:{line}"
+        raise error(f"{where}: {what} ({type(exc).__name__}: {exc})") from None
+
+
+def read_json_lines(path: str | Path, convert: Callable[[Any], Any]) -> list:
+    """convert(value) for the JSON value on each non-blank line, each line
+    decoded as UTF-8 on its own; one that fails is ``<path>:<line>: not a valid row``."""
+    out = []
+    with Path(path).open("rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            with reading(path, "not a valid row", line_no):
+                line = raw.decode("utf-8")
+                if line.strip():
+                    out.append(convert(json.loads(line)))
+    return out
+
+
 def read_table(path: str | Path) -> list[dict]:
     """The rows of a table file: JSON (one object or a list of objects) when
     the name ends in .json, else CSV. Any other content is a ValueError
     naming the file."""
-    try:
+    with reading(path, "not a table"):
         text = Path(path).read_text(encoding="utf-8")
         data = parse_json(text) if str(path).endswith(".json") else parse_csv(text)
         rows = data if isinstance(data, list) else [data]
         if not all(isinstance(row, dict) for row in rows):
             raise ValueError("expected an object or a list of objects")
-    except (ValueError, csv.Error) as exc:
-        raise ValueError(f"{path}: not a table ({exc})") from None
     return rows
 
 
@@ -224,11 +255,9 @@ def read_csv_records(path: str | Path) -> list[dict]:
     """The rows of a UTF-8 CSV file keyed by its header (csv.DictReader's
     rows). Undecodable text or a malformed CSV (say, a field over the csv
     module's size limit) is a ValueError naming the file."""
-    try:
+    with reading(path, "not a readable CSV file"):
         with Path(path).open("r", encoding="utf-8", newline="") as fh:
             return list(csv.DictReader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ValueError(f"{path}: not a readable CSV file ({exc})") from None
 
 
 def export_table(

@@ -219,8 +219,17 @@ def test_ingest_bad_date_is_clean_error(runner, tmp_path):
          "window_days: must be >= 0"),
         (["polarity", "--top-k", "0"], "top_k_polarity: must be >= 1"),
         (["polarity", "--min-support", "0"], "min_support: must be >= 1"),
-        (["polarity", "--precisions", "missing.csv"], "precision_negative: column missing"),
-        (["polarity", "--precisions", "range.csv"], "precision_negative: must be in [0, 1]"),
+        pytest.param(
+            ["polarity", "--precisions", "missing.csv"],
+            "missing.csv: not a valid precision file (ValueError: precision_negative: missing)",
+            id="precisions-column-missing",
+        ),
+        pytest.param(
+            ["polarity", "--precisions", "range.csv"],
+            "range.csv: not a valid precision file "
+            "(ValueError: precision_negative: must be in [0, 1])",
+            id="precisions-out-of-range",
+        ),
         (["similarity", "--orgs", "PolitiFact,Snopes", "--tag", "claim", "--tau", "1.5"],
          "tau: must be in [0, 1]"),
     ],
