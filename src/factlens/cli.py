@@ -236,10 +236,15 @@ def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_suppo
 @click.option("--title", default="Entity polarity", show_default=True)
 def report(input_files, fmt, out_file, title) -> None:
     """Re-render analysis outputs as a table or an SVG chart."""
-    rows = [row for path in input_files for row in report_mod.read_table(path)]
+    rows = []
+    for path in input_files:
+        table = report_mod.read_table(path)
+        if fmt == "svg":
+            with report_mod.reading(path, "not a chart table"):
+                report_mod.check_chart_rows(table)
+        rows.extend(table)
     if fmt == "svg":
-        svg = report_mod.render_polarity_chart(rows, title=title)
-        Path(out_file).write_text(svg, encoding="utf-8")
+        report_mod.write_output(out_file, report_mod.render_polarity_chart(rows, title=title))
     else:
         columns = list(rows[0].keys()) if rows else pipeline.POLARITY_COLUMNS
         report_mod.export_table(rows, fmt, out_file, columns)

@@ -27,6 +27,10 @@ class ConfigError(Exception):
     pass
 
 
+# The widest window any date can have: the span of the date type.
+MAX_WINDOW_DAYS = (dt.date.max - dt.date.min).days
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     window_days: int = 15
@@ -39,6 +43,8 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         if self.window_days < 0:
             raise ConfigError("window_days: must be >= 0")
+        if self.window_days > MAX_WINDOW_DAYS:
+            raise ConfigError(f"window_days: must be <= {MAX_WINDOW_DAYS}")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError("tau: must be in [0, 1]")
         if self.bootstrap_resamples < 1:

@@ -216,7 +216,8 @@ def windowed_jaccard(
     kept_days: list[dt.date] = []
     values: list[float] = []
     for day in sorted({date for date, _ in xs}):
-        lo, hi = day - window, day + window
+        # Clamped to the date type's range, which a wide window overruns.
+        lo, hi = day - min(window, day - dt.date.min), day + min(window, dt.date.max - day)
         set_x, set_y = _window_top_k(xs, lo, hi, k), _window_top_k(ys, lo, hi, k)
         if not set_x or not set_y:
             continue

@@ -277,10 +277,8 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
     report.export_table(pol_rows, "json", out / "polarity.json")
     report.export_table(org_rows, "csv", out / "org_polarity.csv", ORG_COLUMNS)
 
-    charts = out / "charts"
-    charts.mkdir(exist_ok=True)
     svg = report.render_polarity_chart(chart_rows, title="Entity polarity by organization")
-    (charts / "polarity.svg").write_text(svg, encoding="utf-8")
+    report.write_output(out / "charts" / "polarity.svg", svg)
 
     return PipelineSummary(
         n_articles=len(corpus),

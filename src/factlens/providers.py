@@ -27,6 +27,7 @@ import numpy as np
 import requests
 
 from . import prompts
+from .report import DECODE_ERRORS, reading
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -161,7 +162,7 @@ class _HttpClient:
 def _chat_content(resp: Any) -> str:
     try:
         content = resp.json()["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (IndexError, *DECODE_ERRORS) as exc:
         raise ProviderCallError(f"malformed response body: {exc}") from exc
     if not isinstance(content, str):
         raise ProviderCallError(f"malformed response body: content is {type(content).__name__}")
@@ -195,8 +196,8 @@ class HttpChatProvider(_HttpClient):
 class FixtureChatProvider:
     """Replays responses from a directory of fixture files keyed by cache key.
 
-    A request whose key has no ``<key>.txt`` file fails like a permanent
-    provider error.
+    A request whose key has no ``<key>.txt`` file, or whose file is not
+    UTF-8, fails like a permanent provider error.
     """
 
     def __init__(self, fixtures_dir: str | Path, model_name: str = "mock-fixtures"):
@@ -212,7 +213,8 @@ class FixtureChatProvider:
         path = self.fixture_path(prompt, template_id)
         if not path.exists():
             raise ProviderCallError(f"no fixture for key {path.stem}")
-        return path.read_text(encoding="utf-8")
+        with reading(path, "not a fixture", error=ProviderCallError):
+            return path.read_bytes().decode("utf-8")
 
 
 def write_fixture(
@@ -380,7 +382,7 @@ class HttpEmbeddingProvider(_HttpClient):
     def _vectors(self, resp: Any, n: int) -> np.ndarray:
         try:
             vectors = np.asarray(resp.json()["vectors"], dtype=np.float64)
-        except (ValueError, KeyError, TypeError) as exc:
+        except DECODE_ERRORS as exc:
             raise _RetryBody(f"malformed response body: {exc}") from exc
         if vectors.shape != (n, self.dim):
             raise ProviderCallError(f"expected shape {(n, self.dim)}, got {vectors.shape}")

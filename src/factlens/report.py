@@ -44,14 +44,28 @@ def _esc(text: str) -> str:
     )
 
 
+def check_chart_rows(rows: Sequence[dict]) -> None:
+    """ValueError unless every row has org, entity, a numeric ps in [-1, 1]
+    and a numeric delta_ps >= 0."""
+    for i, row in enumerate(rows):
+        with reading(f"chart row {i}", "expected an object with numeric ps and delta_ps, "
+                     "org and entity"):
+            ps, delta = float(row["ps"]), float(row["delta_ps"])
+            row["org"], row["entity"]
+        if not -1.0 <= ps <= 1.0:
+            raise ValueError(f"ps out of range: {ps}")
+        if not delta >= 0.0:  # NaN fails too
+            raise ValueError(f"delta_ps must be >= 0, got {delta}")
+
+
 def render_polarity_chart(rows: Sequence[dict], title: str = "Entity polarity") -> str:
     """Grouped bar chart of polarity scores with error bars, as SVG text.
 
-    Expects rows with org, entity, ps, delta_ps; any other row is a
-    ValueError. Bars group by entity, one bar per organization; the y
-    axis is fixed to [-1, 1] and error bars span ps +/- delta_ps (clipped
-    to the axis).
+    Expects rows that pass check_chart_rows. Bars group by entity, one bar
+    per organization; the y axis is fixed to [-1, 1] and error bars span
+    ps +/- delta_ps (clipped to the axis).
     """
+    check_chart_rows(rows)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -67,20 +81,6 @@ def render_polarity_chart(rows: Sequence[dict], title: str = "Entity polarity") 
         )
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
-
-    for i, row in enumerate(rows):
-        try:
-            ps, delta = float(row["ps"]), float(row["delta_ps"])
-            row["org"], row["entity"]
-        except DECODE_ERRORS as exc:
-            raise ValueError(
-                f"chart row {i}: expected an object with numeric ps and delta_ps, "
-                f"org and entity ({type(exc).__name__}: {exc})"
-            ) from None
-        if not -1.0 <= ps <= 1.0:
-            raise ValueError(f"ps out of range: {ps}")
-        if not delta >= 0.0:  # NaN fails too
-            raise ValueError(f"delta_ps must be >= 0, got {delta}")
 
     entities = sorted({str(r["entity"]) for r in rows})
     orgs = sorted({str(r["org"]) for r in rows})
@@ -238,16 +238,30 @@ def read_json_lines(path: str | Path, convert: Callable[[Any], Any]) -> list:
     return out
 
 
+# How deeply a table's values may nest. Exporting a value recurses once
+# or twice per level, so one nested nearly as deep as the JSON decoder
+# allows would overflow the stack on export.
+_MAX_NESTING = 64
+
+
+def _nesting(value: object) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    return 1 + max(map(_nesting, value), default=0) if isinstance(value, list) else 0
+
+
 def read_table(path: str | Path) -> list[dict]:
-    """The rows of a table file: JSON (one object or a list of objects) when
-    the name ends in .json, else CSV. Any other content is a ValueError
-    naming the file."""
+    """The rows of a table file: JSON (one object or a list of objects,
+    nested at most _MAX_NESTING deep) when the name ends in .json, else
+    CSV. Any other content is a ValueError naming the file."""
     with reading(path, "not a table"):
         text = Path(path).read_text(encoding="utf-8")
         data = parse_json(text) if str(path).endswith(".json") else parse_csv(text)
         rows = data if isinstance(data, list) else [data]
         if not all(isinstance(row, dict) for row in rows):
             raise ValueError("expected an object or a list of objects")
+        if _nesting(rows) > _MAX_NESTING:
+            raise ValueError(f"values nest deeper than {_MAX_NESTING} levels")
     return rows
 
 
@@ -260,6 +274,14 @@ def read_csv_records(path: str | Path) -> list[dict]:
             return list(csv.DictReader(fh))
 
 
+def write_output(path: str | Path, text: str) -> Path:
+    """Write text to path as UTF-8, creating its parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def export_table(
     rows: Sequence[dict],
     fmt: str,
@@ -267,13 +289,10 @@ def export_table(
     columns: Sequence[str] | None = None,
 ) -> Path:
     """Write rows to path as csv or json; returns the path written."""
-    path = Path(path)
     if fmt == "csv":
         text = export_csv(rows, columns)
     elif fmt == "json":
         text = export_json(list(rows))
     else:
         raise ValueError(f"unknown table format {fmt!r}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    return path
+    return write_output(path, text)

@@ -48,6 +48,18 @@ def test_extract_claim_echoes_fixture(tmp_path):
     assert "claim:not_verbatim" not in ann.flags
 
 
+def test_fixture_not_utf8_fails_only_its_tag(tmp_path, caplog):
+    write_fixture(tmp_path, prompts.CLAIM, BODY, '["X claimed Y."]')
+    write_fixture(tmp_path, prompts.WHAT_WHY, BODY, '{"what": ["X claimed Y."], "why": []}')
+    path = write_fixture(tmp_path, prompts.ENTITIES, BODY, "{}")
+    path.write_bytes(b'{"Joe Biden": "neutral\xff"}')
+    with caplog.at_level(logging.WARNING, logger="factlens.annotation"):
+        ann = annotate_one(FixtureChatProvider(tmp_path))
+    assert ann.claim == ("X claimed Y.",)
+    assert ann.failed_tags == ("entities",)
+    assert f"{path}: not a fixture (UnicodeDecodeError: " in caplog.text
+
+
 def test_extract_claim_strips_code_fences():
     provider = ScriptedChatProvider({prompts.CLAIM: '```json\n["X claimed Y."]\n```'})
     assert annotate_one(provider).claim == ("X claimed Y.",)
@@ -213,6 +225,10 @@ CACHE_ENTRIES = {
     "not-an-object": (lambda p: p.write_bytes(b'["ok"]'), None, True),
     "no-response": (lambda p: p.write_bytes(b'{"other": "ok"}'), None, True),
     "non-string-response": (lambda p: p.write_bytes(b'{"response": 3}'), None, False),
+    "deep-nesting": (
+        lambda p: p.write_bytes(b'{"response": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"),
+        None, True,
+    ),
 }
 
 

@@ -232,6 +232,8 @@ def test_ingest_bad_date_is_clean_error(runner, tmp_path):
         ),
         (["similarity", "--orgs", "PolitiFact,Snopes", "--tag", "claim", "--tau", "1.5"],
          "tau: must be in [0, 1]"),
+        (["entities", "--orgs", "PolitiFact,Snopes", "--window", "99999999999999999999999"],
+         "window_days: must be <= 3652058"),
     ],
 )
 def test_bad_stage_flags_are_clean_errors(runner, tmp_path, monkeypatch, args, message):
@@ -373,6 +375,14 @@ def write(path, data):
     return str(path)
 
 
+@pytest.mark.parametrize("fmt", ["svg", "csv", "json"])
+def test_report_creates_the_output_directory(runner, tmp_path, fmt):
+    rows = write(tmp_path / "pol.csv", "org,entity,ps,delta_ps\nO,E,0.5,0.1\n")
+    out = tmp_path / "new" / "dir" / f"c.{fmt}"
+    invoke(runner, ["report", "--inputs", rows, "--format", fmt, "--out", str(out)])
+    assert out.read_text(encoding="utf-8")
+
+
 def nan_vector_store(tmp):
     """The store with a NaN in the first stored vector of its sidecar."""
     path = tmp / "store" / pipeline.EMBEDDINGS_FILE
@@ -386,6 +396,16 @@ def nan_vector_store(tmp):
 
 
 NOT_UTF8 = b"surface,canonical,political\nJoe Biden,Joe Biden,yes\n\xff\xfe,Joe Biden,yes\n"
+
+
+def not_utf8_annotation_store(tmp):
+    """The store with a 0xff byte inside the second line of its annotations."""
+    path = tmp / "store" / pipeline.ANNOTATIONS_FILE
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1][:20] + b"\xff" + lines[1][20:]
+    path.write_bytes(b"\n".join(lines))
+    return str(tmp / "store")
+
 
 # Each case: the arguments, before --out, of a command whose input is bad.
 BAD_INPUTS = {
@@ -419,18 +439,30 @@ BAD_INPUTS = {
         "report", "--format", "svg",
         "--inputs", write(tmp / "pol.csv", "org,entity,ps,delta_ps\nO,E,0.5,nan\n"),
     ],
+    "report-json-deep-nesting": lambda tmp: [
+        "report", "--format", "csv",
+        "--inputs", write(tmp / "deep.json", "[" * 200_000 + "]" * 200_000),
+    ],
+    "report-json-nested-too-deep-to-export": lambda tmp: [
+        "report", "--format", "json",
+        "--inputs", write(tmp / "deep.json", '[{"a": ' + "[" * 800 + "]" * 800 + "}]"),
+    ],
+    "polarity-annotations-not-utf8": lambda tmp: [
+        "polarity", "--store", not_utf8_annotation_store(tmp),
+    ],
 }
 
 
 @pytest.mark.parametrize("make_args", BAD_INPUTS.values(), ids=BAD_INPUTS)
 def test_bad_input_is_clean_error(runner, built_store, tmp_path, make_args):
     """Malformed or undecodable input to any command ends in one `Error:`
-    line and exit status 1, and writes no output."""
+    line that names the input, and exit status 1, and writes no output."""
     shutil.copytree(built_store, tmp_path / "store")
     args = [*make_args(tmp_path), "--out", str(tmp_path / "out")]
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 1, result.output
     assert result.stderr.startswith("Error:")
+    assert str(tmp_path) in result.stderr.splitlines()[0]
     assert "Traceback" not in result.output
     assert not (tmp_path / "out").exists()
 
@@ -459,6 +491,14 @@ BAD_CSV_FILES = {
     "polarity-precisions-field-too-large": lambda tmp: [
         "polarity", "--store", str(tmp / "store"),
         "--precisions", write(tmp / "bad.csv", f"positive,negative,neutral\n1.0,{BIG_FIELD},1.0\n"),
+    ],
+    "polarity-precisions-short-row": lambda tmp: [
+        "polarity", "--store", str(tmp / "store"),
+        "--precisions", write(tmp / "bad.csv", "positive,negative,neutral\n0.9,1\n"),
+    ],
+    "polarity-precisions-not-a-number": lambda tmp: [
+        "polarity", "--store", str(tmp / "store"),
+        "--precisions", write(tmp / "bad.csv", "positive,negative,neutral\nx,1,1\n"),
     ],
     "report-field-too-large": lambda tmp: [
         "report", "--format", "csv",

@@ -103,6 +103,9 @@ def test_http_kinds_require_endpoints(tmp_path):
 def test_analysis_config_validation_direct():
     with pytest.raises(ConfigError):
         AnalysisConfig(window_days=-1)
+    with pytest.raises(ConfigError, match=r"^window_days: must be <= 3652058$"):
+        AnalysisConfig(window_days=10**23)
+    assert AnalysisConfig(window_days=3652058).window_days == 3652058
     with pytest.raises(ConfigError):
         AnalysisConfig(bootstrap_fraction=0.0)
     with pytest.raises(ConfigError):

@@ -222,8 +222,11 @@ def test_by_org_matches_a_scan_of_the_corpus(tmp_path):
         '{"date_from": 2018, "date_to": "2023-12-31"}',
         '["2018-01-01", "2023-12-31"]',
         b'\xff\xfe',
+        "[" * 200_000 + "]" * 200_000,
+        '{"date_from": "2023-12-31", "date_to": "2018-01-01"}',
     ],
-    ids=["truncated", "missing-key", "bad-date", "not-a-string", "not-an-object", "not-utf8"],
+    ids=["truncated", "missing-key", "bad-date", "not-a-string", "not-an-object", "not-utf8",
+         "deep-nesting", "dates-reversed"],
 )
 def test_damaged_meta_json_names_itself(tmp_path, meta):
     write_store(ingest(write_lines(tmp_path / "c.jsonl", [record("a1")]), RANGE), tmp_path / "s")

@@ -262,6 +262,7 @@ DAMAGED_SIDECAR_LINES = {
     "scalar-vector": (3, sidecar_row(vector=3)),
     "article-id-int": (3, sidecar_row(article_id=3)),
     "tag-list": (3, sidecar_row(tag=["claim"])),
+    "not-utf8": (3, sidecar_row().encode("utf-8").replace(b"claim", b"cl\xffim")),
 }
 
 
@@ -274,7 +275,9 @@ def test_damaged_sidecar_line_names_itself(tmp_path, line_no, line):
     lines = ['{"kind": "header", "dim": 4}', sidecar_row(tag="what"), sidecar_row()]
     lines[line_no - 1] = line
     path = tmp_path / "embeddings.jsonl"
-    path.write_text("".join(f"{entry}\n" for entry in lines), encoding="utf-8")
+    path.write_bytes(b"".join(
+        (entry if isinstance(entry, bytes) else entry.encode("utf-8")) + b"\n" for entry in lines
+    ))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: not a valid row"):
         load_embeddings(path)
 
@@ -298,6 +301,7 @@ def http_embedder(dim=4):
 MALFORMED_EMBEDDING_BODIES = {
     "top-level-array": [[0.0, 0.0, 0.0, 1.0]],
     "dict-cell": {"vectors": [[{"x": 1.0}, 0.0, 0.0, 0.0]]},
+    "huge-integer": {"vectors": [[10**400, 0.0, 0.0, 1.0]]},
 }
 
 

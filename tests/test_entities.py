@@ -209,6 +209,21 @@ def test_windowed_matches_per_day_brute_force(x, y, k, w):
     assert result.median == (statistics.median(oracle.values()) if oracle else None)
 
 
+@pytest.mark.parametrize(
+    "start", [dt.date(2022, 1, 1), dt.date.min, dt.date.max - dt.timedelta(days=89)],
+    ids=["2022", "date-min", "date-max"],
+)
+def test_windowed_wider_than_the_date_range_equals_the_corpus_span(start):
+    """A window past the ends of the date type is clamped to them: at any
+    width of at least the corpus span every day sees the whole corpus."""
+    spec = [(i * 7 % 90, "ABCDEF"[i % 6 : i % 6 + 2]) for i in range(40)]
+    x, y = ([(start + dt.timedelta(days=off), frozenset(names)) for off, names in part]
+            for part in (spec[::2], spec[1::2]))
+    span = windowed_jaccard(x, y, k=3, window_days=89)
+    wide = windowed_jaccard(x, y, k=3, window_days=1_000_000)
+    assert (wide.days, wide.values) == (span.days, span.values) and span.values
+
+
 def test_alias_csv_round_trip(tmp_path):
     path = tmp_path / "aliases.csv"
     path.write_text(

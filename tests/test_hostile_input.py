@@ -1,0 +1,180 @@
+"""Mutated copies of every input file a command reads.
+
+Each mutated file is given to a command that reads it. The command exits
+with status 0, or with status 1 and exactly one `Error:` line that names
+the file (for a store file, some file of that store); never with a
+traceback. run.cfg is left out: a mutated size key such as embedding_dim
+can ask for gigabytes, and config errors name keys rather than the file.
+"""
+
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from factlens.cli import main
+from factlens.corpus import write_corpus_file
+from factlens.synthetic import make_articles, write_alias_csv
+
+PAIR = "PolitiFact,Snopes"
+
+
+def invoke(args):
+    result = CliRunner().invoke(main, [str(a) for a in args], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return result
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A directory holding a valid copy of every input: a store after
+    ingest, annotate and embed, its response cache, fixtures replaying
+    that cache, the alias and precision CSVs, and a report CSV and JSON."""
+    base = tmp_path_factory.mktemp("pristine")
+    write_corpus_file(make_articles(30, seed=4), base / "input.jsonl")
+    write_alias_csv(base / "aliases.csv")
+    (base / "precisions.csv").write_text("positive,negative,neutral\n1.0,0.706,1.0\n")
+    store = base / "store"
+    invoke(["ingest", "--input", base / "input.jsonl", "--out", store])
+    invoke(["annotate", "--store", store, "--cache", base / "cache"])
+    invoke(["embed", "--store", store])
+    for name in ("report.csv", "report.json"):
+        invoke(["polarity", "--store", store, "--aliases", base / "aliases.csv",
+                "--min-support", "1", "--out", base / name])
+    (base / "fixtures").mkdir()
+    for entry in sorted((base / "cache").iterdir()):
+        response = json.loads(entry.read_text(encoding="utf-8"))["response"]
+        (base / "fixtures" / f"{entry.stem}.txt").write_text(response, encoding="utf-8")
+    return base
+
+
+# Each target: the file mutated (relative to the copy; for a directory, its
+# first file), its format, and the arguments of a command that reads it,
+# given the copy's directory.
+TARGETS = {
+    "meta.json": ("store/meta.json", "json", lambda w: [
+        "polarity", "--store", w / "store", "--min-support", "1", "--out", w / "out.csv"]),
+    "corpus.jsonl": ("store/corpus.jsonl", "jsonl", lambda w: [
+        "polarity", "--store", w / "store", "--min-support", "1", "--out", w / "out.csv"]),
+    "annotations.jsonl": ("store/annotations.jsonl", "jsonl", lambda w: [
+        "polarity", "--store", w / "store", "--min-support", "1", "--out", w / "out.csv"]),
+    "embeddings.jsonl": ("store/embeddings.jsonl", "jsonl", lambda w: [
+        "similarity", "--store", w / "store", "--tag", "claim", "--orgs", PAIR,
+        "--resamples", "50", "--out", w / "out.json"]),
+    "aliases.csv": ("aliases.csv", "csv", lambda w: [
+        "entities", "--store", w / "store", "--aliases", w / "aliases.csv", "--orgs", PAIR,
+        "--out", w / "out.json"]),
+    "precisions.csv": ("precisions.csv", "csv", lambda w: [
+        "polarity", "--store", w / "store", "--precisions", w / "precisions.csv",
+        "--min-support", "1", "--out", w / "out.csv"]),
+    "report.csv": ("report.csv", "csv", lambda w: [
+        "report", "--inputs", w / "report.csv", "--format", "svg", "--out", w / "out.svg"]),
+    "report.json": ("report.json", "json", lambda w: [
+        "report", "--inputs", w / "report.json", "--format", "json", "--out", w / "out.json"]),
+    "cache-entry": ("cache", "json", lambda w: [
+        "annotate", "--store", w / "store", "--cache", w / "cache"]),
+    "fixture": ("fixtures", "json", lambda w: [
+        "annotate", "--store", w / "store", "--cache", w / "empty-cache",
+        "--mock", w / "fixtures"]),
+}
+
+JSON_VALUES = st.sampled_from(
+    [None, True, 0, -1, 2.5, 10**30, "", "x", [], {}, [0.5], {"k": "v"}]
+)
+DEEP = "\x00deep\x00"
+
+
+def _paths(value, path=()):
+    """The path of every value inside a decoded JSON document."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, sub in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(sub, (*path, key))
+
+
+def _replaced(doc, path, new):
+    if not path:
+        return new
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return doc
+
+
+@st.composite
+def json_swap(draw, text: str) -> str:
+    """text with one value swapped for another type or for deep nesting."""
+    doc = json.loads(text)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    new = draw(st.one_of(JSON_VALUES, st.just(DEEP)))
+    out = json.dumps(_replaced(doc, path, new), ensure_ascii=False)
+    depth = draw(st.integers(1, 100_000))
+    return out.replace(json.dumps(DEEP), "[" * depth + "]" * depth)
+
+
+@st.composite
+def mutated(draw, data: bytes, fmt: str) -> bytes:
+    kind = draw(st.sampled_from(
+        ["truncate", "flip", "insert", "nul", "u2028", "long", "nest", "structure"]
+    ))
+    at = draw(st.integers(0, len(data)))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        if not data:
+            return data
+        at = min(at, len(data) - 1)
+        return data[:at] + bytes([data[at] ^ (1 << draw(st.integers(0, 7)))]) + data[at + 1:]
+    inserts = {
+        "insert": lambda: draw(st.binary(min_size=1, max_size=8)),
+        "nul": lambda: b"\x00",
+        "u2028": lambda: "\u2028".encode("utf-8"),
+        "long": lambda: b"x" * 200_000,
+        "nest": lambda: b"[" * draw(st.integers(1, 100_000)),
+    }
+    if kind in inserts:
+        return data[:at] + inserts[kind]() + data[at:]
+    if fmt == "json":
+        return draw(json_swap(data.decode("utf-8"))).encode("utf-8")
+    lines = data.split(b"\n")
+    i = draw(st.integers(0, len(lines) - 2))  # the last item follows the final newline
+    if fmt == "jsonl":
+        lines[i] = draw(json_swap(lines[i].decode("utf-8"))).encode("utf-8")
+    else:  # csv: drop a cell or add one
+        cells = lines[i].split(b",")
+        j = draw(st.integers(0, len(cells) - 1))
+        if draw(st.booleans()):
+            del cells[j]
+        else:
+            cells.insert(j, draw(st.sampled_from([b"", b"1.5", b"yes", b'"a,b"'])))
+        lines[i] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_mutated_input_is_read_or_named(pristine, target, data):
+    rel, fmt, command = target
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "w"
+        shutil.copytree(pristine, work)
+        path = work / rel
+        if path.is_dir():
+            path = min(path.iterdir())
+        path.write_bytes(data.draw(mutated(path.read_bytes(), fmt)))
+        result = CliRunner().invoke(main, [str(a) for a in command(work)],
+                                    catch_exceptions=False)
+        assert result.exit_code in (0, 1), result.output
+        assert "Traceback" not in result.output
+        if result.exit_code == 1:
+            errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+            assert len(errors) == 1, result.stderr
+            named = work / "store" if rel.startswith("store/") else path
+            assert str(named) in errors[0], errors[0]

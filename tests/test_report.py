@@ -146,8 +146,13 @@ def test_read_table_reads_what_export_table_wrote(tmp_path, fmt):
 
 @pytest.mark.parametrize(
     "name, data",
-    [("t.json", b"[1, 2]"), ("t.json", b'[{"org": '), ("t.json", b'"text"'), ("t.csv", b"\xff\n")],
-    ids=["rows-not-objects", "truncated-json", "json-string", "not-utf8"],
+    [
+        ("t.json", b"[1, 2]"), ("t.json", b'[{"org": '), ("t.json", b'"text"'), ("t.csv", b"\xff\n"),
+        ("t.json", b"[" * 200_000 + b"]" * 200_000),
+        ("t.json", b'[{"a": ' + b"[" * 800 + b"]" * 800 + b"}]"),
+    ],
+    ids=["rows-not-objects", "truncated-json", "json-string", "not-utf8", "deep-nesting",
+         "nested-too-deep-to-export"],
 )
 def test_read_table_names_a_file_that_is_not_a_table(tmp_path, name, data):
     (tmp_path / name).write_bytes(data)
