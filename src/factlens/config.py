@@ -6,6 +6,16 @@ precision configs flattened in; its type is the type of its default, and
 its check sits in the owning dataclass's __post_init__ (ProviderConfig's
 for the provider_ keys it takes). Secrets (the API key) are read from the
 environment only and never serialized.
+
+The size keys have upper bounds, so a mistyped value is a config error
+rather than a MemoryError mid-run. embedding_dim stops at 2**16: provider
+embeddings have a few thousand dimensions (3,072 for OpenAI's largest), and
+a 128-text request of the hashed embedder then holds 64 MiB.
+bootstrap_resamples stops at 10**7, whose resample medians take 80 MB;
+analyses use 1,000 to 10,000.
+
+An error in the file itself (a line that is not ``key = value``, an
+unknown key) names the file; an error in a value names its key.
 """
 
 from __future__ import annotations
@@ -29,6 +39,8 @@ class ConfigError(Exception):
 
 # The widest window any date can have: the span of the date type.
 MAX_WINDOW_DAYS = (dt.date.max - dt.date.min).days
+MAX_BOOTSTRAP_RESAMPLES = 10**7
+MAX_EMBEDDING_DIM = 2**16
 
 
 @dataclass(frozen=True)
@@ -49,6 +61,8 @@ class AnalysisConfig:
             raise ConfigError("tau: must be in [0, 1]")
         if self.bootstrap_resamples < 1:
             raise ConfigError("bootstrap_resamples: must be >= 1")
+        if self.bootstrap_resamples > MAX_BOOTSTRAP_RESAMPLES:
+            raise ConfigError(f"bootstrap_resamples: must be <= {MAX_BOOTSTRAP_RESAMPLES}")
         if not 0.0 < self.bootstrap_fraction <= 1.0:
             raise ConfigError("bootstrap_fraction: must be in (0, 1]")
         if not 0.0 < self.confidence_level < 1.0:
@@ -85,6 +99,8 @@ class RunConfig:
         for key in ("top_k_entities", "top_k_polarity", "min_support", "embedding_dim"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}: must be >= 1")
+        if self.embedding_dim > MAX_EMBEDDING_DIM:
+            raise ConfigError(f"embedding_dim: must be <= {MAX_EMBEDDING_DIM}")
         if self.date_from > self.date_to:
             raise ConfigError("date_from: must not be after date_to")
         if self.provider_kind not in ("synthetic", "fixtures", "http"):
@@ -191,6 +207,8 @@ def load_config(
             values = parse_config_text(p.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {p}: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{p}: {exc}") from None
     for env_key, env_value in env.items():
         if env_key == API_KEY_ENV or not env_key.startswith(ENV_PREFIX):
             continue
@@ -198,9 +216,9 @@ def load_config(
         if key in _KEYS:
             values[key] = env_value
 
-    unknown = sorted(set(values) - set(_KEYS))
+    unknown = sorted(set(values) - set(_KEYS))  # environment keys are all known
     if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     return override(
         RunConfig(api_key=env.get(API_KEY_ENV)),
         **{key: _parse_value(key, raw) for key, raw in values.items()},

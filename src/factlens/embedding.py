@@ -17,7 +17,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .annotation import SENTENCE_TAGS, Annotation
-from .providers import EmbeddingProvider, ProviderCallError
+from .providers import (
+    EmbeddingProvider,
+    HttpEmbeddingProvider,
+    ProviderCallError,
+    ProviderUnreachableError,
+)
 from .report import read_json_lines, reading
 
 logger = logging.getLogger(__name__)
@@ -38,9 +43,10 @@ class TagEmbedding:
 
 
 def embed_sentences(
-    sentences: Sequence[str], provider: EmbeddingProvider
+    sentences: Sequence[str], provider: EmbeddingProvider, retries: int | None = None
 ) -> np.ndarray:
-    """One vector per sentence, all of the provider-declared dimension."""
+    """One vector per sentence, all of the provider-declared dimension.
+    retries, when given, is passed on to an HTTP provider's requests."""
     if any(not isinstance(s, str) or not s for s in sentences):
         raise ValueError("sentences must be non-empty strings")
     if not sentences:
@@ -48,7 +54,8 @@ def embed_sentences(
     chunks = []
     for start in range(0, len(sentences), _BATCH_SIZE):
         batch = sentences[start : start + _BATCH_SIZE]
-        vectors = np.asarray(provider.embed(batch), dtype=np.float64)
+        sent = provider.embed(batch) if retries is None else provider.embed(batch, retries)
+        vectors = np.asarray(sent, dtype=np.float64)
         if vectors.shape != (len(batch), provider.dim):
             raise ProviderCallError(
                 f"provider returned shape {vectors.shape}, expected {(len(batch), provider.dim)}"
@@ -90,17 +97,31 @@ def _embed_groups(
     groups: Sequence[_Group],
     provider: EmbeddingProvider,
     out: dict[tuple[str, str], TagEmbedding],
+    retries: int | None = None,
 ) -> None:
     """Embed the groups' sentences in one request and pool each group from
     its own rows. A failed request is split in half until the failing
-    (article, tag) is alone; only that one is stored as absent."""
+    (article, tag) is alone; only that one is stored as absent.
+
+    The undivided request and an isolated (article, tag) are retried as
+    the provider's policy says; an HTTP provider sends the levels in
+    between once, so one failing text pays the backoff of two requests,
+    not of every level. A transport error at such a level sends it again
+    under the provider's policy, which alone decides the endpoint is down."""
+    texts = [s for _, _, sentences in groups for s in sentences]
     try:
-        vectors = embed_sentences([s for _, _, sentences in groups for s in sentences], provider)
+        vectors = embed_sentences(texts, provider, retries)
+    except ProviderUnreachableError:
+        if retries is None:
+            raise
+        _embed_groups(groups, provider, out)
+        return
     except ProviderCallError as exc:
         if len(groups) > 1:
             mid = len(groups) // 2
-            _embed_groups(groups[:mid], provider, out)
-            _embed_groups(groups[mid:], provider, out)
+            between = 0 if isinstance(provider, HttpEmbeddingProvider) else None
+            for half in (groups[:mid], groups[mid:]):
+                _embed_groups(half, provider, out, None if len(half) == 1 else between)
             return
         article_id, tag, _ = groups[0]
         logger.warning("embedding failed for (%s, %s): %s", article_id, tag, exc)

@@ -189,10 +189,30 @@ def org_mentions(
     return out
 
 
-def _window_top_k(ordered: Mentions, lo: dt.date, hi: dt.date, k: int) -> frozenset[str]:
-    """Top-k names over date-sorted mentions dated within [lo, hi]."""
-    window = ordered[bisect_left(ordered, lo, key=_date) : bisect_right(ordered, hi, key=_date)]
-    return entity_set((names for _, names in window), k).names()
+class WindowTopK:
+    """One org's top-k names over the [d-w, d+w] window of each day d; each
+    day's set is built the first time it is asked for."""
+
+    def __init__(self, mentions: Mentions, k: int, window_days: int):
+        self.k, self.window_days = k, window_days
+        self._window = dt.timedelta(days=window_days)
+        self._ordered = sorted(mentions, key=_date)
+        self._sets: dict[dt.date, frozenset[str]] = {}
+        self.days = sorted({date for date, _ in self._ordered})  # those with a mention
+
+    def at(self, day: dt.date) -> frozenset[str]:
+        names = self._sets.get(day)
+        if names is None:
+            # Clamped to the date type's range, which a wide window overruns.
+            lo = day - min(self._window, day - dt.date.min)
+            hi = day + min(self._window, dt.date.max - day)
+            ordered = self._ordered
+            window = ordered[
+                bisect_left(ordered, lo, key=_date) : bisect_right(ordered, hi, key=_date)
+            ]
+            names = entity_set((labels for _, labels in window), self.k).names()
+            self._sets[day] = names
+        return names
 
 
 def windowed_jaccard(
@@ -202,29 +222,37 @@ def windowed_jaccard(
     window_days: int,
     org_x: str = "X",
     org_y: str = "Y",
+    windows: dict[str, WindowTopK] | None = None,
 ) -> WindowedJaccard:
     """Per-day overlap of windowed top-k entity sets.
 
     For each calendar day carrying at least one X article, both
-    organizations' top-k sets are rebuilt over [d-w, d+w]; days where
-    either set is empty are skipped.
+    organizations' top-k sets over [d-w, d+w]; days where either set is
+    empty are skipped. ``windows``, when given, holds each org's window
+    sets by name across the calls of one overlap run, so an org's set for
+    a day is built once whichever pairs ask for it; an org's entry must
+    come from the same mentions.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    window = dt.timedelta(days=window_days)
-    xs, ys = sorted(x_mentions, key=_date), sorted(y_mentions, key=_date)
+    if windows is None:
+        xs, ys = WindowTopK(x_mentions, k, window_days), WindowTopK(y_mentions, k, window_days)
+    else:
+        for org, mentions in ((org_x, x_mentions), (org_y, y_mentions)):
+            if org not in windows:
+                windows[org] = WindowTopK(mentions, k, window_days)
+            elif (windows[org].k, windows[org].window_days) != (k, window_days):
+                raise ValueError(f"window sets of {org} have another k or window_days")
+        xs, ys = windows[org_x], windows[org_y]
     kept_days: list[dt.date] = []
     values: list[float] = []
-    for day in sorted({date for date, _ in xs}):
-        # Clamped to the date type's range, which a wide window overruns.
-        lo, hi = day - min(window, day - dt.date.min), day + min(window, dt.date.max - day)
-        set_x, set_y = _window_top_k(xs, lo, hi, k), _window_top_k(ys, lo, hi, k)
-        if not set_x or not set_y:
+    for day in xs.days:
+        set_x = xs.at(day)
+        set_y = ys.at(day) if set_x else None
+        if not set_y:
             continue
-        js = jaccard(set_x, set_y)
-        assert js is not None
         kept_days.append(day)
-        values.append(js)
+        values.append(jaccard(set_x, set_y))
     if not values:
         logger.warning("windowed jaccard %s-%s: no qualifying days", org_x, org_y)
     return WindowedJaccard(

@@ -164,12 +164,18 @@ def entity_overlap(
         for org in sorted({org for pair in pairs for org in pair})
     }
     overlaps = []
-    for org_x, org_y in pairs:
+    # Each org's window sets, shared by its pairs and dropped after its last.
+    windows: dict[str, ent_mod.WindowTopK] = {}
+    last = {org: i for i, pair in enumerate(pairs) for org in pair}
+    for i, (org_x, org_y) in enumerate(pairs):
         windowed = ent_mod.windowed_jaccard(
             mentions[org_x], mentions[org_y],
             cfg.top_k_entities, cfg.analysis.window_days,
-            org_x=org_x, org_y=org_y,
+            org_x=org_x, org_y=org_y, windows=windows,
         )
+        for org in {org_x, org_y}:
+            if last[org] == i:
+                del windows[org]
         overlaps.append(
             {
                 "org_x": org_x, "org_y": org_y,

@@ -125,11 +125,14 @@ class _HttpClient:
         rng = np.random.default_rng(derive_seed(self._seed, f"{self._kind}-retry:{key}:{attempt}"))
         return base + float(rng.uniform(0.0, base / 2.0))
 
-    def _send(self, body: dict, key: str, parse: Callable[[Any], Any], headers=None) -> Any:
-        """POST body until parse accepts a 200 response; key names the request."""
+    def _send(self, body: dict, key: str, parse: Callable[[Any], Any], headers=None,
+              retries: int | None = None) -> Any:
+        """POST body until parse accepts a 200 response, sending it again at
+        most retries times (default max_retries); key names the request."""
+        retries = self.max_retries if retries is None else retries
         last_error: Exception | None = None
         unreachable = False
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(retries + 1):
             self._throttle()
             try:
                 resp = requests.post(
@@ -148,7 +151,7 @@ class _HttpClient:
                     last_error = ProviderCallError(f"HTTP {resp.status_code}")
                 else:
                     raise ProviderCallError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            if attempt < self.max_retries:
+            if attempt < retries:
                 delay = self._backoff(key, attempt)
                 logger.warning(
                     "%s call failed (%s); retrying in %.2fs", self._kind, last_error, delay
@@ -374,10 +377,14 @@ class HttpEmbeddingProvider(_HttpClient):
         self.dim = dim
         self.name = f"http:{endpoint}"
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
+    def embed(self, texts: Sequence[str], retries: int | None = None) -> np.ndarray:
+        """The texts' vectors; a failed request is sent again at most
+        retries times (default max_retries)."""
         texts = list(texts)
         key = hashlib.sha256(json.dumps(texts).encode("utf-8")).hexdigest()
-        return self._send({"texts": texts}, key, lambda resp: self._vectors(resp, len(texts)))
+        return self._send(
+            {"texts": texts}, key, lambda resp: self._vectors(resp, len(texts)), retries=retries
+        )
 
     def _vectors(self, resp: Any, n: int) -> np.ndarray:
         try:

@@ -11,6 +11,7 @@ Also the one rule for reading input files (``reading``); this module imports no 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from contextlib import contextmanager
@@ -189,19 +190,82 @@ def parse_csv(text: str) -> list[dict]:
     return [dict(zip(header, row)) for row in rows[1:]]
 
 
-def _round_floats(value):
-    if isinstance(value, float):
-        return round(value, 4)
-    if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_floats(v) for v in value]
-    return value
+_CONTAINERS = (dict, list, tuple)
+_INDENT = "  "
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder writing a container's items as indent=2 would at depth:
+    no indent means json uses its C encoder, and the item separator carries
+    the newline and indentation."""
+    return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + _INDENT * depth, ": "))
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a str as itself; a float, bool, None or
+    int by its JSON text, quoted."""
+    if isinstance(key, str):
+        return json.encoder.encode_basestring(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_flat_encoder(0).encode(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _rounded(value):
+    return round(value, 4) if isinstance(value, float) else value
+
+
+def _flat(items) -> bool:
+    return not any(isinstance(item, _CONTAINERS) for item in items)
+
+
+def _write_json(value, depth: int, parts: list[str]) -> None:
+    """Appends value as json.dumps(..., indent=2, ensure_ascii=False) writes
+    it at nesting depth, floats rounded to 4 decimals. A container that
+    holds scalars only is one C-encoder call, and so is a list of non-empty
+    such dicts (a table); empty containers are [] and {}."""
+    if not isinstance(value, _CONTAINERS) or not value:
+        parts.append(_flat_encoder(0).encode(_rounded(value)))
+        return
+    is_dict = isinstance(value, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    inner, outer = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * depth
+    if _flat(value.values() if is_dict else value):
+        flat = (
+            {key: _rounded(item) for key, item in value.items()} if is_dict
+            else [_rounded(item) for item in value]
+        )
+        body = _flat_encoder(depth + 1).encode(flat)[1:-1]
+        parts.append(opening + inner + body + outer + closing)
+        return
+    if not is_dict and all(isinstance(row, dict) and row and _flat(row.values()) for row in value):
+        # Written at the rows' depth, '},' then a newline occurs only between
+        # two rows (an encoded string holds no raw newline), so each such
+        # boundary gets the rows' own brackets and indentation.
+        rows = [{key: _rounded(item) for key, item in row.items()} for row in value]
+        deeper = inner + _INDENT
+        body = _flat_encoder(depth + 2).encode(rows)[2:-2]
+        body = body.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        parts.append("[" + inner + "{" + deeper + body + inner + "}" + outer + "]")
+        return
+    parts.append(opening)
+    sep = inner
+    for key, item in value.items() if is_dict else enumerate(value):
+        parts.append(f"{sep}{_json_key(key)}: " if is_dict else sep)
+        _write_json(item, depth + 1, parts)
+        sep = "," + inner
+    parts.append(outer + closing)
 
 
 def export_json(rows) -> str:
-    """Rows as pretty JSON with floats rounded to 4 decimals."""
-    return json.dumps(_round_floats(rows), indent=2, ensure_ascii=False) + "\n"
+    """Rows as pretty JSON with floats rounded to 4 decimals: the text of
+    json.dumps(rows, indent=2, ensure_ascii=False) with every float value
+    (not key) in a dict, list or tuple rounded first."""
+    parts: list[str] = []
+    _write_json(rows, 0, parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def parse_json(text: str):

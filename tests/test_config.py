@@ -141,3 +141,33 @@ def test_provider_checks_live_in_provider_config(tmp_path):
     assert load_config(path, env={}).provider_config().rate_limit == float("inf")
     with pytest.raises(ValueError, match="provider_rate_limit"):
         ProviderConfig(rate_limit=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("embedding_dim = 1000000000000000", "embedding_dim: must be <= 65536"),
+        ("embedding_dim = 65537", "embedding_dim: must be <= 65536"),
+        ("bootstrap_resamples = 10000001", "bootstrap_resamples: must be <= 10000000"),
+    ],
+)
+def test_size_keys_are_bounded(tmp_path, line, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config(path, env={})
+
+
+def test_size_key_bounds_admit_real_sizes(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("embedding_dim = 65536\nbootstrap_resamples = 10000000\n")
+    cfg = load_config(path, env={})
+    assert (cfg.embedding_dim, cfg.analysis.bootstrap_resamples) == (65536, 10**7)
+
+
+@pytest.mark.parametrize("text", ["tau\n", "windowdays = 10\n"])
+def test_errors_in_the_file_itself_name_the_file(tmp_path, text):
+    path = tmp_path / "named.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{path}: "):
+        load_config(path, env={})

@@ -557,3 +557,68 @@ def test_embed_annotations_pools_each_group_as_aggregate_tag():
         assert emb.n_sentences == len(sentences)
         assert emb.vector.tobytes() == aggregate_tag(rows).tobytes()
         assert emb.vector.tobytes() == (mean / norm).tobytes()
+
+
+def test_bisection_retries_only_the_whole_request_and_the_isolated_tag(stub_post, monkeypatch):
+    """One text always gets HTTP 503 among 42 articles x 3 tags: the whole
+    request and the isolated (article, tag) are retried in full, the levels
+    in between are sent once. Every other tag keeps its vector."""
+    hashed = HashedEmbeddingProvider(dim=64)  # three tokens a text: never the zero vector
+
+    def reply(body):
+        if any("poison" in text for text in body["texts"]):
+            return StubResponse(503, {"error": "busy"})
+        return StubResponse(200, {"vectors": hashed.embed(body["texts"]).tolist()})
+
+    slept = []
+    monkeypatch.setattr(providers.time, "sleep", slept.append)
+    stub_post(reply)
+    annotations = {
+        f"a{i:02d}": Annotation(
+            f"a{i:02d}", claim=(f"Claim {i} spread.",),
+            what=("one poison pill",) if i == 20 else (f"What {i} said.",),
+            why=(f"Why {i} mattered.",),
+        )
+        for i in range(42)
+    }
+    provider = HttpEmbeddingProvider("http://embed.test/v1", dim=64, seed=0)
+    embeddings = embed_annotations(annotations, provider)
+
+    # 126 texts in one request; halving to the poisoned group takes 7 levels.
+    # 4 sends of the whole request, 2 per level in between (6 levels), then
+    # the poisoned group's 4 and its sibling's 1: 21, with 2 x 3 backoffs.
+    assert provider.calls == 21
+    assert len(slept) == 2 * provider.max_retries
+    assert [key for key, emb in embeddings.items() if emb.absent] == [("a20", "what")]
+    for (article_id, tag), emb in embeddings.items():
+        if not emb.absent:
+            sentences = list(annotations[article_id].sentences(tag))
+            assert np.array_equal(emb.vector, aggregate_tag(hashed.embed(sentences)))
+
+
+def test_transport_error_inside_a_split_is_left_to_the_retry_policy(stub_post, monkeypatch):
+    """A level between the whole request and an isolated tag is sent once; a
+    transport error there is not an outage until the provider's own retries
+    say so, so the run goes on and every tag keeps its vector."""
+    hashed = HashedEmbeddingProvider(dim=64)
+    seen = set()
+
+    def reply(body):
+        texts = tuple(body["texts"])
+        if len(texts) == 4:  # the whole request keeps failing
+            return StubResponse(503, {"error": "busy"})
+        if len(texts) == 2 and texts not in seen:  # each half drops once
+            seen.add(texts)
+            return requests.exceptions.ConnectionError("reset")
+        return StubResponse(200, {"vectors": hashed.embed(texts).tolist()})
+
+    monkeypatch.setattr(providers.time, "sleep", lambda seconds: None)
+    stub_post(reply)
+    annotations = {
+        f"a{i}": Annotation(f"a{i}", claim=(f"Claim {i} spread.",), what=(), why=())
+        for i in range(4)
+    }
+    provider = HttpEmbeddingProvider("http://embed.test/v1", dim=64, seed=0)
+    embeddings = embed_annotations(annotations, provider)
+    assert not any(emb.absent for key, emb in embeddings.items() if key[1] == "claim")
+    assert provider.calls == 4 + 2 * 2  # each half: one send, then one under the policy

@@ -1,4 +1,6 @@
 import datetime as dt
+import itertools
+import random
 import statistics
 from collections import Counter
 
@@ -243,3 +245,35 @@ def test_empty_alias_map_treats_all_as_political():
     empty = AliasMap.empty()
     assert empty.is_political("Anyone At All")
     assert canonicalize("Anyone At All", empty) == "Anyone At All"
+
+
+def test_entity_overlap_shares_window_sets_across_a_country():
+    """Three orgs of one country: each org's window sets are shared by the
+    four ordered pairs it is in, and every pair still equals the brute force."""
+    from factlens import pipeline
+    from factlens.config import RunConfig
+
+    rnd = random.Random(13)
+    mentions = {
+        org: mentions_from(
+            [(rnd.randint(0, 59), rnd.sample("ABCDEFGH", rnd.randint(0, 4))) for _ in range(40)]
+        )
+        for org in ("O1", "O2", "O3")
+    }
+    pairs = list(itertools.permutations(sorted(mentions), 2))
+    cfg = RunConfig(top_k_entities=3)
+    _, overlaps = pipeline.entity_overlap(cfg, mentions, pairs)
+    assert [(o["org_x"], o["org_y"]) for o in overlaps] == pairs
+    for payload in overlaps:
+        x, y = mentions[payload["org_x"]], mentions[payload["org_y"]]
+        oracle = naive_windowed_jaccard(x, y, 3, cfg.analysis.window_days)
+        assert payload["windowed_days"] == [d.isoformat() for d in oracle]
+        assert payload["windowed_values"] == list(oracle.values())
+
+
+def test_shared_window_sets_must_match_k_and_window():
+    x = mentions_from([(0, ["A"]), (3, ["B"])])
+    windows = {}
+    windowed_jaccard(x, x, k=2, window_days=5, org_x="P", org_y="Q", windows=windows)
+    with pytest.raises(ValueError, match="window sets of P"):
+        windowed_jaccard(x, x, k=3, window_days=5, org_x="P", org_y="Q", windows=windows)

@@ -2,9 +2,8 @@
 
 Each mutated file is given to a command that reads it. The command exits
 with status 0, or with status 1 and exactly one `Error:` line that names
-the file (for a store file, some file of that store); never with a
-traceback. run.cfg is left out: a mutated size key such as embedding_dim
-can ask for gigabytes, and config errors name keys rather than the file.
+the file (for a store file, some file of that store; for run.cfg, the
+file or the key whose value is wrong); never with a traceback.
 """
 
 import json
@@ -18,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factlens.cli import main
+from factlens.config import DEFAULTS, RunConfig, serialize_config
 from factlens.corpus import write_corpus_file
 from factlens.synthetic import make_articles, write_alias_csv
 
@@ -39,6 +39,7 @@ def pristine(tmp_path_factory):
     write_corpus_file(make_articles(30, seed=4), base / "input.jsonl")
     write_alias_csv(base / "aliases.csv")
     (base / "precisions.csv").write_text("positive,negative,neutral\n1.0,0.706,1.0\n")
+    (base / "run.cfg").write_text(serialize_config(RunConfig()))
     store = base / "store"
     invoke(["ingest", "--input", base / "input.jsonl", "--out", store])
     invoke(["annotate", "--store", store, "--cache", base / "cache"])
@@ -81,6 +82,8 @@ TARGETS = {
     "fixture": ("fixtures", "json", lambda w: [
         "annotate", "--store", w / "store", "--cache", w / "empty-cache",
         "--mock", w / "fixtures"]),
+    "run.cfg": ("run.cfg", "csv", lambda w: [
+        "embed", "--store", w / "store", "--provider-config", w / "run.cfg"]),
 }
 
 JSON_VALUES = st.sampled_from(
@@ -177,4 +180,5 @@ def test_mutated_input_is_read_or_named(pristine, target, data):
             errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
             assert len(errors) == 1, result.stderr
             named = work / "store" if rel.startswith("store/") else path
-            assert str(named) in errors[0], errors[0]
+            key = errors[0].removeprefix("Error: ").partition(":")[0]
+            assert str(named) in errors[0] or (rel == "run.cfg" and key in DEFAULTS), errors[0]

@@ -1,6 +1,9 @@
+import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factlens.report import (
     export_csv,
@@ -158,3 +161,48 @@ def test_read_table_names_a_file_that_is_not_a_table(tmp_path, name, data):
     (tmp_path / name).write_bytes(data)
     with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / name))}: not a table"):
         read_table(tmp_path / name)
+
+
+def round_floats(value):
+    """The reference rounding for export_json: float values (not keys)
+    rounded to 4 decimals, tuples made lists."""
+    if isinstance(value, float):
+        return round(value, 4)
+    if isinstance(value, dict):
+        return {k: round_floats(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round_floats(v) for v in value]
+    return value
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([-0.0, 0.0, 1e-5, 0.00005]),
+    st.sampled_from(["},\n    {", "}", "{", "\n", "é\u2028"]),  # what the writer splices on
+)
+JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(st.dictionaries(JSON_KEYS, JSON_SCALARS, max_size=3), max_size=4),  # tables
+        st.dictionaries(JSON_KEYS, inner, max_size=5),
+        st.tuples(inner, inner),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_pretty_dumps_of_rounded_values(value):
+    expected = json.dumps(round_floats(value), indent=2, ensure_ascii=False) + "\n"
+    assert export_json(value) == expected
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 1}, [{"a": [1, {(3,): 0}]}], [{1, 2}], {"a": [object()]}])
+def test_json_writer_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(round_floats(value), indent=2)
+    with pytest.raises(TypeError):
+        export_json(value)

@@ -343,3 +343,12 @@ def test_full_result_ci_populated(hashed_provider):
     assert res.ci is not None
     lo, hi = res.ci
     assert lo <= res.median_matched <= hi
+
+
+@pytest.mark.parametrize("n", [2**15, 2**15 + 1])  # the largest 16-bit rank, and past it
+def test_bootstrap_bit_identical_at_the_rank_dtype_boundary(n):
+    rnd = np.random.default_rng(n)
+    values = list(np.round(rnd.random(n), 3))  # many ties
+    for fraction in (0.2, 0.0001):  # m even (6554) and odd (4)
+        cfg = AnalysisConfig(seed=3, bootstrap_fraction=fraction, bootstrap_resamples=25)
+        assert bootstrap_median_ci(values, cfg) == median_bootstrap_oracle(values, cfg)
