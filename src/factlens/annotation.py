@@ -26,7 +26,7 @@ from .providers import (
     ProviderUnreachableError,
     cache_key,
 )
-from .report import DECODE_ERRORS, read_json_lines
+from .report import DECODE_ERRORS, read_json_lines, write_output
 
 logger = logging.getLogger(__name__)
 
@@ -277,12 +277,10 @@ def annotate_corpus(
 
 
 def save_annotations(annotations: Mapping[str, Annotation], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for article_id in sorted(annotations):
-            fh.write(
-                json.dumps(annotations[article_id].to_json_dict(), ensure_ascii=False)
-                + "\n"
-            )
+    write_output(path, (
+        json.dumps(annotations[article_id].to_json_dict(), ensure_ascii=False) + "\n"
+        for article_id in sorted(annotations)
+    ))
 
 
 def load_annotations(path: str | Path) -> dict[str, Annotation]:

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .report import reading
+from .report import reading, write_output
 
 logger = logging.getLogger(__name__)
 
@@ -205,9 +205,9 @@ def canonical_record(article: Article) -> str:
     )
 
 
-def serialize_corpus(corpus: Corpus) -> str:
+def serialize_corpus(articles: Iterable[Article]) -> str:
     """Canonical JSON-lines re-serialization; ingest of this text is a fixed point."""
-    return "".join(canonical_record(a) + "\n" for a in corpus)
+    return "".join(canonical_record(a) + "\n" for a in articles)
 
 
 def write_store(
@@ -215,24 +215,17 @@ def write_store(
 ) -> tuple[Path, Path]:
     """Persist a canonical corpus plus rejection log into a store directory."""
     store = Path(store_dir)
-    store.mkdir(parents=True, exist_ok=True)
-    corpus_path = store / "corpus.jsonl"
-    corpus_path.write_text(serialize_corpus(result.corpus), encoding="utf-8")
+    corpus_path = write_output(store / "corpus.jsonl", serialize_corpus(result.corpus))
     start, end = result.corpus.date_range
-    (store / "meta.json").write_text(
+    write_output(
+        store / "meta.json",
         json.dumps({"date_from": start.isoformat(), "date_to": end.isoformat()}) + "\n",
-        encoding="utf-8",
     )
-    rejects_path = store / "rejections.log"
-    with rejects_path.open("w", encoding="utf-8") as fh:
-        for r in result.rejections:
-            fh.write(
-                json.dumps(
-                    {"line": r.line_no, "id": r.article_id, "reason": r.reason},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    rejects_path = write_output(store / "rejections.log", (
+        json.dumps({"line": r.line_no, "id": r.article_id, "reason": r.reason},
+                   ensure_ascii=False) + "\n"
+        for r in result.rejections
+    ))
     return corpus_path, rejects_path
 
 
@@ -259,6 +252,4 @@ def load_store(store_dir: str | Path) -> Corpus:
 
 def write_corpus_file(articles: Iterable[Article], path: str | Path) -> None:
     """Write articles as a JSON-lines corpus file (input format of ingest)."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for a in articles:
-            fh.write(canonical_record(a) + "\n")
+    write_output(path, serialize_corpus(articles))

@@ -8,6 +8,7 @@ inputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .providers import (
     ProviderCallError,
     ProviderUnreachableError,
 )
-from .report import read_json_lines, reading
+from .report import read_json_lines, reading, write_output
 
 logger = logging.getLogger(__name__)
 
@@ -174,21 +175,17 @@ def save_embeddings(
     provider_name: str = "",
 ) -> None:
     """JSON-lines sidecar: a dimension header, then one row per (article, tag)."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"kind": "header", "dim": dim, "provider": provider_name}) + "\n")
-        for key in sorted(embeddings):
-            emb = embeddings[key]
-            fh.write(
-                json.dumps(
-                    {
-                        "article_id": emb.article_id,
-                        "tag": emb.tag,
-                        "n_sentences": emb.n_sentences,
-                        "vector": None if emb.vector is None else emb.vector.tolist(),
-                    }
-                )
-                + "\n"
-            )
+    header = json.dumps({"kind": "header", "dim": dim, "provider": provider_name}) + "\n"
+    rows = (
+        json.dumps({
+            "article_id": emb.article_id,
+            "tag": emb.tag,
+            "n_sentences": emb.n_sentences,
+            "vector": None if emb.vector is None else emb.vector.tolist(),
+        }) + "\n"
+        for emb in (embeddings[key] for key in sorted(embeddings))
+    )
+    write_output(path, itertools.chain([header], rows))
 
 
 def _integer(value: object, key: str) -> int:

@@ -220,8 +220,7 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
     """Execute every pipeline stage, writing all artifacts under out_dir."""
     store = Path(store_dir)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "run_config.txt").write_text(serialize_config(cfg), encoding="utf-8")
+    report.write_output(out / "run_config.txt", serialize_config(cfg))
 
     # Ingest: either a configured raw input file, or a pre-built store.
     n_rejections = 0
@@ -240,7 +239,6 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
     aliases = load_alias_map(cfg)
     pairs = _org_pairs(corpus)
 
-    (out / "similarity").mkdir(exist_ok=True)
     sim_rows = []
     for res in similarity(cfg, corpus, embeddings, pairs):
         payload = res.to_json_dict()
@@ -254,7 +252,6 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
     mentions = {
         org: ent_mod.org_mentions(corpus, annotations, aliases, org) for org in corpus.orgs()
     }
-    (out / "entities").mkdir(exist_ok=True)
     js_rows = []
     _, overlaps = entity_overlap(cfg, mentions, pairs)
     for payload in overlaps:

@@ -27,7 +27,7 @@ import numpy as np
 import requests
 
 from . import prompts
-from .report import DECODE_ERRORS, reading
+from .report import DECODE_ERRORS, reading, write_output
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -229,10 +229,9 @@ def write_fixture(
 ) -> Path:
     """Store a fixture response for the prompt rendered from ``post``."""
     prompt = prompts.render_prompt(template_id, post)
-    path = FixtureChatProvider(fixtures_dir, model_name).fixture_path(prompt, template_id)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(response, encoding="utf-8")
-    return path
+    return write_output(
+        FixtureChatProvider(fixtures_dir, model_name).fixture_path(prompt, template_id), response
+    )
 
 
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")

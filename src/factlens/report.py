@@ -16,7 +16,7 @@ import io
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 _PALETTE = (
     "#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3",
@@ -338,11 +338,14 @@ def read_csv_records(path: str | Path) -> list[dict]:
             return list(csv.DictReader(fh))
 
 
-def write_output(path: str | Path, text: str) -> Path:
-    """Write text to path as UTF-8, creating its parent directories."""
+def write_output(path: str | Path, text: str | Iterable[str]) -> Path:
+    """The one writer of the program: text, or each string of an iterable
+    in turn (streamed, never joined), written to path as UTF-8, its parent
+    directories created. Returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
     return path
 
 

@@ -9,13 +9,13 @@ the synthetic chat provider can annotate deterministically.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import KNOWN_ORGS, Article
+from .report import write_output
 
 US_ENTITIES = (
     "Joe Biden", "Donald Trump", "Barack Obama", "Kamala Harris",
@@ -126,8 +126,4 @@ def write_alias_csv(path: str | Path) -> Path:
         ("Republicans", "Republican Party", ""),
         ("NASA", "NASA", "no"),
     ]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-    return path
+    return write_output(path, (",".join(row) + "\n" for row in rows))  # no cell needs quoting
