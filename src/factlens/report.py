@@ -14,6 +14,8 @@ import csv
 import functools
 import io
 import json
+import os
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -341,11 +343,22 @@ def read_csv_records(path: str | Path) -> list[dict]:
 def write_output(path: str | Path, text: str | Iterable[str]) -> Path:
     """The one writer of the program: text, or each string of an iterable
     in turn (streamed, never joined), written to path as UTF-8, its parent
-    directories created. Returns the path."""
+    directories created. Returns the path.
+
+    The file is whole or absent: the text goes to ``.tmp-<pid>-<thread id>``
+    in the same directory, which then replaces path (a symlink there
+    included); a failed write removes it and leaves path as it was. There
+    is no fsync, so this holds for a killed process, not for power loss."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+    tmp = path.parent / f".tmp-{os.getpid()}-{threading.get_ident()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

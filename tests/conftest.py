@@ -125,3 +125,23 @@ def http_chat(max_retries=2, rate_limit=1e6, retry_base_seconds=0.0, seed=0):
 
 def chat_reply(content):
     return StubResponse(200, {"choices": [{"message": {"content": content}}]})
+
+
+class Interrupted(dict):
+    """A dict whose lookup of the key ``at`` raises KeyboardInterrupt: a
+    writer iterating over it stops midway, as a killed process would."""
+
+    def __init__(self, items, at):
+        super().__init__(items)
+        self.at = at
+
+    def __getitem__(self, key):
+        if key == self.at:
+            raise KeyboardInterrupt
+        return super().__getitem__(key)
+
+
+def assert_unchanged(before: dict, directory) -> None:
+    """Each file of directory holds the bytes in before (name -> bytes),
+    and no other file, a leftover temp file included, is there."""
+    assert {p.name: p.read_bytes() for p in directory.iterdir()} == before

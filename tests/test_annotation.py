@@ -22,8 +22,10 @@ from factlens.providers import (
     write_fixture,
 )
 from tests.conftest import (
+    Interrupted,
     ScriptedChatProvider,
     StubResponse,
+    assert_unchanged,
     chat_reply,
     http_chat,
     make_article,
@@ -313,6 +315,16 @@ def test_annotations_jsonl_round_trip(tmp_path):
     path = tmp_path / "annotations.jsonl"
     save_annotations(annotations, path)
     assert load_annotations(path) == annotations
+
+
+def test_interrupted_annotation_save_keeps_the_previous_file(tmp_path):
+    annotations = annotate_corpus(make_corpus(distinct_articles(4)), SyntheticChatProvider())
+    path = tmp_path / "annotations.jsonl"
+    save_annotations(annotations, path)
+    before = {path.name: path.read_bytes()}
+    with pytest.raises(KeyboardInterrupt):
+        save_annotations(Interrupted(annotations, at=sorted(annotations)[2]), path)
+    assert_unchanged(before, tmp_path)
 
 
 @pytest.mark.parametrize("content", [None, 3, ["X claimed Y."]])

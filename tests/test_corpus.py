@@ -6,13 +6,17 @@ import pytest
 
 from factlens.corpus import (
     KNOWN_ORGS,
+    Article,
+    Corpus,
     CorpusError,
+    IngestResult,
     ingest,
     load_store,
     org_counts,
     serialize_corpus,
     write_store,
 )
+from tests.conftest import assert_unchanged
 
 RANGE = (dt.date(2018, 1, 1), dt.date(2023, 12, 31))
 
@@ -196,6 +200,19 @@ def test_store_round_trip(tmp_path):
     assert [a.body for a in loaded if a.id.startswith("s1")] == [SEPARATOR_BODY] * 2
     logged = [json.loads(l) for l in rejects_path.read_text().splitlines()]
     assert len(logged) == 1 and "invalid JSON" in logged[0]["reason"]
+
+
+def test_failed_store_write_keeps_the_previous_store(tmp_path):
+    result = ingest(write_lines(tmp_path / "c.jsonl", [record("a1"), "{bad"]), RANGE)
+    store = tmp_path / "store"
+    write_store(result, store)
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+    # A title no writer can encode stops the corpus write midway.
+    bad = Article("a0", "Snopes", "USA", dt.date(2019, 1, 1), "T\ud800", "Body.")
+    with pytest.raises(ValueError):
+        write_store(IngestResult(Corpus((bad, *result.corpus), RANGE), ()), store)
+    assert_unchanged(before, store)
+    assert load_store(store) == result.corpus
 
 
 def test_by_org_matches_a_scan_of_the_corpus(tmp_path):

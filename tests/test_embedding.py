@@ -31,7 +31,13 @@ from factlens.providers import (
     ProviderUnreachableError,
 )
 from factlens.synthetic import make_articles
-from tests.conftest import StubResponse, http_chat, make_corpus
+from tests.conftest import (
+    Interrupted,
+    StubResponse,
+    assert_unchanged,
+    http_chat,
+    make_corpus,
+)
 
 
 def reference_hashed_vector(text: str, dim: int) -> list[float]:
@@ -217,6 +223,21 @@ def test_embeddings_sidecar_round_trip(tmp_path, hashed_provider):
         else:
             assert np.array_equal(loaded[key].vector, emb.vector)
             assert loaded[key].n_sentences == emb.n_sentences
+
+
+def test_interrupted_sidecar_save_keeps_the_previous_sidecar(tmp_path, hashed_provider):
+    annotations = {
+        f"a{i}": Annotation(f"a{i}", claim=("alpha beta",), what=("gamma",), why=("delta",))
+        for i in range(3)
+    }
+    embeddings = embed_annotations(annotations, hashed_provider)
+    path = tmp_path / "embeddings.jsonl"
+    save_embeddings(embeddings, path, dim=64)
+    before = {path.name: path.read_bytes()}
+    with pytest.raises(KeyboardInterrupt):
+        save_embeddings(Interrupted(embeddings, at=("a2", "claim")), path, dim=64)
+    assert_unchanged(before, tmp_path)
+    assert len(load_embeddings(path)[0]) == 9
 
 
 def test_pipeline_stages_hold_what_the_store_reloads(tmp_path):

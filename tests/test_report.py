@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import stat
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from factlens.report import (
     parse_json,
     read_table,
     render_polarity_chart,
+    write_output,
 )
 
 
@@ -206,3 +210,46 @@ def test_json_writer_rejects_what_json_rejects(value):
         json.dumps(round_floats(value), indent=2)
     with pytest.raises(TypeError):
         export_json(value)
+
+
+def test_write_output_streams_an_iterable(tmp_path):
+    path = write_output(tmp_path / "a" / "b" / "out.txt", iter(["one ", "two\n", "\u00e9\n"]))
+    assert path.read_bytes() == "one two\n\u00e9\n".encode("utf-8")
+
+
+def test_interrupted_write_output_leaves_the_old_file_and_no_temp(tmp_path):
+    path = write_output(tmp_path / "out.txt", "old\n")
+    seen = []
+
+    def lines():
+        yield "new\n"
+        seen.extend(p.name for p in tmp_path.iterdir())
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_output(path, lines())
+    assert sorted(seen) == sorted([f".tmp-{os.getpid()}-{threading.get_ident()}", "out.txt"])
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert path.read_text() == "old\n"
+
+
+def test_write_output_gives_the_mode_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.open("w").close()
+    written = write_output(tmp_path / "written.txt", "x")
+    assert stat.S_IMODE(written.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_write_output_replaces_a_symlink_not_its_target(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("kept")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_output(link, "new")
+    assert not link.is_symlink() and link.read_text() == "new"
+    assert target.read_text() == "kept"
+
+
+def test_write_output_temp_name_does_not_grow_with_the_target(tmp_path):
+    path = write_output(tmp_path / ("x" * 255), "ok")  # the usual file-name limit
+    assert path.read_text() == "ok"
