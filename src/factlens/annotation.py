@@ -26,7 +26,7 @@ from .providers import (
     ProviderUnreachableError,
     cache_key,
 )
-from .report import DECODE_ERRORS, read_json_lines, write_output
+from .report import DECODE_ERRORS, encodable, read_json_lines, write_output
 
 logger = logging.getLogger(__name__)
 
@@ -105,8 +105,10 @@ class ResponseCache:
             with open(self._path(key), "rb") as fh:
                 raw = fh.read()
             # Decoded as UTF-8 first: json.loads would accept UTF-16 bytes.
-            payload = json.loads(raw.decode("utf-8"))
-            response = payload["response"]
+            text = raw.decode("utf-8")
+            response = json.loads(text)["response"]
+            if not encodable(response, text):
+                raise ValueError("unpaired surrogate")
         except (OSError, *DECODE_ERRORS) as exc:
             if not (isinstance(exc, OSError) and exc.errno in _NO_ENTRY):
                 logger.warning("cache entry %s is corrupt; refetching", key)
@@ -197,6 +199,8 @@ def _parse_pass(
         logger.warning("%s call failed for %s: %s", name, article.id, raw)
         return parsing.ParsedTag(failed=True, flags=[f"{template_id}:provider_error"])
     parsed = parser(raw)
+    if not parsed.failed and not encodable((parsed.value, parsed.flags), raw):
+        parsed = parsing.ParsedTag(failed=True, flags=[f"{template_id}:unparseable"])
     if parsed.failed:
         logger.warning("unparseable %s response for %s: %r", name, article.id, raw[:200])
         return parsed

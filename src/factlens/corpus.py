@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .report import reading, write_output
+from .report import encodable, reading, write_output
 
 logger = logging.getLogger(__name__)
 
@@ -89,8 +89,8 @@ class CorpusError(Exception):
     """Fatal corpus problem (unreadable file, bad date range)."""
 
 
-def _parse_record(raw: dict, date_range: tuple[dt.date, dt.date]) -> Article:
-    """Validate one decoded record; raises ValueError with a reason."""
+def _parse_record(raw: dict, date_range: tuple[dt.date, dt.date], line: str) -> Article:
+    """Validate one record decoded from line; raises ValueError with a reason."""
     for field in _REQUIRED_FIELDS:
         if field not in raw:
             raise ValueError(f"missing field '{field}'")
@@ -111,6 +111,9 @@ def _parse_record(raw: dict, date_range: tuple[dt.date, dt.date]) -> Article:
     url = raw.get("url")
     if url is not None and not isinstance(url, str):
         raise ValueError("field 'url' is not a string")
+    for field in _REQUIRED_FIELDS + ("url",):
+        if not encodable(raw.get(field), line):
+            raise ValueError(f"field '{field}' holds an unpaired surrogate")
     return Article(
         id=raw["id"],
         org=raw["org"],
@@ -160,9 +163,10 @@ def ingest(path: str | Path, date_range: tuple[dt.date, dt.date]) -> IngestResul
             rejections.append(Rejection(line_no, None, "record is not an object"))
             continue
         try:
-            article = _parse_record(raw, date_range)
+            article = _parse_record(raw, date_range, line)
         except ValueError as exc:
-            rid = raw.get("id") if isinstance(raw.get("id"), str) else None
+            rid = raw.get("id")
+            rid = rid if isinstance(rid, str) and encodable(rid, line) else None
             rejections.append(Rejection(line_no, rid, str(exc)))
             continue
         if article.id in articles:

@@ -27,7 +27,7 @@ import numpy as np
 import requests
 
 from . import prompts
-from .report import DECODE_ERRORS, reading, write_output
+from .report import DECODE_ERRORS, encodable, reading, write_output
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -169,6 +169,8 @@ def _chat_content(resp: Any) -> str:
         raise ProviderCallError(f"malformed response body: {exc}") from exc
     if not isinstance(content, str):
         raise ProviderCallError(f"malformed response body: content is {type(content).__name__}")
+    if not encodable(content, resp.text):
+        raise ProviderCallError("malformed response body: content holds an unpaired surrogate")
     return content
 
 

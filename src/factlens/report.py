@@ -280,6 +280,20 @@ DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError
                  csv.Error)
 
 
+def encodable(value: Any, source: str) -> bool:
+    """False when value, decoded from the JSON or Python-literal text source,
+    holds an unpaired surrogate: a str that no writer can encode as UTF-8.
+    Only an escape such as \\ud800 in source makes one, so a source with no
+    \\u or \\U escape is taken at its word and value is not walked."""
+    if "\\u" not in source and "\\U" not in source:
+        return True
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @contextmanager
 def reading(source: str | Path, what: str, line: int | None = None, error=ValueError):
     """Runs its body under the reading rule: a DECODE_ERRORS failure means the
@@ -300,7 +314,10 @@ def read_json_lines(path: str | Path, convert: Callable[[Any], Any]) -> list:
             with reading(path, "not a valid row", line_no):
                 line = raw.decode("utf-8")
                 if line.strip():
-                    out.append(convert(json.loads(line)))
+                    value = json.loads(line)
+                    if not encodable(value, line):
+                        raise ValueError("a string holds an unpaired surrogate")
+                    out.append(convert(value))
     return out
 
 
@@ -323,6 +340,8 @@ def read_table(path: str | Path) -> list[dict]:
     with reading(path, "not a table"):
         text = Path(path).read_text(encoding="utf-8")
         data = parse_json(text) if str(path).endswith(".json") else parse_csv(text)
+        if not encodable(data, text):
+            raise ValueError("a string holds an unpaired surrogate")
         rows = data if isinstance(data, list) else [data]
         if not all(isinstance(row, dict) for row in rows):
             raise ValueError("expected an object or a list of objects")
@@ -348,7 +367,8 @@ def write_output(path: str | Path, text: str | Iterable[str]) -> Path:
     The file is whole or absent: the text goes to ``.tmp-<pid>-<thread id>``
     in the same directory, which then replaces path (a symlink there
     included); a failed write removes it and leaves path as it was. There
-    is no fsync, so this holds for a killed process, not for power loss."""
+    is no fsync, so this holds for a killed process, not for power loss.
+    Text that UTF-8 cannot encode is ``<path>: cannot write (<Type>: <detail>)``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".tmp-{os.getpid()}-{threading.get_ident()}"
@@ -356,8 +376,10 @@ def write_output(path: str | Path, text: str | Iterable[str]) -> Path:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, UnicodeEncodeError):
+            raise ValueError(f"{path}: cannot write ({type(exc).__name__}: {exc})") from None
         raise
     return path
 

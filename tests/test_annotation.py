@@ -231,6 +231,7 @@ CACHE_ENTRIES = {
         lambda p: p.write_bytes(b'{"response": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"),
         None, True,
     ),
+    "unpaired-surrogate": (lambda p: p.write_bytes(b'{"response": "x \\ud800"}'), None, True),
 }
 
 
@@ -378,3 +379,50 @@ def test_http_chat_transport_errors_after_retries_are_unreachable(stub_post):
     with pytest.raises(ProviderUnreachableError, match="refused"):
         provider.complete("prompt", prompts.CLAIM)
     assert provider.calls == 3
+
+
+GOOD_RESPONSES = {
+    prompts.CLAIM: '["X claimed Y."]',
+    prompts.WHAT_WHY: '{"what": ["X claimed Y."], "why": []}',
+    prompts.ENTITIES: '{"X": "neutral"}',
+}
+# Each case: the pass, a response whose parsed value or flags would hold an
+# unpaired surrogate, and the fields that then fail.
+SURROGATE_RESPONSES = {
+    "claim-json": (prompts.CLAIM, '["bad \\ud800 x"]', ("claim",)),
+    "claim-python-literal": (prompts.CLAIM, "['bad \\U0000d800 x']", ("claim",)),
+    "what-why": (prompts.WHAT_WHY, '{"what": [], "why": ["bad \\udfff x"]}', ("what", "why")),
+    "entity-name": (prompts.ENTITIES, '{"bad \\ud800 x": "neutral"}', ("entities",)),
+    "dropped-entity-name": (prompts.ENTITIES, '{"bad \\ud800 x": "unsure"}', ("entities",)),
+}
+
+
+@pytest.mark.parametrize(
+    "template_id, response, failed", SURROGATE_RESPONSES.values(), ids=SURROGATE_RESPONSES
+)
+def test_parsed_unpaired_surrogate_is_unparseable(tmp_path, template_id, response, failed):
+    ann = annotate_one(ScriptedChatProvider({**GOOD_RESPONSES, template_id: response}))
+    assert ann.failed_tags == failed
+    assert f"{template_id}:unparseable" in ann.flags
+    save_annotations({"a1": ann}, tmp_path / "annotations.jsonl")
+    assert load_annotations(tmp_path / "annotations.jsonl") == {"a1": ann}
+
+
+def test_http_chat_content_with_unpaired_surrogate_fails_only_its_tag(stub_post, tmp_path):
+    """Content that no writer can encode is a malformed body: its tag fails
+    and nothing is cached for it, the other passes go on."""
+    def reply(body):
+        prompt = body["messages"][0]["content"]
+        template_id = next(
+            t for t in prompts.TEMPLATE_IDS if prompt.startswith(prompts.TEMPLATES[t][:20])
+        )
+        return chat_reply('["bad \ud800 x"]' if template_id == prompts.CLAIM
+                          else GOOD_RESPONSES[template_id])
+
+    stub_post(reply)
+    with pytest.raises(ProviderCallError, match="malformed response body"):
+        http_chat().complete(prompts.render_prompt(prompts.CLAIM, BODY), prompts.CLAIM)
+    ann = annotate_one(http_chat(), tmp_path / "cache")
+    assert ann.failed_tags == ("claim",)
+    assert ann.flags == ("claim:provider_error",)
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2

@@ -407,6 +407,16 @@ def not_utf8_annotation_store(tmp):
     return str(tmp / "store")
 
 
+def surrogate_annotation_store(tmp):
+    """The store with the escape of an unpaired surrogate in a claim on the
+    second line of its annotations."""
+    path = tmp / "store" / pipeline.ANNOTATIONS_FILE
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), "claim": ["bad \ud800 x"]}) + "\n"
+    write(path, "".join(lines))
+    return str(tmp / "store")
+
+
 # Each case: the arguments, before --out, of a command whose input is bad.
 BAD_INPUTS = {
     "report-no-ps-column": lambda tmp: [
@@ -449,6 +459,13 @@ BAD_INPUTS = {
     ],
     "polarity-annotations-not-utf8": lambda tmp: [
         "polarity", "--store", not_utf8_annotation_store(tmp),
+    ],
+    "polarity-annotations-unpaired-surrogate": lambda tmp: [
+        "polarity", "--store", surrogate_annotation_store(tmp),
+    ],
+    "report-json-unpaired-surrogate": lambda tmp: [
+        "report", "--format", "json", "--inputs",
+        write(tmp / "pol.json", '[{"org": "bad \\ud800 x", "entity": "E", "ps": 0.5}]'),
     ],
 }
 
@@ -548,3 +565,56 @@ def test_mistyped_annotation_row_is_clean_error(runner, built_store, tmp_path, f
     assert result.stderr.startswith(f"Error: {path}:2: not a valid row (TypeError: ")
     assert "Traceback" not in result.output
     assert not (tmp_path / "out.json").exists()
+
+
+def test_ingest_rejects_a_record_with_an_unpaired_surrogate(runner, tmp_path):
+    articles = make_articles(3, seed=1)
+    write_corpus_file(articles, tmp_path / "input.jsonl")
+    bad = {**json.loads((tmp_path / "input.jsonl").read_text().splitlines()[0]),
+           "id": "bad-title", "title": "T\ud800"}
+    with (tmp_path / "input.jsonl").open("a") as fh:
+        fh.write(json.dumps(bad) + "\n")
+    result = invoke(runner, ["ingest", "--input", str(tmp_path / "input.jsonl"),
+                             "--out", str(tmp_path / "store")])
+    assert "ingested 3 articles" in result.output and "rejected 1 records" in result.output
+    logged = json.loads((tmp_path / "store" / "rejections.log").read_text())
+    assert logged == {"line": 4, "id": "bad-title",
+                      "reason": "field 'title' holds an unpaired surrogate"}
+
+
+def test_annotate_mock_with_one_unparseable_fixture_fails_only_its_tag(runner, tmp_path):
+    """One fixture whose claim would hold an unpaired surrogate fails that
+    claim; every article keeps its row in the rewritten annotations."""
+    write_corpus_file(make_articles(12, seed=4), tmp_path / "input.jsonl")
+    store = tmp_path / "store"
+    invoke(runner, ["ingest", "--input", str(tmp_path / "input.jsonl"), "--out", str(store)])
+    invoke(runner, ["annotate", "--store", str(store), "--cache", str(tmp_path / "cache")])
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    for entry in (tmp_path / "cache").iterdir():
+        response = json.loads(entry.read_text(encoding="utf-8"))["response"]
+        (fixtures / f"{entry.stem}.txt").write_text(response, encoding="utf-8")
+    article = load_store(store).articles[5]
+    model = "gpt-3.5-turbo"  # the configured model name, which keys the fixtures
+    write_fixture(fixtures, prompts.CLAIM, article.body, '["bad \\ud800 x"]', model)
+    invoke(runner, ["annotate", "--store", str(store), "--cache", str(tmp_path / "empty"),
+                    "--mock", str(fixtures)])
+    annotations = load_annotations(store / pipeline.ANNOTATIONS_FILE)
+    assert len(annotations) == 12
+    assert {a.article_id for a in annotations.values() if a.failed_tags} == {article.id}
+    assert annotations[article.id].failed_tags == ("claim",)
+    assert "claim:unparseable" in annotations[article.id].flags
+
+
+def test_report_title_that_cannot_be_written_leaves_the_old_chart(runner, tmp_path):
+    rows = write(tmp_path / "pol.csv", "org,entity,ps,delta_ps\nO,E,0.5,0.1\n")
+    out = tmp_path / "chart.svg"
+    invoke(runner, ["report", "--inputs", rows, "--format", "svg", "--out", str(out)])
+    before = out.read_bytes()
+    # A non-UTF-8 byte in argv reaches the program as a lone surrogate.
+    result = runner.invoke(main, ["report", "--inputs", rows, "--format", "svg",
+                                  "--out", str(out), "--title", "T\udcff"])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(f"Error: {out}: cannot write (UnicodeEncodeError: ")
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chart.svg", "pol.csv"]

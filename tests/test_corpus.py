@@ -209,7 +209,7 @@ def test_failed_store_write_keeps_the_previous_store(tmp_path):
     before = {p.name: p.read_bytes() for p in store.iterdir()}
     # A title no writer can encode stops the corpus write midway.
     bad = Article("a0", "Snopes", "USA", dt.date(2019, 1, 1), "T\ud800", "Body.")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="corpus.jsonl: cannot write"):
         write_store(IngestResult(Corpus((bad, *result.corpus), RANGE), ()), store)
     assert_unchanged(before, store)
     assert load_store(store) == result.corpus
@@ -254,3 +254,25 @@ def test_damaged_meta_json_names_itself(tmp_path, meta):
         meta_path.write_text(meta, encoding="utf-8")
     with pytest.raises(CorpusError, match="meta.json: not a valid store meta file"):
         load_store(tmp_path / "s")
+
+
+@pytest.mark.parametrize("field", ["id", "org", "country", "title", "body", "url"])
+def test_unpaired_surrogate_is_a_rejection_naming_its_field(tmp_path, field):
+    raw = json.loads(record("x", url="https://example.org/x"))
+    raw[field] = "bad \ud800 x"
+    line = json.dumps(raw)  # the surrogate as the escape \ud800
+    result = ingest(write_lines(tmp_path / "c.jsonl", [record("ok"), line]), RANGE)
+    [rejection] = result.rejections
+    assert rejection.reason == f"field '{field}' holds an unpaired surrogate"
+    assert rejection.article_id == (None if field == "id" else "x")
+    write_store(result, tmp_path / "store")
+    assert load_store(tmp_path / "store") == result.corpus
+
+
+def test_rejection_keeps_no_id_that_cannot_be_written(tmp_path):
+    line = json.dumps({"id": "bad \ud800 x", "org": "Snopes"})
+    result = ingest(write_lines(tmp_path / "c.jsonl", [line]), RANGE)
+    assert [(r.article_id, r.reason) for r in result.rejections] == [
+        (None, "missing field 'country'")
+    ]
+    write_store(result, tmp_path / "store")

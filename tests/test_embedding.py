@@ -284,6 +284,7 @@ DAMAGED_SIDECAR_LINES = {
     "article-id-int": (3, sidecar_row(article_id=3)),
     "tag-list": (3, sidecar_row(tag=["claim"])),
     "not-utf8": (3, sidecar_row().encode("utf-8").replace(b"claim", b"cl\xffim")),
+    "article-id-unpaired-surrogate": (3, sidecar_row(article_id="a\ud800")),
 }
 
 

@@ -90,6 +90,7 @@ JSON_VALUES = st.sampled_from(
     [None, True, 0, -1, 2.5, 10**30, "", "x", [], {}, [0.5], {"k": "v"}]
 )
 DEEP = "\x00deep\x00"
+SURROGATE = "\x00surrogate\x00"
 
 
 def _paths(value, path=()):
@@ -98,6 +99,12 @@ def _paths(value, path=()):
     if isinstance(value, (dict, list)):
         for key, sub in value.items() if isinstance(value, dict) else enumerate(value):
             yield from _paths(sub, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 def _replaced(doc, path, new):
@@ -122,11 +129,24 @@ def json_swap(draw, text: str) -> str:
 
 
 @st.composite
+def surrogate_swap(draw, text: str) -> str:
+    """text with one string value (the whole value when it has none)
+    swapped for the escape of an unpaired surrogate."""
+    doc = json.loads(text)
+    paths = [path for path in _paths(doc) if isinstance(_at(doc, path), str)] or [()]
+    out = json.dumps(_replaced(doc, draw(st.sampled_from(paths)), SURROGATE), ensure_ascii=False)
+    return out.replace(json.dumps(SURROGATE), '"bad \\ud800 x"')
+
+
+@st.composite
 def mutated(draw, data: bytes, fmt: str) -> bytes:
     kind = draw(st.sampled_from(
-        ["truncate", "flip", "insert", "nul", "u2028", "long", "nest", "structure"]
+        ["truncate", "flip", "insert", "nul", "u2028", "long", "nest", "structure", "surrogate"]
     ))
     at = draw(st.integers(0, len(data)))
+    if kind == "surrogate" and fmt == "csv":  # no escapes in CSV: the text stays text
+        return data[:at] + b"\\ud800" + data[at:]
+    swap = surrogate_swap if kind == "surrogate" else json_swap
     if kind == "truncate":
         return data[:at]
     if kind == "flip":
@@ -144,11 +164,11 @@ def mutated(draw, data: bytes, fmt: str) -> bytes:
     if kind in inserts:
         return data[:at] + inserts[kind]() + data[at:]
     if fmt == "json":
-        return draw(json_swap(data.decode("utf-8"))).encode("utf-8")
+        return draw(swap(data.decode("utf-8"))).encode("utf-8")
     lines = data.split(b"\n")
     i = draw(st.integers(0, len(lines) - 2))  # the last item follows the final newline
     if fmt == "jsonl":
-        lines[i] = draw(json_swap(lines[i].decode("utf-8"))).encode("utf-8")
+        lines[i] = draw(swap(lines[i].decode("utf-8"))).encode("utf-8")
     else:  # csv: drop a cell or add one
         cells = lines[i].split(b",")
         j = draw(st.integers(0, len(cells) - 1))

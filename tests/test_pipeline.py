@@ -6,14 +6,15 @@ from collections import Counter
 import pytest
 
 import factlens.entities as ent_mod
-from factlens import pipeline
-from factlens.annotation import annotate_corpus
+from factlens import pipeline, prompts
+from factlens.annotation import annotate_corpus, load_annotations
 from factlens.config import RunConfig, override
 from factlens.corpus import Corpus, write_corpus_file
 from factlens.entities import build_alias_map, load_aliases_csv, org_mentions, top_k_entities
 from factlens.polarity import org_polarity
 from factlens.providers import SyntheticChatProvider
 from factlens.synthetic import make_articles, write_alias_csv
+from tests.conftest import chat_reply
 
 
 def synthetic_cfg(tmp_path, articles) -> RunConfig:
@@ -127,3 +128,33 @@ def test_escaped_names_keep_short_names_and_bound_long_ones():
     for org, name in zip(long, escaped):
         assert len(name.encode("utf-8")) <= pipeline._NAME_BYTES
         assert "%%" in name
+
+
+def test_run_all_completes_when_one_response_holds_an_unpaired_surrogate(tmp_path, stub_post):
+    """One chat response that no writer can encode fails its own tag; the
+    run writes every store and report file."""
+    articles = make_articles(12, seed=2)
+    poisoned = articles[5]
+    synthetic = SyntheticChatProvider()
+
+    def reply(body):
+        prompt = body["messages"][0]["content"]
+        template_id = next(
+            t for t in prompts.TEMPLATE_IDS if prompt.startswith(prompts.TEMPLATES[t][:20])
+        )
+        if template_id == prompts.CLAIM and poisoned.body in prompt:
+            return chat_reply("bad \ud800 x")
+        return chat_reply(synthetic.complete(prompt, template_id))
+
+    stub_post(reply)
+    cfg = override(
+        synthetic_cfg(tmp_path, articles), provider_kind="http",
+        provider_endpoint="http://chat.test/v1", provider_rate_limit=1e6,
+    )
+    summary = pipeline.run_all(cfg, tmp_path / "store", tmp_path / "out")
+    assert summary.n_annotations == 12
+    annotations = load_annotations(tmp_path / "store" / pipeline.ANNOTATIONS_FILE)
+    failed = {a.article_id: a.failed_tags for a in annotations.values() if a.failed_tags}
+    assert failed == {poisoned.id: ("claim",)}
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 3 * 12 - 1
+    assert (tmp_path / "out" / "charts" / "polarity.svg").exists()

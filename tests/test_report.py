@@ -253,3 +253,11 @@ def test_write_output_replaces_a_symlink_not_its_target(tmp_path):
 def test_write_output_temp_name_does_not_grow_with_the_target(tmp_path):
     path = write_output(tmp_path / ("x" * 255), "ok")  # the usual file-name limit
     assert path.read_text() == "ok"
+
+
+def test_write_output_that_cannot_encode_writes_nothing(tmp_path):
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError) as info:
+        write_output(path, ["ok\n", "bad \ud800 x\n"])
+    assert str(info.value).startswith(f"{path}: cannot write (UnicodeEncodeError: ")
+    assert list(tmp_path.iterdir()) == []
