@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
 
-from .polarity import PrecisionConfig
 from .providers import ProviderConfig
 
 ENV_PREFIX = "FACTLENS_"
@@ -67,6 +66,21 @@ class AnalysisConfig:
             raise ConfigError("bootstrap_fraction: must be in (0, 1]")
         if not 0.0 < self.confidence_level < 1.0:
             raise ConfigError("confidence_level: must be in (0, 1)")
+
+
+@dataclass(frozen=True)
+class PrecisionConfig:
+    """Per-class tag precision; the negative class defaults to 0.706."""
+
+    positive: float = 1.0
+    negative: float = 0.706
+    neutral: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("positive", "negative", "neutral"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"precision_{name}: must be in [0, 1]")
 
 
 @dataclass(frozen=True)

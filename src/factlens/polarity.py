@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .annotation import Annotation
+from .config import PrecisionConfig, RunConfig
 from .corpus import Corpus
 from .entities import AliasMap, Mentions, canonicalize, org_mentions
 from .report import read_csv_records, reading
@@ -39,21 +40,6 @@ class PolarityCounts:
             raise ValueError("counts must be non-negative")
         if self.n_pos + self.n_neg > self.n_total:
             raise ValueError("n_pos + n_neg cannot exceed n_total")
-
-
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Per-class tag precision; the negative class defaults to 0.706."""
-
-    positive: float = 1.0
-    negative: float = 0.706
-    neutral: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("positive", "negative", "neutral"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"precision_{name}: must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -161,22 +147,20 @@ def org_polarity(
     annotations: Mapping[str, Annotation],
     aliases: AliasMap,
     org: str,
-    top_k: int = 5,
+    top_k: int = RunConfig.top_k_polarity,
     prec: PrecisionConfig | None = None,
-    min_support: int = 10,
+    min_support: int = RunConfig.min_support,
 ) -> OrgPolarity:
-    """score_org over the organization's political-entity view."""
+    """score_org over the organization's political-entity view; the defaults
+    are RunConfig's."""
     return score_org(
-        org_mentions(corpus, annotations, aliases, org), org, top_k, prec, min_support
+        org_mentions(corpus, annotations, aliases, org), org, top_k,
+        prec or PrecisionConfig(), min_support,
     )
 
 
 def score_org(
-    mentions: Mentions,
-    org: str,
-    top_k: int = 5,
-    prec: PrecisionConfig | None = None,
-    min_support: int = 10,
+    mentions: Mentions, org: str, top_k: int, prec: PrecisionConfig, min_support: int
 ) -> OrgPolarity:
     """Micro- and macro-averaged polarity for one organization's entity view.
 
@@ -186,7 +170,6 @@ def score_org(
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    prec = prec or PrecisionConfig()
     table = _tag_counts(mentions)
     if not table:
         raise ValueError(f"no political entities tagged for organization {org!r}")
