@@ -32,6 +32,7 @@ KNOWN_ORGS = {
 }
 
 _REQUIRED_FIELDS = ("id", "org", "country", "published_at", "title", "body")
+_TEXT_FIELDS = ("id", "org", "country", "title", "body", "url")
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,9 +112,9 @@ def _parse_record(raw: dict, date_range: tuple[dt.date, dt.date], line: str) -> 
     url = raw.get("url")
     if url is not None and not isinstance(url, str):
         raise ValueError("field 'url' is not a string")
-    for field in _REQUIRED_FIELDS + ("url",):
-        if not encodable(raw.get(field), line):
-            raise ValueError(f"field '{field}' holds an unpaired surrogate")
+    if not encodable(list(map(raw.get, _TEXT_FIELDS)), line):
+        field = next(field for field in _TEXT_FIELDS if not encodable(raw[field], line))
+        raise ValueError(f"field '{field}' holds an unpaired surrogate")
     return Article(
         id=raw["id"],
         org=raw["org"],
