@@ -113,7 +113,7 @@ def _parse_record(raw: dict, date_range: tuple[dt.date, dt.date], line: str) -> 
     if url is not None and not isinstance(url, str):
         raise ValueError("field 'url' is not a string")
     if not encodable(list(map(raw.get, _TEXT_FIELDS)), line):
-        field = next(field for field in _TEXT_FIELDS if not encodable(raw[field], line))
+        field = next(field for field in _TEXT_FIELDS if not encodable(raw.get(field), line))
         raise ValueError(f"field '{field}' holds an unpaired surrogate")
     return Article(
         id=raw["id"],

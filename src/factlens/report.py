@@ -5,7 +5,8 @@ are fixed at 4 decimal places and JSON floats are rounded to 4 decimals,
 so export -> parse -> export is byte-identical in both formats and the
 SVG never changes between runs on the same data.
 
-Also the one rule for reading input files (``reading``); this module imports no package code.
+Also the one rule for reading input files (``reading``) and the one writer
+of every file (``write_output``); this module imports no package code.
 """
 
 from __future__ import annotations
