@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
 
@@ -201,7 +201,8 @@ def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_suppo
     cfg = _config(RunConfig, aliases_file=aliases_file, top_k_polarity=top_k,
                   min_support=min_support)
     if precisions_file:
-        cfg = replace(cfg, precisions=pol_mod.load_precisions_csv(precisions_file))
+        prec = asdict(pol_mod.load_precisions_csv(precisions_file))
+        cfg = override(cfg, **{f"precision_{name}": value for name, value in prec.items()})
     corpus = corpus_mod.load_store(store_dir)
     annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
     aliases = pipeline.load_alias_map(cfg)

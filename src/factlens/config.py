@@ -1,11 +1,12 @@
 """Run configuration: one flat key-value file plus environment overrides.
 
-The dataclasses below are the one statement of every setting. A run.cfg
-key is a field name, with the fields of the nested analysis and
-precision configs flattened in; its type is the type of its default, and
-its check sits in the owning dataclass's __post_init__ (ProviderConfig's
-for the provider_ keys it takes). Secrets (the API key) are read from the
-environment only and never serialized.
+The dataclasses below are the one statement of every setting. Every
+run.cfg key is a RunConfig field; its type is the type of its default.
+The analysis, precision and provider keys take their defaults from the
+section classes (AnalysisConfig, PrecisionConfig, ProviderConfig), which
+hold their checks; RunConfig.__post_init__ runs those checks with its own.
+Secrets (the API key) are read from the environment only and never
+serialized.
 
 The size keys have upper bounds, so a mistyped value is a config error
 rather than a MemoryError mid-run. embedding_dim stops at 2**16: provider
@@ -22,11 +23,9 @@ from __future__ import annotations
 
 import datetime as dt
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping
-
-from .providers import ProviderConfig
 
 ENV_PREFIX = "FACTLENS_"
 API_KEY_ENV = "FACTLENS_API_KEY"
@@ -84,12 +83,33 @@ class PrecisionConfig:
 
 
 @dataclass(frozen=True)
+class ProviderConfig:
+    endpoint: str = ""
+    model_name: str = "gpt-3.5-turbo"
+    max_retries: int = 3
+    rate_limit: float = 5.0
+    cache_dir: Path | None = None
+    retry_base_seconds: float = 0.5
+
+    def __post_init__(self) -> None:
+        # Named by their run.cfg keys; written so that NaN fails too.
+        if not self.max_retries >= 0:
+            raise ValueError("provider_max_retries: must be >= 0")
+        if not self.rate_limit > 0:
+            raise ValueError("provider_rate_limit: must be > 0")
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    # A nested config's fields are run.cfg keys led by the field's "prefix".
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig, metadata={"prefix": ""})
-    precisions: PrecisionConfig = field(
-        default_factory=PrecisionConfig, metadata={"prefix": "precision_"}
-    )
+    window_days: int = AnalysisConfig.window_days
+    tau: float = AnalysisConfig.tau
+    bootstrap_resamples: int = AnalysisConfig.bootstrap_resamples
+    bootstrap_fraction: float = AnalysisConfig.bootstrap_fraction
+    confidence_level: float = AnalysisConfig.confidence_level
+    seed: int = AnalysisConfig.seed
+    precision_positive: float = PrecisionConfig.positive
+    precision_negative: float = PrecisionConfig.negative
+    precision_neutral: float = PrecisionConfig.neutral
     top_k_entities: int = 100
     top_k_polarity: int = 5
     min_support: int = 10
@@ -110,6 +130,10 @@ class RunConfig:
     api_key: str | None = None  # env only; never serialized
 
     def __post_init__(self) -> None:
+        try:  # the sections' checks; AnalysisConfig's raise ConfigError themselves
+            self.analysis, self.precisions, self.provider_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for key in ("top_k_entities", "top_k_polarity", "min_support", "embedding_dim"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}: must be >= 1")
@@ -127,10 +151,19 @@ class RunConfig:
             raise ConfigError("provider_fixtures_dir: required when provider_kind = fixtures")
         if self.embedding_kind == "http" and not self.embedding_endpoint:
             raise ConfigError("embedding_endpoint: required when embedding_kind = http")
-        try:
-            self.provider_config()  # ProviderConfig holds the provider checks
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+
+    @property
+    def analysis(self) -> AnalysisConfig:
+        return AnalysisConfig(
+            self.window_days, self.tau, self.bootstrap_resamples, self.bootstrap_fraction,
+            self.confidence_level, self.seed,
+        )
+
+    @property
+    def precisions(self) -> PrecisionConfig:
+        return PrecisionConfig(
+            self.precision_positive, self.precision_negative, self.precision_neutral
+        )
 
     def provider_config(self) -> ProviderConfig:
         return ProviderConfig(
@@ -142,27 +175,13 @@ class RunConfig:
         )
 
 
-def _flat_keys() -> dict[str, tuple[str, str | None]]:
-    """Each run.cfg key -> (RunConfig field, field of the nested config or None)."""
-    keys: dict[str, tuple[str, str | None]] = {}
-    for f in fields(RunConfig):
-        if "prefix" in f.metadata:
-            for sub in fields(f.default_factory):
-                keys[f.metadata["prefix"] + sub.name] = (f.name, sub.name)
-        elif f.name != "api_key":
-            keys[f.name] = (f.name, None)
-    return keys
-
-
-_KEYS = _flat_keys()
+# run.cfg keys, in field order.
+_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "api_key")
 
 
 def settings(cfg: RunConfig) -> dict[str, object]:
     """Each run.cfg key with its value in cfg."""
-    return {
-        key: getattr(cfg, name) if sub is None else getattr(getattr(cfg, name), sub)
-        for key, (name, sub) in _KEYS.items()
-    }
+    return {key: getattr(cfg, key) for key in _KEYS}
 
 
 DEFAULTS = settings(RunConfig())
@@ -170,20 +189,7 @@ DEFAULTS = settings(RunConfig())
 
 def override(cfg: RunConfig, **values: object) -> RunConfig:
     """cfg with the given run.cfg keys replaced, checked like any RunConfig."""
-    top: dict[str, object] = {}
-    nested: dict[str, dict[str, object]] = {}
-    for key, value in values.items():
-        name, sub = _KEYS[key]
-        if sub is None:
-            top[name] = value
-        else:
-            nested.setdefault(name, {})[sub] = value
-    try:
-        for name, subs in nested.items():
-            top[name] = replace(getattr(cfg, name), **subs)
-        return replace(cfg, **top)
-    except ValueError as exc:  # PrecisionConfig's checks raise ValueError
-        raise ConfigError(str(exc)) from None
+    return replace(cfg, **values)
 
 
 def _parse_value(key: str, raw: str) -> object:

@@ -50,17 +50,13 @@ def build_chat_provider(cfg: RunConfig):
         return SyntheticChatProvider(model_name=cfg.provider_model)
     if cfg.provider_kind == "fixtures":
         return FixtureChatProvider(cfg.provider_fixtures_dir, model_name=cfg.provider_model)
-    return HttpChatProvider(
-        cfg.provider_config(), api_key=cfg.api_key, seed=cfg.analysis.seed
-    )
+    return HttpChatProvider(cfg.provider_config(), api_key=cfg.api_key, seed=cfg.seed)
 
 
 def build_embedding_provider(cfg: RunConfig):
     if cfg.embedding_kind == "hashed":
         return HashedEmbeddingProvider(dim=cfg.embedding_dim)
-    return HttpEmbeddingProvider(
-        cfg.embedding_endpoint, dim=cfg.embedding_dim, seed=cfg.analysis.seed
-    )
+    return HttpEmbeddingProvider(cfg.embedding_endpoint, dim=cfg.embedding_dim, seed=cfg.seed)
 
 
 def load_alias_map(cfg: RunConfig) -> AliasMap:
@@ -170,7 +166,7 @@ def entity_overlap(
     for i, (org_x, org_y) in enumerate(pairs):
         windowed = ent_mod.windowed_jaccard(
             mentions[org_x], mentions[org_y],
-            cfg.top_k_entities, cfg.analysis.window_days,
+            cfg.top_k_entities, cfg.window_days,
             org_x=org_x, org_y=org_y, windows=windows,
         )
         for org in {org_x, org_y}:
@@ -180,7 +176,7 @@ def entity_overlap(
             {
                 "org_x": org_x, "org_y": org_y,
                 "top_k": cfg.top_k_entities,
-                "window_days": cfg.analysis.window_days,
+                "window_days": cfg.window_days,
                 "global_jaccard": ent_mod.jaccard(tops[org_x].names(), tops[org_y].names()),
                 "windowed_median": windowed.median,
                 "windowed_days": [d.isoformat() for d in windowed.days],

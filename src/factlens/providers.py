@@ -19,7 +19,6 @@ import logging
 import re
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Protocol, Sequence
 
@@ -27,6 +26,7 @@ import numpy as np
 import requests
 
 from . import prompts
+from .config import ProviderConfig
 from .report import DECODE_ERRORS, encodable, reading, write_output
 from .seeds import derive_seed
 
@@ -43,23 +43,6 @@ class ProviderCallError(ProviderError):
 
 class ProviderUnreachableError(ProviderError):
     """The endpoint is down; the whole run aborts (cache is preserved)."""
-
-
-@dataclass(frozen=True)
-class ProviderConfig:
-    endpoint: str = ""
-    model_name: str = "gpt-3.5-turbo"
-    max_retries: int = 3
-    rate_limit: float = 5.0
-    cache_dir: Path | None = None
-    retry_base_seconds: float = 0.5
-
-    def __post_init__(self) -> None:
-        # Named by their run.cfg keys; written so that NaN fails too.
-        if not self.max_retries >= 0:
-            raise ValueError("provider_max_retries: must be >= 0")
-        if not self.rate_limit > 0:
-            raise ValueError("provider_rate_limit: must be > 0")
 
 
 def cache_key(template_id: str, prompt: str, model_name: str) -> str:
