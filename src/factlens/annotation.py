@@ -137,11 +137,17 @@ def _call(
     provider: ChatProvider, cache: ResponseCache | None, key: str, template_id: str, prompt: str
 ) -> str | ProviderCallError:
     """The provider's response, cached as it arrives, or the call's
-    permanent failure; an unreachable endpoint raises."""
+    permanent failure; an unreachable endpoint raises. A response that no
+    writer can encode (it holds an unpaired surrogate) is such a failure."""
     try:
         response = provider.complete(prompt, template_id)
     except ProviderCallError as exc:
         return exc
+    if not response.isascii():  # the common case skips the encode
+        try:
+            response.encode("utf-8")
+        except UnicodeEncodeError:
+            return ProviderCallError("response holds an unpaired surrogate")
     if cache is not None:
         cache.put(key, response)
     return response

@@ -20,7 +20,7 @@ from . import corpus as corpus_mod
 from . import pipeline
 from . import polarity as pol_mod
 from . import report as report_mod
-from .annotation import load_annotations
+from .annotation import SENTENCE_TAGS, load_annotations
 from .config import DEFAULTS, ConfigError, RunConfig, load_config, override, serialize_config
 from .embedding import load_embeddings
 from .entities import org_mentions
@@ -122,7 +122,7 @@ def embed(store_dir, config_file) -> None:
 
 @main.command()
 @click.option("--store", "store_dir", required=True, type=click.Path(exists=True))
-@click.option("--tag", type=click.Choice(["claim", "what", "why"]), required=True)
+@click.option("--tag", type=click.Choice(SENTENCE_TAGS), required=True)
 @click.option("--orgs", required=True, help="Comma-separated pair X,Y.")
 @click.option("--window", default=DEFAULTS["window_days"], show_default=True)
 @click.option("--tau", default=DEFAULTS["tau"], show_default=True)

@@ -408,6 +408,20 @@ def test_parsed_unpaired_surrogate_is_unparseable(tmp_path, template_id, respons
     assert load_annotations(tmp_path / "annotations.jsonl") == {"a1": ann}
 
 
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+def test_provider_response_with_unpaired_surrogate_fails_only_its_tag(tmp_path, cached):
+    """A response from any provider that no writer can encode fails its own
+    tag, is not cached, and leaves the annotation writable."""
+    provider = ScriptedChatProvider({**GOOD_RESPONSES, prompts.CLAIM: '["x\ud800"]'})
+    ann = annotate_one(provider, tmp_path / "cache" if cached else None)
+    assert ann.failed_tags == ("claim",)
+    assert ann.flags == ("claim:provider_error",)
+    if cached:
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+    save_annotations({"a1": ann}, tmp_path / "annotations.jsonl")
+    assert load_annotations(tmp_path / "annotations.jsonl") == {"a1": ann}
+
+
 def test_http_chat_content_with_unpaired_surrogate_fails_only_its_tag(stub_post, tmp_path):
     """Content that no writer can encode is a malformed body: its tag fails
     and nothing is cached for it, the other passes go on."""

@@ -281,6 +281,26 @@ def test_polarity_reports_each_skipped_org(runner, workspace):
     assert "0 polarity rows" in result.stdout
 
 
+def test_polarity_precisions_file_sets_the_error_bars(runner, workspace):
+    """--precisions sets the three precision_* settings: each row's delta_ps
+    is the worst-case error under the file's precisions."""
+    store = workspace / "store"
+    invoke(runner, ["ingest", "--input", str(workspace / "input.jsonl"), "--out", str(store)])
+    invoke(runner, ["annotate", "--store", str(store), "--cache", str(workspace / "cache")])
+    (workspace / "prec.csv").write_text("positive,negative,neutral\n0.9,0.5,0.8\n")
+    invoke(
+        runner,
+        ["polarity", "--store", str(store), "--aliases", str(workspace / "aliases.csv"),
+         "--precisions", str(workspace / "prec.csv"), "--min-support", "1",
+         "--out", str(workspace / "pol.json")],
+    )
+    rows = json.loads((workspace / "pol.json").read_text())
+    assert any(row["n_neg"] for row in rows)
+    for row in rows:
+        expected = (0.1 * row["n_pos"] + 0.5 * row["n_neg"]) / row["n_total"]
+        assert row["delta_ps"] == pytest.approx(expected, abs=5e-5)  # written to 4 places
+
+
 def test_polarity_by_year_derives_labels_once_per_article(runner, workspace, monkeypatch):
     store = workspace / "store"
     invoke(runner, ["ingest", "--input", str(workspace / "input.jsonl"), "--out", str(store)])

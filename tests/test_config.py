@@ -1,10 +1,13 @@
 import datetime as dt
+from dataclasses import replace
 
 import pytest
 
 from factlens.config import (
+    DEFAULTS,
     AnalysisConfig,
     ConfigError,
+    RunConfig,
     load_config,
     serialize_config,
 )
@@ -170,4 +173,74 @@ def test_errors_in_the_file_itself_name_the_file(tmp_path, text):
     path = tmp_path / "named.cfg"
     path.write_text(text)
     with pytest.raises(ConfigError, match=f"^{path}: "):
+        load_config(path, env={})
+
+
+# serialize_config(RunConfig()): every run.cfg key, in order, with its default.
+DEFAULT_LINES = (
+    "aliases_file = ",
+    "bootstrap_fraction = 0.2",
+    "bootstrap_resamples = 10000",
+    "cache_dir = cache",
+    "confidence_level = 0.95",
+    "date_from = 2018-01-01",
+    "date_to = 2023-12-31",
+    "embedding_dim = 64",
+    "embedding_endpoint = ",
+    "embedding_kind = hashed",
+    "input_file = ",
+    "min_support = 10",
+    "precision_negative = 0.706",
+    "precision_neutral = 1.0",
+    "precision_positive = 1.0",
+    "provider_endpoint = ",
+    "provider_fixtures_dir = ",
+    "provider_kind = synthetic",
+    "provider_max_retries = 3",
+    "provider_model = gpt-3.5-turbo",
+    "provider_rate_limit = 5.0",
+    "seed = 0",
+    "tau = 0.75",
+    "top_k_entities = 100",
+    "top_k_polarity = 5",
+    "window_days = 15",
+)
+
+
+def test_run_cfg_keys_and_defaults_are_pinned():
+    assert sorted(DEFAULTS) == [line.partition(" = ")[0] for line in DEFAULT_LINES]
+    assert serialize_config(RunConfig()) == "".join(f"{line}\n" for line in DEFAULT_LINES)
+
+
+# (run.cfg key, raw value, RunConfig section, the section's field, parsed value)
+SECTION_KEYS = [
+    ("window_days", "9", "analysis", "window_days", 9),
+    ("tau", "0.5", "analysis", "tau", 0.5),
+    ("bootstrap_resamples", "300", "analysis", "bootstrap_resamples", 300),
+    ("bootstrap_fraction", "0.5", "analysis", "bootstrap_fraction", 0.5),
+    ("confidence_level", "0.9", "analysis", "confidence_level", 0.9),
+    ("seed", "11", "analysis", "seed", 11),
+    ("precision_positive", "0.9", "precisions", "positive", 0.9),
+    ("precision_negative", "0.5", "precisions", "negative", 0.5),
+    ("precision_neutral", "0.8", "precisions", "neutral", 0.8),
+]
+
+
+@pytest.mark.parametrize("source", ["file", "env"])
+@pytest.mark.parametrize("key, raw, section, name, value", SECTION_KEYS)
+def test_each_section_key_reaches_its_section(tmp_path, source, key, raw, section, name, value):
+    """A key set in run.cfg or as FACTLENS_<KEY> changes that one field of
+    cfg.analysis or cfg.precisions."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {raw}\n" if source == "file" else "")
+    env = {f"FACTLENS_{key.upper()}": raw} if source == "env" else {}
+    cfg = load_config(path, env=env)
+    assert getattr(cfg, section) == replace(getattr(RunConfig(), section), **{name: value})
+    assert getattr(cfg, key) == value
+
+
+def test_precision_out_of_range_in_run_cfg_names_the_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("precision_negative = 1.5\n")
+    with pytest.raises(ConfigError, match=r"^precision_negative: must be in \[0, 1\]$"):
         load_config(path, env={})
