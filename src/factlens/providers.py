@@ -6,6 +6,10 @@ Live providers speak a minimal HTTP contract:
   from the first choice's message content;
 * embeddings: POST ``{texts: [...]}`` -> ``{vectors: [[...], ...]}``.
 
+Both go through ``_post``, the standard library's urllib: http(s) only,
+one connection per request, proxies from the environment, redirects not
+followed. A 200 body is read as strict UTF-8.
+
 Offline work uses deterministic mocks: a fixture directory keyed by cache
 key, a synthetic chat provider that is a pure function of the rendered
 prompt, and a hashed bag-of-words embedder documented bit-exactly.
@@ -13,17 +17,20 @@ prompt, and a hashed bag-of-words embedder documented bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import http.client
 import json
 import logging
 import re
+import ssl
 import threading
 import time
+import urllib.request
 from pathlib import Path
 from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from . import prompts
 from .config import ProviderConfig
@@ -66,15 +73,50 @@ class _RetryBody(ProviderCallError):
     """Raised by a parser for a 200 body that is worth asking for again."""
 
 
+class _EveryStatus(urllib.request.HTTPErrorProcessor):
+    """Hands every response back as it came: no status raises and no
+    redirect is followed, so the retry policy sees each status."""
+
+    def http_response(self, request, response):
+        return response
+
+    https_response = http_response
+
+
+@functools.cache
+def _opener(scheme: str) -> urllib.request.OpenerDirector:
+    """The opener for one URL scheme, built at its first request. Proxies
+    come from the environment; https verifies against the system trust
+    store, which is loaded once because loading it takes tens of ms."""
+    handlers: list = [_EveryStatus]
+    if scheme == "https":
+        handlers.append(urllib.request.HTTPSHandler(context=ssl.create_default_context()))
+    return urllib.request.build_opener(*handlers)
+
+
+def _post(url: str, body: dict, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
+    """POST body as JSON on a connection of its own; the status and the raw
+    response body. A transport failure raises OSError or HTTPException."""
+    request = urllib.request.Request(
+        url, data=json.dumps(body).encode("utf-8"), method="POST",
+        headers={"Content-Type": "application/json", **headers},
+    )
+    # fullurl by name: the one-writer scan reads a positional .open argument
+    # as a file mode.
+    with _opener(request.type).open(fullurl=request, timeout=timeout) as response:
+        return response.status, response.read()
+
+
 class _HttpClient:
     """The one live-provider request policy, for chat and embeddings.
 
     Thread-safe: send slots are reserved under a lock, ``min_interval``
     apart, and counted in ``calls``. HTTP 429, 5xx and a 200 body whose
-    parser raises _RetryBody are retried with backoff; another 4xx or
-    ProviderCallError fails at once; a transport error on the last attempt
-    raises ProviderUnreachableError. Jitter is a function of the run seed,
-    the request's key and the attempt, not of the other requests.
+    parser raises _RetryBody are retried with backoff; another status (a 3xx
+    or 4xx) or ProviderCallError fails at once; a transport error on the
+    last attempt raises ProviderUnreachableError. Jitter is a function of
+    the run seed, the request's key and the attempt, not of the other
+    requests.
     """
 
     _kind = ""  # "chat" or "embed": names the jitter stream and the errors
@@ -108,32 +150,32 @@ class _HttpClient:
         rng = np.random.default_rng(derive_seed(self._seed, f"{self._kind}-retry:{key}:{attempt}"))
         return base + float(rng.uniform(0.0, base / 2.0))
 
-    def _send(self, body: dict, key: str, parse: Callable[[Any], Any], headers=None,
-              retries: int | None = None) -> Any:
-        """POST body until parse accepts a 200 response, sending it again at
-        most retries times (default max_retries); key names the request."""
+    def _send(self, body: dict, key: str, parse: Callable[[bytes], Any],
+              headers: dict[str, str] | None = None, retries: int | None = None) -> Any:
+        """POST body until parse accepts a 200 response's raw body, sending it
+        again at most retries times (default max_retries); key names the
+        request."""
         retries = self.max_retries if retries is None else retries
         last_error: Exception | None = None
         unreachable = False
         for attempt in range(retries + 1):
             self._throttle()
             try:
-                resp = requests.post(
-                    self.endpoint, json=body, headers=headers, timeout=self._timeout
-                )
-            except requests.exceptions.RequestException as exc:
+                status, raw = _post(self.endpoint, body, headers or {}, self._timeout)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error, unreachable = exc, True
             else:
                 unreachable = False
-                if resp.status_code == 200:
+                if status == 200:
                     try:
-                        return parse(resp)
+                        return parse(raw)
                     except _RetryBody as exc:
                         last_error = exc
-                elif resp.status_code == 429 or resp.status_code >= 500:
-                    last_error = ProviderCallError(f"HTTP {resp.status_code}")
+                elif status == 429 or status >= 500:
+                    last_error = ProviderCallError(f"HTTP {status}")
                 else:
-                    raise ProviderCallError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                    text = raw.decode("utf-8", errors="replace")
+                    raise ProviderCallError(f"HTTP {status}: {text[:200]}")
             if attempt < retries:
                 delay = self._backoff(key, attempt)
                 logger.warning(
@@ -145,14 +187,15 @@ class _HttpClient:
         raise ProviderCallError(f"{self._kind} request failed after retries: {last_error}")
 
 
-def _chat_content(resp: Any) -> str:
+def _chat_content(raw: bytes) -> str:
     try:
-        content = resp.json()["choices"][0]["message"]["content"]
+        text = raw.decode("utf-8")
+        content = json.loads(text)["choices"][0]["message"]["content"]
     except (IndexError, *DECODE_ERRORS) as exc:
         raise ProviderCallError(f"malformed response body: {exc}") from exc
     if not isinstance(content, str):
         raise ProviderCallError(f"malformed response body: content is {type(content).__name__}")
-    if not encodable(content, resp.text):
+    if not encodable(content, text):
         raise ProviderCallError("malformed response body: content holds an unpaired surrogate")
     return content
 
@@ -367,12 +410,12 @@ class HttpEmbeddingProvider(_HttpClient):
         texts = list(texts)
         key = hashlib.sha256(json.dumps(texts).encode("utf-8")).hexdigest()
         return self._send(
-            {"texts": texts}, key, lambda resp: self._vectors(resp, len(texts)), retries=retries
+            {"texts": texts}, key, lambda raw: self._vectors(raw, len(texts)), retries=retries
         )
 
-    def _vectors(self, resp: Any, n: int) -> np.ndarray:
+    def _vectors(self, raw: bytes, n: int) -> np.ndarray:
         try:
-            vectors = np.asarray(resp.json()["vectors"], dtype=np.float64)
+            vectors = np.asarray(json.loads(raw.decode("utf-8"))["vectors"], dtype=np.float64)
         except DECODE_ERRORS as exc:
             raise _RetryBody(f"malformed response body: {exc}") from exc
         if vectors.shape != (n, self.dim):

@@ -2,8 +2,8 @@ import datetime as dt
 import json
 
 import pytest
-import requests
 
+from factlens import providers
 from factlens.annotation import Annotation
 from factlens.corpus import Article, Corpus
 from factlens.providers import (
@@ -75,24 +75,17 @@ def synthetic_provider():
 
 
 class StubResponse:
-    """The parts of a ``requests.Response`` that the HTTP providers read."""
+    """A reply of status_code whose body is body as JSON."""
 
     def __init__(self, status_code: int = 200, body: object = None):
         self.status_code = status_code
-        self.body = body
-        self.text = json.dumps(body)
-
-    def json(self):
-        return self.body
-
-    def raise_for_status(self) -> None:
-        if self.status_code >= 400:
-            raise requests.exceptions.HTTPError(f"HTTP {self.status_code}")
+        self.content = json.dumps(body).encode("utf-8")
 
 
 @pytest.fixture
 def stub_post(monkeypatch):
-    """Replace ``requests.post`` with a playback of replies; no socket opens.
+    """Replace ``providers._post`` with a playback of replies; no socket
+    opens.
 
     ``stub_post(*replies)`` answers each request with the next reply and
     repeats the last one. A reply is a ``StubResponse``, an exception to
@@ -102,15 +95,15 @@ def stub_post(monkeypatch):
     def install(*replies):
         queue = list(replies)
 
-        def post(url, json=None, **kwargs):
+        def post(url, body, headers, timeout):
             reply = queue.pop(0) if len(queue) > 1 else queue[0]
             if callable(reply):
-                reply = reply(json)
+                reply = reply(body)
             if isinstance(reply, BaseException):
                 raise reply
-            return reply
+            return reply.status_code, reply.content
 
-        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(providers, "_post", post)
 
     return install
 

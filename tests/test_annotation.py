@@ -3,7 +3,6 @@ import json
 import logging
 
 import pytest
-import requests
 
 from factlens import prompts
 from factlens.annotation import (
@@ -374,7 +373,7 @@ def test_http_chat_4xx_fails_at_once(stub_post):
 
 
 def test_http_chat_transport_errors_after_retries_are_unreachable(stub_post):
-    stub_post(requests.exceptions.ConnectionError("refused"))
+    stub_post(ConnectionRefusedError("refused"))
     provider = http_chat(max_retries=2)
     with pytest.raises(ProviderUnreachableError, match="refused"):
         provider.complete("prompt", prompts.CLAIM)

@@ -1,6 +1,6 @@
 """The HTTP chat provider's request pool: width, rate limit, retry schedule,
 outage handling, and equality with a serial run. Every request goes to a
-stubbed ``requests.post``; no socket opens."""
+stubbed ``providers._post``; no socket opens."""
 
 import sys
 import threading
@@ -10,7 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
-import requests
 
 from factlens import prompts, providers
 from factlens.annotation import annotate_corpus, save_annotations
@@ -198,7 +197,7 @@ def test_outage_mid_pool_aborts_with_every_answer_cached(stub_post, tmp_path):
         # Slow replies keep requests in flight when the outage starts.
         threading.Event().wait(0.02)
         if down:
-            return requests.exceptions.ConnectionError("refused")
+            return ConnectionRefusedError("refused")
         answer = synthetic_answer(body)
         with lock:
             answered.add(prompt_of(body))

@@ -6,7 +6,6 @@ import re
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -375,7 +374,7 @@ HTTP_REQUESTS = {
 }
 FAILURE_KINDS = {
     "connection-error": (
-        requests.exceptions.ConnectionError("refused"), ProviderUnreachableError, 3
+        ConnectionRefusedError("refused"), ProviderUnreachableError, 3
     ),
     "401": (StubResponse(401, {"error": "bad key"}), ProviderCallError, 1),
     "429": (StubResponse(429, {"error": "slow down"}), ProviderCallError, 3),
@@ -402,7 +401,7 @@ def test_http_embedder_failure_kinds(stub_post, make, send, reply, error, calls)
 
 @pytest.mark.parametrize("make, send", HTTP_REQUESTS.values(), ids=HTTP_REQUESTS)
 def test_http_embedder_last_attempt_decides_unreachable(stub_post, make, send):
-    stub_post(requests.exceptions.ConnectionError("refused"), StubResponse(503, {}))
+    stub_post(ConnectionRefusedError("refused"), StubResponse(503, {}))
     provider = make()
     with pytest.raises(ProviderCallError, match="HTTP 503"):
         send(provider)
@@ -441,7 +440,7 @@ def test_http_embedder_retry_delays_follow_the_request(stub_post, monkeypatch):
 
 
 def test_unreachable_embedder_aborts_embed_annotations(stub_post):
-    stub_post(requests.exceptions.ConnectionError("refused"))
+    stub_post(ConnectionRefusedError("refused"))
     annotations = {
         "a1": Annotation("a1", claim=("alpha",), what=(), why=()),
         "a2": Annotation("a2", claim=("beta",), what=(), why=()),
@@ -453,7 +452,7 @@ def test_unreachable_embedder_aborts_embed_annotations(stub_post):
 
 
 def test_unreachable_embedder_aborts_run_all_after_annotations(stub_post, monkeypatch, tmp_path):
-    stub_post(requests.exceptions.ConnectionError("refused"))
+    stub_post(ConnectionRefusedError("refused"))
     monkeypatch.setattr(providers.time, "sleep", lambda seconds: None)  # no backoff waits
     write_corpus_file(make_articles(12, seed=3), tmp_path / "input.jsonl")
     cfg = RunConfig(
@@ -631,7 +630,7 @@ def test_transport_error_inside_a_split_is_left_to_the_retry_policy(stub_post, m
             return StubResponse(503, {"error": "busy"})
         if len(texts) == 2 and texts not in seen:  # each half drops once
             seen.add(texts)
-            return requests.exceptions.ConnectionError("reset")
+            return ConnectionResetError("reset")
         return StubResponse(200, {"vectors": hashed.embed(texts).tolist()})
 
     monkeypatch.setattr(providers.time, "sleep", lambda seconds: None)
