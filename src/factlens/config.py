@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping
+from urllib.parse import urlsplit
 
 ENV_PREFIX = "FACTLENS_"
 API_KEY_ENV = "FACTLENS_API_KEY"
@@ -39,6 +40,17 @@ class ConfigError(Exception):
 MAX_WINDOW_DAYS = (dt.date.max - dt.date.min).days
 MAX_BOOTSTRAP_RESAMPLES = 10**7
 MAX_EMBEDDING_DIM = 2**16
+
+
+def http_url(url: str) -> bool:
+    """True when url is an http:// or https:// URL naming a host (and, if
+    it has one, a valid port): the only endpoints a live provider sends to."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError for a port that is not a number in range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 @dataclass(frozen=True)
@@ -151,6 +163,9 @@ class RunConfig:
             raise ConfigError("provider_fixtures_dir: required when provider_kind = fixtures")
         if self.embedding_kind == "http" and not self.embedding_endpoint:
             raise ConfigError("embedding_endpoint: required when embedding_kind = http")
+        for key in ("provider_endpoint", "embedding_endpoint"):
+            if getattr(self, key) and not http_url(getattr(self, key)):
+                raise ConfigError(f"{key}: must be an http:// or https:// URL")
 
     @property
     def analysis(self) -> AnalysisConfig:

@@ -33,7 +33,7 @@ from typing import Any, Callable, Protocol, Sequence
 import numpy as np
 
 from . import prompts
-from .config import ProviderConfig
+from .config import ProviderConfig, http_url
 from .report import DECODE_ERRORS, encodable, reading, write_output
 from .seeds import derive_seed
 
@@ -124,8 +124,9 @@ class _HttpClient:
 
     def __init__(self, endpoint: str, max_retries: int, retry_base_seconds: float,
                  seed: int, min_interval: float = 0.0):
-        if not endpoint:
-            raise ValueError(f"HTTP {self._kind} provider needs an endpoint")
+        if not http_url(endpoint):
+            raise ValueError(f"HTTP {self._kind} provider needs an http:// or https:// "
+                             f"endpoint, got {endpoint!r}")
         self.endpoint = endpoint
         self.max_retries = max_retries
         self.retry_base_seconds = retry_base_seconds

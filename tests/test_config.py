@@ -11,7 +11,7 @@ from factlens.config import (
     load_config,
     serialize_config,
 )
-from factlens.providers import ProviderConfig
+from factlens.providers import HttpChatProvider, HttpEmbeddingProvider, ProviderConfig
 
 
 def test_empty_file_gives_reference_defaults(tmp_path):
@@ -101,6 +101,39 @@ def test_http_kinds_require_endpoints(tmp_path):
     path.write_text("provider_kind = fixtures\n")
     with pytest.raises(ConfigError, match="provider_fixtures_dir"):
         load_config(path, env={})
+
+
+NOT_HTTP_URLS = {
+    "no-scheme": "localhost:8080/chat",
+    "file": "file:///etc/passwd",
+    "ftp": "ftp://example.org/chat",
+    "no-host": "http:///chat",
+    "bad-port": "http://localhost:99999/chat",
+}
+
+
+@pytest.mark.parametrize("url", NOT_HTTP_URLS.values(), ids=NOT_HTTP_URLS.keys())
+@pytest.mark.parametrize("key, kind", [("provider_endpoint", "provider_kind"),
+                                       ("embedding_endpoint", "embedding_kind")])
+def test_endpoint_that_is_not_an_http_url_is_rejected(url, key, kind):
+    message = f"^{key}: must be an http:// or https:// URL$"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**{kind: "http", key: url})
+    with pytest.raises(ConfigError, match=message):  # checked whatever the kind
+        RunConfig(**{key: url})
+    with pytest.raises(ValueError, match="needs an http:// or https:// endpoint"):
+        if key == "provider_endpoint":
+            HttpChatProvider(ProviderConfig(endpoint=url))
+        else:
+            HttpEmbeddingProvider(url, dim=4)
+
+
+def test_http_and_https_endpoints_are_accepted():
+    for url in ("http://127.0.0.1:8080/chat", "https://api.example.org/v1/chat", "HTTP://[::1]/"):
+        cfg = RunConfig(provider_kind="http", provider_endpoint=url,
+                        embedding_kind="http", embedding_endpoint=url)
+        HttpChatProvider(cfg.provider_config())
+        HttpEmbeddingProvider(cfg.embedding_endpoint, dim=4)
 
 
 def test_analysis_config_validation_direct():
