@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping
@@ -44,7 +45,11 @@ MAX_EMBEDDING_DIM = 2**16
 
 def http_url(url: str) -> bool:
     """True when url is an http:// or https:// URL naming a host (and, if
-    it has one, a valid port): the only endpoints a live provider sends to."""
+    it has one, a valid port): the only endpoints a live provider sends to.
+    It must be printable ASCII without spaces, as it goes on the wire
+    unquoted."""
+    if not re.fullmatch(r"[!-~]+", url):
+        return False
     try:
         parts = urlsplit(url)
         parts.port  # raises ValueError for a port that is not a number in range

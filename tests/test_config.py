@@ -109,6 +109,9 @@ NOT_HTTP_URLS = {
     "ftp": "ftp://example.org/chat",
     "no-host": "http:///chat",
     "bad-port": "http://localhost:99999/chat",
+    "space": "http://localhost:8080/my chat",
+    "non-ascii": "http://localhost:8080/caf\u00e9",
+    "control-character": "http://localhost:8080/chat\x01",
 }
 
 
