@@ -90,7 +90,7 @@ def send(provider):
     return provider.embed(["a text"]).tolist()
 
 
-OK = {  # a 200 body holding text outside ASCII, and what the provider returns
+OK = {  # a 200 body (chat's holds text outside ASCII) and what the provider returns
     "chat": (json.dumps({"choices": [{"message": {"content": "café ✓"}}]}, ensure_ascii=False),
              "café ✓"),
     "embed": (json.dumps({"vectors": [[0.6, 0.8]]}), [[0.6, 0.8]]),
