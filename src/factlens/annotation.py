@@ -33,7 +33,7 @@ logger = logging.getLogger(__name__)
 SENTENCE_TAGS = ("claim", "what", "why")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     article_id: str
     claim: tuple[str, ...] = ()

@@ -31,7 +31,7 @@ logger = logging.getLogger(__name__)
 _BATCH_SIZE = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TagEmbedding:
     article_id: str
     tag: str

@@ -12,6 +12,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import corpus as corpus_mod
 from . import entities as ent_mod
@@ -129,21 +130,42 @@ def similarity(
     embeddings: dict[tuple[str, str], TagEmbedding],
     pairs: list[tuple[str, str]],
     tags: tuple[str, ...] = SENTENCE_TAGS,
-) -> list[SimilarityResult]:
-    """Windowed max similarity per org pair and tag, pair-major."""
+) -> Iterator[SimilarityResult]:
+    """Windowed max similarity per org pair and tag, pair-major, computed
+    as the iterator is consumed.
+
+    The per-(org, tag) vectors are built now; the iterator holds them, not
+    corpus or embeddings, and drops them when it is exhausted.
+    """
     vectors = {
         (org, tag): org_vectors(corpus, embeddings, org, tag)
         for org in sorted({org for pair in pairs for org in pair})
         for tag in tags
     }
-    return [
+    analysis = cfg.analysis
+    return (
         windowed_max_similarity(
             vectors[org_x, tag], vectors[org_y, tag],
-            cfg.analysis, org_x=org_x, org_y=org_y, tag=tag,
+            analysis, org_x=org_x, org_y=org_y, tag=tag,
         )
         for org_x, org_y in pairs
         for tag in tags
-    ]
+    )
+
+
+def _export_similarity(results: Iterable[SimilarityResult], out: Path) -> int:
+    """Each result's JSON written as it arrives, then similarity.csv; returns
+    the number of results. No result outlives its turn of the loop."""
+    rows = []
+    for res in results:
+        payload = res.to_json_dict()
+        report.export_table(
+            [payload], "json",
+            out / "similarity" / f"{_escaped(res.org_x)}-{_escaped(res.org_y)}-{res.tag}.json",
+        )
+        rows.append({key: payload[key] for key in SIMILARITY_COLUMNS})
+    report.export_table(rows, "csv", out / "similarity.csv", SIMILARITY_COLUMNS)
+    return len(rows)
 
 
 def entity_overlap(
@@ -230,24 +252,20 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
         corpus = corpus_mod.load_store(store)
         logger.info("loaded %d articles from store", len(corpus))
 
+    # Each stage's inputs are dropped after their last reader.
     annotations = annotate(cfg, corpus, store)
     embeddings = embed(cfg, annotations, store)
     aliases = load_alias_map(cfg)
-    pairs = _org_pairs(corpus)
-
-    sim_rows = []
-    for res in similarity(cfg, corpus, embeddings, pairs):
-        payload = res.to_json_dict()
-        report.export_table(
-            [payload], "json",
-            out / "similarity" / f"{_escaped(res.org_x)}-{_escaped(res.org_y)}-{res.tag}.json",
-        )
-        sim_rows.append({key: payload[key] for key in SIMILARITY_COLUMNS})
-    report.export_table(sim_rows, "csv", out / "similarity.csv", SIMILARITY_COLUMNS)
-
     mentions = {
         org: ent_mod.org_mentions(corpus, annotations, aliases, org) for org in corpus.orgs()
     }
+    n_annotations = len(annotations)
+    del annotations
+    pairs = _org_pairs(corpus)
+    results = similarity(cfg, corpus, embeddings, pairs)
+    del embeddings
+    n_similarity_results = _export_similarity(results, out)
+
     js_rows = []
     _, overlaps = entity_overlap(cfg, mentions, pairs)
     for payload in overlaps:
@@ -282,8 +300,8 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
     return PipelineSummary(
         n_articles=len(corpus),
         n_rejections=n_rejections,
-        n_annotations=len(annotations),
-        n_similarity_results=len(sim_rows),
+        n_annotations=n_annotations,
+        n_similarity_results=n_similarity_results,
         n_org_reports=len(org_rows),
         out_dir=out,
     )

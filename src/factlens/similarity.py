@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -25,14 +26,14 @@ from .seeds import derive_seed
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatedVector:
     article_id: str
     date: dt.date
     vector: np.ndarray | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchRecord:
     article_id: str
     best_match_id: str | None
@@ -127,8 +128,9 @@ def bootstrap_median_ci(
     rank[order] = np.arange(n)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     medians = np.empty(cfg.bootstrap_resamples, dtype=np.float64)
-    # Chunked fill; the draw sequence is identical to one big call.
-    chunk = 2000
+    # Chunks of about 512 KiB of int64 draws; the draw sequence is identical
+    # to one big call.
+    chunk = max(1, 2**19 // (8 * m))
     half = m // 2
     done = 0
     while done < cfg.bootstrap_resamples:
@@ -143,8 +145,33 @@ def bootstrap_median_ci(
         )
         done += take
     alpha = 1.0 - cfg.confidence_level
-    lo, hi = np.percentile(medians, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
-    return float(lo), float(hi)
+    medians.sort()
+    return (
+        _percentile(medians, 100.0 * alpha / 2.0),
+        _percentile(medians, 100.0 * (1.0 - alpha / 2.0)),
+    )
+
+
+def _percentile(ordered: np.ndarray, percent: float) -> float:
+    """``np.percentile(ordered, percent)`` of a sorted, non-empty sample.
+
+    The same steps as numpy's default (linear) rule: virtual index
+    (n - 1) * percent / 100, clamped to the last value, and its two-sided
+    lerp; so the same float, without the numpy.ma import that
+    np.percentile makes. A sample holding NaN gives NaN, as in numpy.
+    """
+    if math.isnan(ordered[-1]):
+        return float(ordered[-1])
+    index = (ordered.size - 1) * (percent / 100)
+    if index >= ordered.size - 1:  # numpy reads the last value on both sides
+        below = above = -1
+    else:
+        below = math.floor(index)
+        above = below + 1
+    gamma = index - below
+    a, b = float(ordered[below]), float(ordered[above])
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 # X rows per block product; temporaries are _BLOCK_ROWS x (Y rows in the
@@ -236,6 +263,12 @@ def windowed_max_similarity(
     Ties on the maximum resolve to the smallest Y article id. Maxima
     strictly above tau form matched_values; match_rate is their share of
     X articles that have an embedding.
+
+    The medians are ``statistics.median``'s, which takes the same order
+    statistics and the same mean of two as ``np.median`` (without its
+    numpy.ma import). Only where -0.0 and 0.0 meet at the median can the
+    sign bit differ: the stable sort keeps input order, numpy's partition
+    does not. Only median_all can hold a zero; matched values are > tau.
     """
     flags: list[str] = []
     x_present = [x for x in xs if x.vector is not None]
@@ -257,8 +290,8 @@ def windowed_max_similarity(
 
     matched = [s for s in all_maxima if s > cfg.tau]
     match_rate = len(matched) / len(x_present)
-    median_all = float(np.median(all_maxima)) if all_maxima else None
-    median_matched = float(np.median(matched)) if matched else None
+    median_all = statistics.median(all_maxima) if all_maxima else None
+    median_matched = statistics.median(matched) if matched else None
     if not all_maxima:
         flags.append("empty:no_candidates_in_window")
     ci = None

@@ -1,6 +1,7 @@
 """Pipeline stages over the per-org entity view, and run_all's output paths."""
 
 import datetime as dt
+import weakref
 from collections import Counter
 
 import pytest
@@ -10,9 +11,10 @@ from factlens import pipeline, prompts
 from factlens.annotation import annotate_corpus, load_annotations
 from factlens.config import RunConfig, override
 from factlens.corpus import Corpus, write_corpus_file
+from factlens.embedding import embed_annotations
 from factlens.entities import build_alias_map, load_aliases_csv, org_mentions, top_k_entities
 from factlens.polarity import org_polarity
-from factlens.providers import SyntheticChatProvider
+from factlens.providers import HashedEmbeddingProvider, SyntheticChatProvider
 from factlens.synthetic import make_articles, write_alias_csv
 from tests.conftest import chat_reply
 
@@ -42,6 +44,53 @@ def test_run_all_derives_entity_labels_once_per_article(tmp_path, monkeypatch):
     assert summary.n_annotations == summary.n_articles == 120
     assert sum(calls.values()) == summary.n_annotations
     assert set(calls.values()) == {1}
+
+
+class Held(dict):
+    """A dict that can be weakly referenced, to see when it is freed."""
+
+
+def test_run_all_frees_annotations_and_embeddings_before_similarity(tmp_path, monkeypatch):
+    refs = {}
+
+    def keeping(stage):
+        real = getattr(pipeline, stage)
+
+        def kept(*args, **kwargs):
+            out = Held(real(*args, **kwargs))
+            refs[stage] = weakref.ref(out)
+            return out
+
+        monkeypatch.setattr(pipeline, stage, kept)
+
+    keeping("annotate")
+    keeping("embed")
+    alive = []
+    real_windowed = pipeline.windowed_max_similarity
+
+    def windowed(*args, **kwargs):
+        alive.append((refs["annotate"]() is not None, refs["embed"]() is not None))
+        return real_windowed(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "windowed_max_similarity", windowed)
+    cfg = synthetic_cfg(tmp_path, make_articles(60, seed=2))
+    summary = pipeline.run_all(cfg, tmp_path / "store", tmp_path / "out")
+    assert summary.n_annotations == 60 and summary.n_similarity_results == 36
+    assert alive == [(False, False)] * 36
+
+
+def test_similarity_iterator_does_not_hold_the_embeddings(annotated):
+    corpus, annotations, _ = annotated
+    embeddings = Held(embed_annotations(annotations, HashedEmbeddingProvider(dim=16)))
+    pairs = pipeline._org_pairs(corpus)[:2]
+    cfg = override(RunConfig(), bootstrap_resamples=50)
+    expected = list(pipeline.similarity(cfg, corpus, embeddings, pairs))
+    results = pipeline.similarity(cfg, corpus, embeddings, pairs)
+    ref = weakref.ref(embeddings)
+    del embeddings
+    assert ref() is None
+    assert list(results) == expected
+    assert len(expected) == 6
 
 
 @pytest.fixture(scope="module")

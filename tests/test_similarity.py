@@ -205,6 +205,11 @@ def test_block_kernel_matches_naive_oracle(
         expected = []
     got = [(m.article_id, m.best_match_id, m.max_sim) for m in res.per_article]
     assert got == expected  # X input order, exact ids and floats
+    # np.median is the reference; == because only a zero's sign may differ.
+    maxima = [best for _, _, best in expected if best is not None]
+    matched = [best for best in maxima if best > cfg.tau]
+    assert res.median_all == (float(np.median(maxima)) if maxima else None)
+    assert res.median_matched == (float(np.median(matched)) if matched else None)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -246,8 +251,9 @@ def independent_bootstrap(values, resamples, fraction, level, seed):
 
 
 def median_bootstrap_oracle(values, cfg, seed=None):
-    """bootstrap_median_ci as it was written with np.median, kept as the
-    bit-identity reference: the same PCG64 draws in the same chunks."""
+    """bootstrap_median_ci as it was written with np.median and
+    np.percentile, kept as the bit-identity reference: the same PCG64 draws,
+    in chunks of 2,000 rows (the draw sequence does not depend on chunking)."""
     arr = np.asarray(values, dtype=np.float64)
     n = arr.size
     m = max(1, math.ceil(cfg.bootstrap_fraction * n))
@@ -290,6 +296,41 @@ def test_bootstrap_bit_identical_to_median_formulation(values, fraction, resampl
         assert bootstrap_median_ci(shuffled, cfg, seed=seed) == median_bootstrap_oracle(
             shuffled, cfg, seed=seed
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=400),
+    fraction=st.floats(0.001, 1.0),
+    resamples=st.integers(1, 700),
+    level=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bootstrap_bit_identical_on_random_samples(values, fraction, resamples, level, seed):
+    """Random samples, sizes and confidence levels; up to m = 400 draws per
+    resample, so the 512 KiB chunks hold from 163 rows up."""
+    cfg = AnalysisConfig(
+        seed=seed, bootstrap_fraction=fraction, bootstrap_resamples=resamples,
+        confidence_level=level,
+    )
+    assert bootstrap_median_ci(values, cfg) == median_bootstrap_oracle(values, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=50),
+    percent=st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.0, 2.5, 50.0, 97.5, 100.0])),
+)
+def test_percentile_is_numpys_bit_for_bit(values, percent):
+    ordered = np.sort(np.asarray(values, dtype=np.float64) + 0.0)  # no -0.0
+    expected = np.percentile(ordered, percent)
+    assert np.float64(similarity._percentile(ordered, percent)).tobytes() == expected.tobytes()
+
+
+def test_percentile_of_a_sample_holding_nan_is_nan():
+    ordered = np.sort(np.array([0.3, np.nan, 0.1]))
+    assert math.isnan(np.percentile(ordered, 50.0))
+    assert math.isnan(similarity._percentile(ordered, 50.0))
 
 
 def test_bootstrap_constant_data_zero_width():
