@@ -218,19 +218,31 @@ def serialize_corpus(articles: Iterable[Article]) -> str:
 def write_store(
     result: IngestResult, store_dir: str | Path
 ) -> tuple[Path, Path]:
-    """Persist a canonical corpus plus rejection log into a store directory."""
+    """Persist a canonical corpus plus rejection log into a store directory.
+
+    meta.json goes once the new corpus text is written out whole, before
+    that text replaces corpus.jsonl, and is written last. So a write that
+    stops midway leaves either the old store or one without meta.json,
+    which load_store refuses; never the new corpus under the old date
+    range. A write that fails before then leaves the old store as it was.
+    """
     store = Path(store_dir)
-    corpus_path = write_output(store / "corpus.jsonl", serialize_corpus(result.corpus))
-    start, end = result.corpus.date_range
-    write_output(
-        store / "meta.json",
-        json.dumps({"date_from": start.isoformat(), "date_to": end.isoformat()}) + "\n",
-    )
+    meta = store / "meta.json"
+
+    def corpus_text() -> Iterator[str]:
+        yield serialize_corpus(result.corpus)
+        meta.unlink(missing_ok=True)
+
+    corpus_path = write_output(store / "corpus.jsonl", corpus_text())
     rejects_path = write_output(store / "rejections.log", (
         json.dumps({"line": r.line_no, "id": r.article_id, "reason": r.reason},
                    ensure_ascii=False) + "\n"
         for r in result.rejections
     ))
+    start, end = result.corpus.date_range
+    write_output(
+        meta, json.dumps({"date_from": start.isoformat(), "date_to": end.isoformat()}) + "\n"
+    )
     return corpus_path, rejects_path
 
 

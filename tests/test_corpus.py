@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import factlens.corpus as corpus_mod
 from factlens.corpus import (
     KNOWN_ORGS,
     Article,
@@ -213,6 +214,43 @@ def test_failed_store_write_keeps_the_previous_store(tmp_path):
         write_store(IngestResult(Corpus((bad, *result.corpus), RANGE), ()), store)
     assert_unchanged(before, store)
     assert load_store(store) == result.corpus
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stopped_reingest_never_leaves_a_mixed_store(tmp_path, monkeypatch, k, when):
+    """A re-ingest that narrows the range, stopped before or after the k-th
+    file write of write_store: the store loads as the old one or the new
+    one whole, or is refused; never the new corpus under the old range."""
+    lines = [record("a1", date="2018-05-01"), record("a2", date="2019-05-01"),
+             record("a3", date="2021-05-01")]
+    source = write_lines(tmp_path / "c.jsonl", lines)
+    store = tmp_path / "store"
+    old = ingest(source, RANGE)
+    write_store(old, store)
+    new = ingest(source, (dt.date(2019, 1, 1), dt.date(2019, 12, 31)))
+    real, calls = corpus_mod.write_output, []
+
+    def stopping(path, text):
+        calls.append(path)
+        if when == "before" and len(calls) == k:
+            raise KeyboardInterrupt
+        written = real(path, text)
+        if len(calls) == k:
+            raise KeyboardInterrupt
+        return written
+
+    monkeypatch.setattr(corpus_mod, "write_output", stopping)
+    with pytest.raises(KeyboardInterrupt):
+        write_store(new, store)
+    monkeypatch.undo()
+    try:
+        loaded = load_store(store)
+    except CorpusError as exc:
+        assert "has no meta.json" in str(exc)
+    else:
+        assert loaded in (old.corpus, new.corpus)
+        assert (loaded == old.corpus) == (k == 1 and when == "before")
 
 
 def test_by_org_matches_a_scan_of_the_corpus(tmp_path):
