@@ -29,7 +29,7 @@ from factlens.synthetic import make_articles, write_alias_csv
 out = Path("demo_output/05_polarity")
 out.mkdir(parents=True, exist_ok=True)
 
-prec = PrecisionConfig()  # positive 1.0, negative 0.706, neutral 1.0
+prec = PrecisionConfig()  # positive 1.0, negative 0.706
 
 counts = PolarityCounts("ExampleOrg", "Example Person", "overall", 3, 1, 10)
 print(f"counts (pos=3, neg=1, total=10): score={polarity_score(counts)}, "

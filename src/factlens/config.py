@@ -90,10 +90,9 @@ class PrecisionConfig:
 
     positive: float = 1.0
     negative: float = 0.706
-    neutral: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("positive", "negative", "neutral"):
+        for name in ("positive", "negative"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"precision_{name}: must be in [0, 1]")
@@ -126,7 +125,6 @@ class RunConfig:
     seed: int = AnalysisConfig.seed
     precision_positive: float = PrecisionConfig.positive
     precision_negative: float = PrecisionConfig.negative
-    precision_neutral: float = PrecisionConfig.neutral
     top_k_entities: int = 100
     top_k_polarity: int = 5
     min_support: int = 10
@@ -181,9 +179,7 @@ class RunConfig:
 
     @property
     def precisions(self) -> PrecisionConfig:
-        return PrecisionConfig(
-            self.precision_positive, self.precision_negative, self.precision_neutral
-        )
+        return PrecisionConfig(self.precision_positive, self.precision_negative)
 
     def provider_config(self) -> ProviderConfig:
         return ProviderConfig(

@@ -222,13 +222,16 @@ def negativity_ratio(
 
 
 def load_precisions_csv(path: str | Path) -> PrecisionConfig:
-    """Read a 3-column CSV (positive, negative, neutral) with one value row.
-    Any other content is a ValueError naming the file."""
+    """Read a CSV with positive and negative columns and one value row; any
+    other column (a neutral one, say) is ignored. Any other content is a
+    ValueError naming the file."""
     rows = read_csv_records(path)
     with reading(path, "not a valid precision file"):
         if len(rows) != 1:
             raise ValueError(f"expected exactly one precision row, got {len(rows)}")
-        cells = {name: rows[0].get(name) for name in ("positive", "negative", "neutral")}
+        if None in rows[0].values():
+            raise ValueError("the value row is shorter than the header")
+        cells = {name: rows[0].get(name) for name in ("positive", "negative")}
         for name, cell in cells.items():
             if cell is None:
                 raise ValueError(f"precision_{name}: missing")

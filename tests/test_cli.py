@@ -282,8 +282,9 @@ def test_polarity_reports_each_skipped_org(runner, workspace):
 
 
 def test_polarity_precisions_file_sets_the_error_bars(runner, workspace):
-    """--precisions sets the three precision_* settings: each row's delta_ps
-    is the worst-case error under the file's precisions."""
+    """--precisions sets the two precision_* settings (its neutral column is
+    ignored): each row's delta_ps is the worst-case error under the file's
+    precisions."""
     store = workspace / "store"
     invoke(runner, ["ingest", "--input", str(workspace / "input.jsonl"), "--out", str(store)])
     invoke(runner, ["annotate", "--store", str(store), "--cache", str(workspace / "cache")])

@@ -27,7 +27,6 @@ def test_empty_file_gives_reference_defaults(tmp_path):
     assert cfg.top_k_polarity == 5
     assert cfg.precisions.positive == 1.0
     assert cfg.precisions.negative == 0.706
-    assert cfg.precisions.neutral == 1.0
     assert cfg.date_from == dt.date(2018, 1, 1)
     assert cfg.date_to == dt.date(2023, 12, 31)
 
@@ -227,7 +226,6 @@ DEFAULT_LINES = (
     "input_file = ",
     "min_support = 10",
     "precision_negative = 0.706",
-    "precision_neutral = 1.0",
     "precision_positive = 1.0",
     "provider_endpoint = ",
     "provider_fixtures_dir = ",
@@ -258,7 +256,6 @@ SECTION_KEYS = [
     ("seed", "11", "analysis", "seed", 11),
     ("precision_positive", "0.9", "precisions", "positive", 0.9),
     ("precision_negative", "0.5", "precisions", "negative", 0.5),
-    ("precision_neutral", "0.8", "precisions", "neutral", 0.8),
 ]
 
 
@@ -273,6 +270,14 @@ def test_each_section_key_reaches_its_section(tmp_path, source, key, raw, sectio
     cfg = load_config(path, env=env)
     assert getattr(cfg, section) == replace(getattr(RunConfig(), section), **{name: value})
     assert getattr(cfg, key) == value
+
+
+def test_precision_neutral_is_an_unknown_key(tmp_path):
+    """No output reads a neutral precision, so run.cfg has no key for one."""
+    path = tmp_path / "run.cfg"
+    path.write_text("precision_neutral = 1.0\n")
+    with pytest.raises(ConfigError, match=r"unknown config key\(s\): precision_neutral$"):
+        load_config(path, env={})
 
 
 def test_precision_out_of_range_in_run_cfg_names_the_key(tmp_path):

@@ -20,7 +20,7 @@ from factlens.polarity import (
 )
 from tests.conftest import make_article, make_corpus
 
-PREC = PrecisionConfig()  # positive 1.0, negative 0.706, neutral 1.0
+PREC = PrecisionConfig()  # positive 1.0, negative 0.706
 
 
 def counts(n_pos, n_neg, n_total, org="Org", entity="E", period=OVERALL):
@@ -58,7 +58,7 @@ def test_counts_invariant_enforced():
 
 
 def test_max_log_error_perfect_precision_is_zero():
-    perfect = PrecisionConfig(positive=1.0, negative=1.0, neutral=1.0)
+    perfect = PrecisionConfig(positive=1.0, negative=1.0)
     assert max_log_error(counts(5, 3, 20), perfect) == 0.0
 
 
@@ -253,7 +253,20 @@ def test_precision_csv_loader(tmp_path):
     path = tmp_path / "prec.csv"
     path.write_text("positive,negative,neutral\n1.0,0.706,1.0\n", encoding="utf-8")
     prec = load_precisions_csv(path)
-    assert prec == PrecisionConfig(1.0, 0.706, 1.0)
+    assert prec == PrecisionConfig(1.0, 0.706)
+    path.write_text("negative,positive\n0.5,0.9\n", encoding="utf-8")
+    assert load_precisions_csv(path) == PrecisionConfig(0.9, 0.5)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("positive,neutral\n1.0,1.0\n", "precision_negative: missing"),
+    ("positive,negative,neutral\n0.9,1\n", "shorter than the header"),
+])
+def test_precision_csv_loader_rejects_a_missing_cell(tmp_path, text, message):
+    path = tmp_path / "prec.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}: not a valid precision file.*{message}"):
+        load_precisions_csv(path)
 
 
 def test_precision_validation():
