@@ -142,11 +142,10 @@ def similarity(
         for org in sorted({org for pair in pairs for org in pair})
         for tag in tags
     }
-    analysis = cfg.analysis
     return (
         windowed_max_similarity(
             vectors[org_x, tag], vectors[org_y, tag],
-            analysis, org_x=org_x, org_y=org_y, tag=tag,
+            cfg.analysis, org_x=org_x, org_y=org_y, tag=tag,
         )
         for org_x, org_y in pairs
         for tag in tags
