@@ -191,47 +191,39 @@ PASSES: dict[str, tuple[Callable[[str], parsing.ParsedTag], tuple[str, ...], str
 }
 
 
-def _field_values(fields: tuple[str, ...], value: Any) -> dict[str, Any]:
-    return {fields[0]: value} if len(fields) == 1 else {f: value[f] for f in fields}
-
-
-def _parse_pass(
-    article: Article, template_id: str, raw: str | ProviderCallError
-) -> parsing.ParsedTag:
-    """One pass's parsed value. A failed call or parse is recorded, not
-    raised; each sentence not found in the body is flagged <tag>:not_verbatim."""
-    parser, fields, name = PASSES[template_id]
-    if isinstance(raw, ProviderCallError):
-        logger.warning("%s call failed for %s: %s", name, article.id, raw)
-        return parsing.ParsedTag(failed=True, flags=[f"{template_id}:provider_error"])
-    parsed = parser(raw)
-    if not parsed.failed and not encodable((parsed.value, parsed.flags), raw):
-        parsed = parsing.ParsedTag(failed=True, flags=[f"{template_id}:unparseable"])
-    if parsed.failed:
-        logger.warning("unparseable %s response for %s: %r", name, article.id, raw[:200])
-        return parsed
-    for tag, value in _field_values(fields, parsed.value).items():
-        if tag in SENTENCE_TAGS:
-            parsed.flags.extend(_verbatim_flags(value, article.body, tag))
-    return parsed
-
-
 def _annotation(
     article: Article, raws: Iterable[tuple[str, str | ProviderCallError]]
 ) -> Annotation:
-    """The article's Annotation from each pass's raw response, in pass order."""
+    """The article's Annotation from each pass's raw response, in pass order.
+
+    A pass is a provider error, unparseable (its value cannot be parsed or
+    holds an unpaired surrogate), or its fields' values; these are recorded,
+    not raised. Each sentence not found in the body is flagged
+    <tag>:not_verbatim."""
     values: dict[str, Any] = {}
     failed: list[str] = []
     flags: list[str] = []
     for template_id, raw in raws:
-        fields = PASSES[template_id][1]
-        parsed = _parse_pass(article, template_id, raw)
-        flags.extend(parsed.flags)
-        if parsed.failed:
+        parser, fields, name = PASSES[template_id]
+        if isinstance(raw, ProviderCallError):
+            logger.warning("%s call failed for %s: %s", name, article.id, raw)
+            flags.append(f"{template_id}:provider_error")
             failed.extend(fields)
             continue
-        for tag, value in _field_values(fields, parsed.value).items():
-            values[tag] = tuple(value) if tag in SENTENCE_TAGS else value
+        parsed = parser(raw)
+        if not parsed.failed and not encodable((parsed.value, parsed.flags), raw):
+            parsed = parsing.ParsedTag(failed=True, flags=[f"{template_id}:unparseable"])
+        flags.extend(parsed.flags)
+        if parsed.failed:
+            logger.warning("unparseable %s response for %s: %r", name, article.id, raw[:200])
+            failed.extend(fields)
+            continue
+        for tag in fields:
+            value = parsed.value if len(fields) == 1 else parsed.value[tag]
+            if tag in SENTENCE_TAGS:
+                value = tuple(value)
+                flags.extend(_verbatim_flags(value, article.body, tag))
+            values[tag] = value
     return Annotation(
         article_id=article.id, failed_tags=tuple(failed), flags=tuple(flags), **values
     )

@@ -285,9 +285,8 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
         for res in org_results
     ]
     chart_rows = [
-        {"org": res.org, "entity": r.counts.entity, "ps": r.ps, "delta_ps": r.delta_ps}
-        for res in org_results
-        for r in res.entities[: cfg.top_k_polarity]
+        row for res in org_results
+        for row in pol_mod.polarity_rows(res.entities[: cfg.top_k_polarity])
     ]
     report.export_table(pol_rows, "csv", out / "polarity.csv", POLARITY_COLUMNS)
     report.export_table(pol_rows, "json", out / "polarity.json")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from fractions import Fraction
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -241,19 +241,6 @@ def load_precisions_csv(path: str | Path) -> PrecisionConfig:
 def polarity_rows(
     results: Iterable[PolarityResult],
 ) -> list[dict]:
-    """Flatten results into export-ready rows."""
-    rows = []
-    for r in results:
-        rows.append(
-            {
-                "org": r.counts.org,
-                "entity": r.counts.entity,
-                "period": r.counts.period,
-                "n_pos": r.counts.n_pos,
-                "n_neg": r.counts.n_neg,
-                "n_total": r.counts.n_total,
-                "ps": r.ps,
-                "delta_ps": r.delta_ps,
-            }
-        )
-    return rows
+    """Flatten results into export-ready rows: the counts' fields, then ps
+    and delta_ps."""
+    return [{**asdict(r.counts), "ps": r.ps, "delta_ps": r.delta_ps} for r in results]

@@ -270,29 +270,20 @@ def windowed_max_similarity(
     sign bit differ: the stable sort keeps input order, numpy's partition
     does not. Only median_all can hold a zero; matched values are > tau.
     """
-    flags: list[str] = []
     x_present = [x for x in xs if x.vector is not None]
     y_present = sorted(
         (y for y in ys if y.vector is not None), key=lambda y: (y.date, y.article_id)
     )
-    if not x_present or not y_present:
+    flags: list[str] = []
+    if x_present and y_present:
+        maxima = _window_maxima(x_present, y_present, cfg.window_days)
+    else:
+        maxima = []
         flags.append("empty:no_embedded_articles")
-        return SimilarityResult(
-            org_x, org_y, tag, cfg.window_days, cfg.tau,
-            per_article=(), matched_values=(), median_matched=None,
-            median_all=None, ci=None, match_rate=0.0,
-            n_embedded=len(x_present), flags=tuple(flags),
-        )
-
-    maxima = _window_maxima(x_present, y_present, cfg.window_days)
     records = [MatchRecord(x.article_id, *best) for x, best in zip(x_present, maxima)]
     all_maxima = [m.max_sim for m in records if m.max_sim is not None]
-
     matched = [s for s in all_maxima if s > cfg.tau]
-    match_rate = len(matched) / len(x_present)
-    median_all = statistics.median(all_maxima) if all_maxima else None
-    median_matched = statistics.median(matched) if matched else None
-    if not all_maxima:
+    if not all_maxima and not flags:
         flags.append("empty:no_candidates_in_window")
     ci = None
     if matched:
@@ -307,10 +298,10 @@ def windowed_max_similarity(
         tau=cfg.tau,
         per_article=tuple(records),
         matched_values=tuple(matched),
-        median_matched=median_matched,
-        median_all=median_all,
+        median_matched=statistics.median(matched) if matched else None,
+        median_all=statistics.median(all_maxima) if all_maxima else None,
         ci=ci,
-        match_rate=match_rate,
+        match_rate=len(matched) / len(x_present) if x_present else 0.0,
         n_embedded=len(x_present),
         flags=tuple(flags),
     )
