@@ -42,11 +42,18 @@ def _y_for(ps: float) -> float:
     return MARGIN_TOP + (1.0 - ps) / 2.0 * PLOT_H
 
 
+# The characters that XML 1.0 allows nowhere in a document, but UTF-8 can
+# encode: unpaired surrogates are left for the writer to refuse.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
 def _esc(text: str) -> str:
-    return (
+    """text as SVG character data: markup escaped, each character XML 1.0
+    forbids replaced by U+FFFD."""
+    return _NOT_XML.sub("\ufffd", (
         text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         .replace('"', "&quot;")
-    )
+    ))
 
 
 def check_chart_rows(rows: Sequence[dict]) -> None:
@@ -171,17 +178,23 @@ def _cell_to_text(value) -> str:
 
 
 def export_csv(rows: Sequence[dict], columns: Sequence[str] | None = None) -> str:
-    """Rows as CSV text; floats fixed at 4 decimals, None as empty."""
+    """Rows as CSV text, each line ended by "\n"; floats fixed at 4 decimals,
+    None as empty. A cell holding "\n" or "\r" is quoted."""
     if columns is None:
         if not rows:
             raise ValueError("columns are required when exporting zero rows")
         columns = list(rows[0].keys())
+    # A writer quotes a cell holding a character of its line terminator, so
+    # each line is written ending in "\r\n" and then given its "\n".
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell_to_text(row.get(c)) for c in columns])
-    return buf.getvalue()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    lines = []
+    for cells in (columns, *([_cell_to_text(row.get(c)) for c in columns] for row in rows)):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(cells)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def parse_csv(text: str) -> list[dict]:
@@ -343,7 +356,8 @@ def read_table(path: str | Path) -> list[dict]:
     nested at most _MAX_NESTING deep) when the name ends in .json, else
     CSV. Any other content is a ValueError naming the file."""
     with reading(path, "not a table"):
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:  # a quoted "\r" stays
+            text = fh.read()
         data = parse_json(text) if str(path).endswith(".json") else parse_csv(text)
         if not encodable(data, text):
             raise ValueError("a string holds an unpaired surrogate")

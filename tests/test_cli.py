@@ -639,3 +639,16 @@ def test_report_title_that_cannot_be_written_leaves_the_old_chart(runner, tmp_pa
     assert result.stderr.startswith(f"Error: {out}: cannot write (UnicodeEncodeError: ")
     assert out.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chart.svg", "pol.csv"]
+
+
+def test_report_csv_round_trip_keeps_line_ends_inside_cells(runner, tmp_path):
+    """export -> parse -> export is byte-identical when a cell holds a bare
+    "\r", a "\r\n" or a "\n"."""
+    rows = [
+        {"org": "Poli\rFact", "entity": "a\r\nb", "ps": 0.5, "delta_ps": 0.1},
+        {"org": "x\ny", "entity": 'q"uo,te', "ps": -0.25, "delta_ps": 0.0},
+    ]
+    first = export_table(rows, "csv", tmp_path / "first.csv")
+    invoke(runner, ["report", "--inputs", str(first), "--format", "csv",
+                    "--out", str(tmp_path / "second.csv")])
+    assert (tmp_path / "second.csv").read_bytes() == first.read_bytes()

@@ -1,8 +1,12 @@
 """Pipeline stages over the per-org entity view, and run_all's output paths."""
 
+import csv
 import datetime as dt
+import json
 import weakref
 from collections import Counter
+from dataclasses import replace
+from xml.etree import ElementTree
 
 import pytest
 
@@ -207,3 +211,28 @@ def test_run_all_completes_when_one_response_holds_an_unpaired_surrogate(tmp_pat
     assert failed == {poisoned.id: ("claim",)}
     assert len(list((tmp_path / "cache").glob("*.json"))) == 3 * 12 - 1
     assert (tmp_path / "out" / "charts" / "polarity.svg").exists()
+
+
+def test_every_output_parses_whatever_the_org_names(tmp_path):
+    """Names holding a carriage return, a control character XML forbids, a
+    comma and a quote: every CSV reads back at its header's width, every
+    JSON loads and the chart parses."""
+    names = {"PolitiFact": "Poli\rFact", "Snopes": "Sno\x01pes", "AltNews": 'Alt, "News"'}
+    articles = [replace(a, org=names.get(a.org, a.org)) for a in make_articles(300, seed=1)]
+    out = tmp_path / "out"
+    pipeline.run_all(synthetic_cfg(tmp_path, articles), tmp_path / "store", out)
+    read = Counter()
+    for path in sorted(out.rglob("*")):
+        if path.suffix == ".csv":
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and {len(row) for row in rows} == {len(header)}, path.name
+            if "org" in header or "org_x" in header:
+                column = header.index("org" if "org" in header else "org_x")
+                assert set(names.values()) <= {row[column] for row in rows}, path.name
+        elif path.suffix == ".json":
+            json.loads(path.read_text(encoding="utf-8"))
+        elif path.suffix == ".svg":
+            ElementTree.parse(path)
+        read[path.suffix] += 1
+    assert read[".csv"] == 4 and read[".svg"] == 1 and read[".json"] == 1 + 12 + 12 * 3

@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 import os
 import re
 import stat
 import threading
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +84,13 @@ def test_chart_rejects_a_row_that_is_not_a_polarity_row(row):
         render_polarity_chart([rows_fixture()[0], row])
 
 
+def test_chart_replaces_characters_xml_forbids():
+    rows = [{"org": "A\x01B", "entity": "E\x0b\ufffe", "ps": 0.5, "delta_ps": 0.1}]
+    svg = render_polarity_chart(rows, title="T\x1f & <x>\t")
+    texts = [el.text for el in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert {"A\ufffdB", "E\ufffd\ufffd", "T\ufffd & <x>\t"} <= set(texts)
+
+
 def test_chart_has_one_bar_and_error_bar_per_row():
     svg = render_polarity_chart(rows_fixture())
     # 1 background + 3 bars + 2 legend swatches; error bars add 3 lines each.
@@ -96,6 +106,17 @@ def test_csv_round_trip_bytes():
     second = export_csv(reparsed, columns)
     assert first == second
     assert first.splitlines()[1] == "Snopes,Donald Trump,-0.6100,0.0294"
+
+
+def test_csv_quotes_a_cell_holding_a_line_end():
+    columns = ("org", "entity", "ps")
+    rows = [{"org": "Poli\rFact", "entity": "a\r\nb", "ps": 0.5}, {"org": "x\ny", "entity": ""}]
+    text = export_csv(rows, columns)
+    assert text == 'org,entity,ps\n"Poli\rFact","a\r\nb",0.5000\n"x\ny",,\n'
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        list(columns), ["Poli\rFact", "a\r\nb", "0.5000"], ["x\ny", "", ""],
+    ]
+    assert export_csv(parse_csv(text), columns) == text
 
 
 def test_csv_zero_rows_header_only():
