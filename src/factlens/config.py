@@ -208,11 +208,23 @@ def override(cfg: RunConfig, **values: object) -> RunConfig:
     return replace(cfg, **values)
 
 
+_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(text: str) -> dt.date:
+    """The date written YYYY-MM-DD in text, exactly four, two and two ASCII
+    digits; anything else is a ValueError. So one rule holds on every Python:
+    from 3.11 on, date.fromisoformat alone also reads 20200601 and 2020-W23-1."""
+    if not _DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _parse_value(key: str, raw: str) -> object:
     """raw as the type of key's default."""
     kind = type(DEFAULTS[key])
     try:
-        return dt.date.fromisoformat(raw) if kind is dt.date else kind(raw)
+        return parse_date(raw) if kind is dt.date else kind(raw)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from None
 

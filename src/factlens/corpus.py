@@ -17,6 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .config import parse_date
 from .report import encodable, reading, write_output
 
 logger = logging.getLogger(__name__)
@@ -103,7 +104,7 @@ def _parse_record(raw: dict, date_range: tuple[dt.date, dt.date], line: str) -> 
     if not raw["body"].strip():
         raise ValueError("empty body")
     try:
-        published = dt.date.fromisoformat(raw["published_at"])
+        published = parse_date(raw["published_at"])
     except (TypeError, ValueError):
         raise ValueError(f"invalid date {raw['published_at']!r}") from None
     start, end = date_range
@@ -254,7 +255,7 @@ def load_store(store_dir: str | Path) -> Corpus:
         raise CorpusError(f"store {store} has no meta.json (run ingest first)")
     with reading(meta_path, "not a valid store meta file", error=CorpusError):
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        start, end = (dt.date.fromisoformat(meta[key]) for key in ("date_from", "date_to"))
+        start, end = (parse_date(meta[key]) for key in ("date_from", "date_to"))
         if start > end:
             raise ValueError(f"date_from {start} is after date_to {end}")
     result = ingest(store / "corpus.jsonl", (start, end))

@@ -157,6 +157,20 @@ def test_date_order_validated(tmp_path):
         load_config(path, env={})
 
 
+# From Python 3.11 on, date.fromisoformat alone reads these too.
+NOT_YYYY_MM_DD = ["20180101", "2018-W01-1", "2018-001", "2018-1-01"]
+
+
+@pytest.mark.parametrize("raw", NOT_YYYY_MM_DD)
+def test_a_date_not_written_yyyy_mm_dd_is_a_config_error(tmp_path, raw):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"date_from = {raw}\n")
+    with pytest.raises(ConfigError, match=f"^date_from: cannot parse '{raw}' as date$"):
+        load_config(path, env={})
+    with pytest.raises(ConfigError, match=f"^date_to: cannot parse '{raw}' as date$"):
+        load_config(None, env={"FACTLENS_DATE_TO": raw})
+
+
 @pytest.mark.parametrize(
     "line, key",
     [

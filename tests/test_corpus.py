@@ -116,6 +116,15 @@ def test_ingest_rejects_malformed(tmp_path, bad_line, reason_part):
     assert reason_part in result.rejections[0].reason
 
 
+@pytest.mark.parametrize("date", ["20200601", "2020-W23-1", "2020-153", "2020-6-01", "2020-06-1"])
+def test_a_date_not_written_yyyy_mm_dd_is_a_rejection(tmp_path, date):
+    """One rule on every Python: from 3.11 on, date.fromisoformat alone
+    reads the basic and week forms too."""
+    result = ingest(write_lines(tmp_path / "c.jsonl", [record("ok"), record("x", date=date)]), RANGE)
+    assert [a.id for a in result.corpus] == ["ok"]
+    assert [r.reason for r in result.rejections] == [f"invalid date {date!r}"]
+
+
 def test_duplicate_id_first_wins(tmp_path):
     lines = [record("dup", body="first body"), record("dup", body="second body")]
     result = ingest(write_lines(tmp_path / "c.jsonl", lines), RANGE)
@@ -290,6 +299,16 @@ def test_damaged_meta_json_names_itself(tmp_path, meta):
         meta_path.write_bytes(meta)
     else:
         meta_path.write_text(meta, encoding="utf-8")
+    with pytest.raises(CorpusError, match="meta.json: not a valid store meta file"):
+        load_store(tmp_path / "s")
+
+
+@pytest.mark.parametrize("date", ["20180101", "2018-W01-1"])
+def test_a_meta_date_not_written_yyyy_mm_dd_names_the_file(tmp_path, date):
+    write_store(ingest(write_lines(tmp_path / "c.jsonl", [record("a1")]), RANGE), tmp_path / "s")
+    (tmp_path / "s" / "meta.json").write_text(
+        json.dumps({"date_from": date, "date_to": "2023-12-31"}), encoding="utf-8"
+    )
     with pytest.raises(CorpusError, match="meta.json: not a valid store meta file"):
         load_store(tmp_path / "s")
 
