@@ -195,7 +195,8 @@ def org_counts(corpus: Corpus, by_year: bool = False) -> dict:
 
 
 def canonical_record(article: Article) -> str:
-    """Canonical single-line JSON form of one article."""
+    """Canonical single-line JSON form of one article; ingest of these lines
+    is a fixed point."""
     return json.dumps(
         {
             "id": article.id,
@@ -209,11 +210,6 @@ def canonical_record(article: Article) -> str:
         ensure_ascii=False,
         separators=(",", ":"),
     )
-
-
-def serialize_corpus(articles: Iterable[Article]) -> str:
-    """Canonical JSON-lines re-serialization; ingest of this text is a fixed point."""
-    return "".join(canonical_record(a) + "\n" for a in articles)
 
 
 def write_store(
@@ -230,11 +226,12 @@ def write_store(
     store = Path(store_dir)
     meta = store / "meta.json"
 
-    def corpus_text() -> Iterator[str]:
-        yield serialize_corpus(result.corpus)
+    def corpus_lines() -> Iterator[str]:
+        for article in result.corpus:
+            yield canonical_record(article) + "\n"
         meta.unlink(missing_ok=True)
 
-    corpus_path = write_output(store / "corpus.jsonl", corpus_text())
+    corpus_path = write_output(store / "corpus.jsonl", corpus_lines())
     rejects_path = write_output(store / "rejections.log", (
         json.dumps({"line": r.line_no, "id": r.article_id, "reason": r.reason},
                    ensure_ascii=False) + "\n"
@@ -270,4 +267,4 @@ def load_store(store_dir: str | Path) -> Corpus:
 
 def write_corpus_file(articles: Iterable[Article], path: str | Path) -> None:
     """Write articles as a JSON-lines corpus file (input format of ingest)."""
-    write_output(path, serialize_corpus(articles))
+    write_output(path, (canonical_record(a) + "\n" for a in articles))

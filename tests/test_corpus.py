@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,12 +12,14 @@ from factlens.corpus import (
     Corpus,
     CorpusError,
     IngestResult,
+    canonical_record,
     ingest,
     load_store,
     org_counts,
-    serialize_corpus,
+    write_corpus_file,
     write_store,
 )
+from factlens.synthetic import make_articles
 from tests.conftest import assert_unchanged
 
 RANGE = (dt.date(2018, 1, 1), dt.date(2023, 12, 31))
@@ -150,7 +153,7 @@ def test_ingest_idempotent_on_canonical_form(tmp_path):
     lines = [record(f"a{i}", date=f"2020-0{1 + i % 9}-15") for i in range(20)]
     first = ingest(write_lines(tmp_path / "c.jsonl", lines), RANGE)
     canon = tmp_path / "canon.jsonl"
-    canon.write_text(serialize_corpus(first.corpus), encoding="utf-8")
+    write_corpus_file(first.corpus, canon)
     second = ingest(canon, RANGE)
     assert second.corpus == first.corpus
     assert second.rejections == ()
@@ -311,6 +314,21 @@ def test_a_meta_date_not_written_yyyy_mm_dd_names_the_file(tmp_path, date):
     )
     with pytest.raises(CorpusError, match="meta.json: not a valid store meta file"):
         load_store(tmp_path / "s")
+
+
+def test_write_store_streams_the_corpus(tmp_path):
+    """The store's corpus goes out one line at a time, never as one string."""
+    articles = make_articles(2000, seed=1)
+    corpus = Corpus(tuple(sorted(articles, key=lambda a: (a.published_at, a.id))), RANGE)
+    text_length = sum(len(canonical_record(a)) + 1 for a in corpus)
+    tracemalloc.start()
+    try:
+        write_store(IngestResult(corpus, ()), tmp_path / "store")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < text_length / 4, (peak, text_length)
+    assert load_store(tmp_path / "store") == corpus
 
 
 @pytest.mark.parametrize("field", ["id", "org", "country", "title", "body", "url"])
