@@ -390,18 +390,6 @@ def test_truncated_store_file_is_clean_error(runner, built_store, tmp_path, dama
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("date", ["20180101", "2018-W01-1"])
-def test_meta_date_not_written_yyyy_mm_dd_is_an_error_line(runner, built_store, tmp_path, date):
-    store = tmp_path / "store"
-    shutil.copytree(built_store, store)
-    (store / "meta.json").write_text(json.dumps({"date_from": date, "date_to": "2023-12-31"}))
-    result = runner.invoke(main, ["polarity", "--store", str(store), "--out",
-                                  str(tmp_path / "out.csv")], catch_exceptions=False)
-    assert result.exit_code == 1, result.output
-    assert result.stderr.startswith(f"Error: {store / 'meta.json'}: not a valid store meta file")
-    assert not (tmp_path / "out.csv").exists()
-
-
 def write(path, data):
     """data (text as UTF-8, or bytes) written to path; returns the path as str."""
     path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
