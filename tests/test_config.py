@@ -157,7 +157,7 @@ def test_date_order_validated(tmp_path):
         load_config(path, env={})
 
 
-# From Python 3.11 on, date.fromisoformat alone reads these too.
+# date.fromisoformat reads the first two from Python 3.11 on.
 NOT_YYYY_MM_DD = ["20180101", "2018-W01-1", "2018-001", "2018-1-01"]
 
 

@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from click.testing import CliRunner
@@ -134,10 +134,7 @@ def test_entity_overlap_is_that_of_the_planted_mentions(run_3000):
         dated[article.org].append((article.published_at, pool_mentions(article)))
 
     def top_k(org):
-        counts = defaultdict(int)
-        for _, names in dated[org]:
-            for name in names:
-                counts[name] += 1
+        counts = Counter(name for _, names in dated[org] for name in names)
         return {name for name, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]}
 
     overlaps = sorted((out / "entities").glob("*.json"))
