@@ -91,7 +91,7 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return min(1.0, max(-1.0, float(np.dot(u, v))))
 
 
-_Group = tuple[str, str, list[str]]  # (article id, tag, its sentences)
+_Group = tuple[list[tuple[str, str]], tuple[str, ...]]  # (article, tag) rows, their sentences
 
 
 def _embed_groups(
@@ -101,15 +101,16 @@ def _embed_groups(
     retries: int | None = None,
 ) -> None:
     """Embed the groups' sentences in one request and pool each group from
-    its own rows. A failed request is split in half until the failing
-    (article, tag) is alone; only that one is stored as absent.
+    its own rows; every (article, tag) of a group gets the one read-only
+    pooled array. A failed request is split in half until the failing
+    group is alone; only its rows are stored as absent.
 
-    The undivided request and an isolated (article, tag) are retried as
-    the provider's policy says; an HTTP provider sends the levels in
-    between once, so one failing text pays the backoff of two requests,
-    not of every level. A transport error at such a level sends it again
-    under the provider's policy, which alone decides the endpoint is down."""
-    texts = [s for _, _, sentences in groups for s in sentences]
+    The undivided request and an isolated group are retried as the
+    provider's policy says; an HTTP provider sends the levels in between
+    once, so one failing text pays the backoff of two requests, not of
+    every level. A transport error at such a level sends it again under
+    the provider's policy, which alone decides the endpoint is down."""
+    texts = [s for _, sentences in groups for s in sentences]
     try:
         vectors = embed_sentences(texts, provider, retries)
     except ProviderUnreachableError:
@@ -124,16 +125,23 @@ def _embed_groups(
             for half in (groups[:mid], groups[mid:]):
                 _embed_groups(half, provider, out, None if len(half) == 1 else between)
             return
-        article_id, tag, _ = groups[0]
-        logger.warning("embedding failed for (%s, %s): %s", article_id, tag, exc)
-        out[(article_id, tag)] = TagEmbedding(article_id, tag, None, 0)
+        keys, _ = groups[0]
+        logger.warning(
+            "embedding failed for (%s, %s), first of %d row(s) with these sentences: %s",
+            *keys[0], len(keys), exc,
+        )
+        for article_id, tag in keys:
+            out[(article_id, tag)] = TagEmbedding(article_id, tag, None, 0)
         return
     row = 0
-    for article_id, tag, sentences in groups:
+    for keys, sentences in groups:
         pooled = aggregate_tag(vectors[row : row + len(sentences)])
         row += len(sentences)
         n = len(sentences) if pooled is not None else 0
-        out[(article_id, tag)] = TagEmbedding(article_id, tag, pooled, n)
+        if pooled is not None:
+            pooled.flags.writeable = False  # shared by every row of the group
+        for article_id, tag in keys:
+            out[(article_id, tag)] = TagEmbedding(article_id, tag, pooled, n)
 
 
 def embed_annotations(
@@ -141,28 +149,32 @@ def embed_annotations(
 ) -> dict[tuple[str, str], TagEmbedding]:
     """Aggregated unit vector per (article, tag); failed tags stay absent.
 
-    Sentences of many (article, tag) groups share a request of up to
-    _BATCH_SIZE texts; a group with more sentences gets requests of its
-    own. A vector is taken to depend on its text alone, so each tag's
-    vector does not depend on what else was in its request. A failed
-    (article, tag) is stored as absent; an unreachable provider aborts the
-    run.
+    The (article, tag) rows with equal sentence lists form one group,
+    embedded and pooled once; its rows share the one read-only vector.
+    Sentences of many groups share a request of up to _BATCH_SIZE texts;
+    a group with more sentences gets requests of its own. A vector is
+    taken to depend on its text alone, so each tag's vector does not
+    depend on what else was in its request. A failed group's rows are
+    stored as absent; an unreachable provider aborts the run.
     """
     out: dict[tuple[str, str], TagEmbedding] = {}
-    batches: list[list[_Group]] = []
-    size = _BATCH_SIZE
+    groups: dict[tuple[str, ...], list[tuple[str, str]]] = {}
     for article_id in sorted(annotations):
         ann = annotations[article_id]
         for tag in SENTENCE_TAGS:
-            sentences = [s for s in ann.sentences(tag) if s.strip()]
+            sentences = tuple(s for s in ann.sentences(tag) if s.strip())
             if tag in ann.failed_tags or not sentences:
                 out[(article_id, tag)] = TagEmbedding(article_id, tag, None, 0)
-                continue
-            if size + len(sentences) > _BATCH_SIZE:
-                batches.append([])
-                size = 0
-            batches[-1].append((article_id, tag, sentences))
-            size += len(sentences)
+            else:
+                groups.setdefault(sentences, []).append((article_id, tag))
+    batches: list[list[_Group]] = []
+    size = _BATCH_SIZE
+    for sentences, keys in groups.items():
+        if size + len(sentences) > _BATCH_SIZE:
+            batches.append([])
+            size = 0
+        batches[-1].append((keys, sentences))
+        size += len(sentences)
     for batch in batches:
         _embed_groups(batch, provider, out)
     return out
@@ -174,17 +186,28 @@ def save_embeddings(
     dim: int,
     provider_name: str = "",
 ) -> None:
-    """JSON-lines sidecar: a dimension header, then one row per (article, tag)."""
+    """JSON-lines sidecar: a dimension header, then one row per (article, tag).
+
+    Each row is the text json.dumps gives its fields; a vector array shared
+    by many rows is encoded once."""
     header = json.dumps({"kind": "header", "dim": dim, "provider": provider_name}) + "\n"
-    rows = (
-        json.dumps({
-            "article_id": emb.article_id,
-            "tag": emb.tag,
-            "n_sentences": emb.n_sentences,
-            "vector": None if emb.vector is None else emb.vector.tolist(),
-        }) + "\n"
-        for emb in (embeddings[key] for key in sorted(embeddings))
-    )
+    # id(vector) -> (vector, its JSON); holding the vector keeps its id unique.
+    encoded: dict[int, tuple[np.ndarray, str]] = {}
+
+    def row(emb: TagEmbedding) -> str:
+        if emb.vector is None:
+            vector = "null"
+        else:
+            hit = encoded.get(id(emb.vector))
+            if hit is None:
+                hit = encoded[id(emb.vector)] = (emb.vector, json.dumps(emb.vector.tolist()))
+            vector = hit[1]
+        return (
+            f'{{"article_id": {json.dumps(emb.article_id)}, "tag": {json.dumps(emb.tag)}, '
+            f'"n_sentences": {json.dumps(emb.n_sentences)}, "vector": {vector}}}\n'
+        )
+
+    rows = (row(embeddings[key]) for key in sorted(embeddings))
     write_output(path, itertools.chain([header], rows))
 
 

@@ -208,7 +208,10 @@ def _window_maxima(
     the computed norms; slack covers underflow). Every candidate whose upper
     bound reaches the row's best lower bound is re-scored with ``cosine``,
     so maxima and ids (ties to the smallest id) are exactly those of
-    comparing every pair with ``cosine``.
+    comparing every pair with ``cosine``. A pair of vector objects is
+    re-scored once per call: rows that share an array share its scores
+    (never merely equal bytes, whose dot product may depend on where they
+    lie in memory), and the tie-break still visits every candidate.
     """
     dim = xs[0].vector.size
     x_mat, y_mat = _stacked(xs, dim), _stacked(ys, dim)
@@ -225,6 +228,8 @@ def _window_maxima(
     y_ids = [y.article_id for y in ys]
 
     best: list[tuple[str | None, float | None]] = [(None, None)] * len(xs)
+    # (id(x vector), id(y vector)) -> cosine; xs and ys keep the arrays alive.
+    scores: dict[tuple[int, int], float] = {}
     for start in range(0, len(order), _BLOCK_ROWS):
         rows = order[start : start + _BLOCK_ROWS]
         lo = np.searchsorted(y_days, x_days[rows] - window_days, side="left")
@@ -243,7 +248,10 @@ def _window_maxima(
         upper = np.clip(product + err, -1.0, 1.0)
         row_ids, col_ids = np.nonzero(in_window & ~(upper < floor))
         for i, j in zip(rows[row_ids].tolist(), (col_ids + first).tolist()):
-            sim = cosine(x_vecs[i], y_vecs[j])
+            pair = (id(x_vecs[i]), id(y_vecs[j]))
+            sim = scores.get(pair)
+            if sim is None:
+                sim = scores[pair] = cosine(x_vecs[i], y_vecs[j])
             best_id, best_sim = best[i]
             if best_sim is None or sim > best_sim or (sim == best_sim and y_ids[j] < best_id):
                 best[i] = (y_ids[j], sim)

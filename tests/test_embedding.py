@@ -1,8 +1,11 @@
 import hashlib
 import json
+import logging
 import math
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from factlens import pipeline, prompts, providers
 from factlens.annotation import Annotation, load_annotations
 from factlens.config import RunConfig
 from factlens.embedding import (
+    TagEmbedding,
     aggregate_tag,
     cosine,
     embed_annotations,
@@ -643,3 +647,135 @@ def test_transport_error_inside_a_split_is_left_to_the_retry_policy(stub_post, m
     embeddings = embed_annotations(annotations, provider)
     assert not any(emb.absent for key, emb in embeddings.items() if key[1] == "claim")
     assert provider.calls == 4 + 2 * 2  # each half: one send, then one under the policy
+
+
+class CountingEmbedder(HashedEmbeddingProvider):
+    """Hashed vectors; keeps every request's texts, and fails any request
+    holding a text that starts with "poison"."""
+
+    def __init__(self):
+        super().__init__(dim=64)
+        self.requests = []
+
+    def embed(self, texts):
+        self.requests.append(list(texts))
+        if any(t.startswith("poison") for t in texts):
+            raise ProviderCallError("batch rejected")
+        return super().embed(texts)
+
+
+# a1's claim and what, a2's claim and a3's what (its blank sentence dropped)
+# are one sentence list; a1's and a2's why another; a3's claim a third.
+SHARED = ("Same claim.", "Second sentence.")
+SHARING_ANNOTATIONS = {
+    "a1": Annotation("a1", claim=SHARED, what=SHARED, why=("Other.",)),
+    "a2": Annotation("a2", claim=SHARED, what=("Only here.",), why=("Other.",)),
+    "a3": Annotation("a3", claim=SHARED[:1], what=("  ",) + SHARED, why=()),
+}
+
+
+def test_rows_with_equal_sentences_share_one_read_only_vector():
+    embeddings = embed_annotations(SHARING_ANNOTATIONS, HashedEmbeddingProvider(dim=64))
+    shared = embeddings[("a1", "claim")].vector
+    for key in [("a1", "what"), ("a2", "claim"), ("a3", "what")]:
+        assert embeddings[key].vector is shared
+        assert embeddings[key].n_sentences == 2
+    assert embeddings[("a2", "why")].vector is embeddings[("a1", "why")].vector
+    assert embeddings[("a3", "claim")].vector is not shared
+    assert embeddings[("a3", "why")].absent
+    for emb in embeddings.values():
+        if emb.absent:
+            continue
+        assert not emb.vector.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            emb.vector[0] = 0.0
+        sentences = [s for s in SHARING_ANNOTATIONS[emb.article_id].sentences(emb.tag) if s.strip()]
+        expected = aggregate_tag(embed_sentences(sentences, HashedEmbeddingProvider(dim=64)))
+        assert emb.vector.tobytes() == expected.tobytes()
+
+
+def test_each_distinct_sentence_list_is_sent_once():
+    provider = CountingEmbedder()
+    embed_annotations(SHARING_ANNOTATIONS, provider)
+    # One request: the distinct lists in order of their first (article, tag).
+    assert provider.requests == [[*SHARED, "Other.", "Only here.", SHARED[0]]]
+
+
+def test_a_failed_shared_text_leaves_every_row_that_shares_it_absent(caplog):
+    annotations = {
+        "a1": Annotation("a1", claim=("Fine text.",), what=("poison pill",), why=("Why.",)),
+        "a2": Annotation("a2", claim=("Fine too.",), what=("poison pill",), why=()),
+        "a3": Annotation("a3", claim=("poison pill",), what=("Fine text.",), why=()),
+    }
+    with caplog.at_level(logging.WARNING, logger="factlens.embedding"):
+        embeddings = embed_annotations(annotations, CountingEmbedder())
+    absent = sorted(key for key, emb in embeddings.items() if emb.absent)
+    assert absent == [("a1", "what"), ("a2", "what"), ("a2", "why"), ("a3", "claim"),
+                      ("a3", "why")]
+    assert embeddings[("a3", "what")].vector is embeddings[("a1", "claim")].vector
+    failures = [r.getMessage() for r in caplog.records if "embedding failed" in r.getMessage()]
+    assert failures == [
+        "embedding failed for (a1, what), first of 3 row(s) with these sentences: batch rejected"
+    ]
+
+
+def former_sidecar(embeddings, dim, provider_name=""):
+    """The sidecar as written before shared vectors: json.dumps of each row."""
+    lines = [json.dumps({"kind": "header", "dim": dim, "provider": provider_name})]
+    for key in sorted(embeddings):
+        emb = embeddings[key]
+        lines.append(json.dumps({
+            "article_id": emb.article_id,
+            "tag": emb.tag,
+            "n_sentences": emb.n_sentences,
+            "vector": None if emb.vector is None else emb.vector.tolist(),
+        }))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+SIDECAR_VECTORS = [
+    np.array([0.6, -0.8, 0.0]),
+    np.array([5e-324, -0.0, 1.0]),
+    np.array([1e-300, 0.1 + 0.2, -1 / 3]),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.text(), st.sampled_from(['say "hi"', "back\\slash", "café", "\U0001f600"])),
+            st.sampled_from(["claim", "what", "why", "täg\t\"\\"]),
+            st.integers(0, 2**70),
+            st.sampled_from([None, 0, 0, 1, 2, "copy"]),
+        ),
+        max_size=12,
+        unique_by=lambda row: row[:2],
+    )
+)
+def test_sidecar_rows_are_the_json_dumps_of_their_fields(rows):
+    """Ids with quotes, backslashes and characters outside ASCII, absent
+    vectors, one vector shared by many rows and an equal copy of it, and
+    counts past 64 bits: the file is the former row-by-row json.dumps,
+    byte for byte, and loads back to the same rows."""
+    embeddings = {}
+    for article_id, tag, n_sentences, which in rows:
+        vector = (
+            None if which is None
+            else SIDECAR_VECTORS[0].copy() if which == "copy"
+            else SIDECAR_VECTORS[which]
+        )
+        embeddings[(article_id, tag)] = TagEmbedding(article_id, tag, vector, n_sentences)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "embeddings.jsonl"
+        save_embeddings(embeddings, path, dim=3, provider_name="pé")
+        assert path.read_bytes() == former_sidecar(embeddings, 3, "pé")
+        loaded, dim = load_embeddings(path)
+    assert dim == 3 and list(loaded) == sorted(embeddings)
+    for key, emb in embeddings.items():
+        got = loaded[key]
+        assert (got.article_id, got.tag, got.n_sentences) == key + (emb.n_sentences,)
+        if emb.absent:
+            assert got.absent
+        else:
+            assert got.vector.tobytes() == emb.vector.tobytes()

@@ -212,6 +212,67 @@ def test_block_kernel_matches_naive_oracle(
     assert res.median_matched == (float(np.median(matched)) if matched else None)
 
 
+def copies_of(vector):
+    """The vector itself, an equal copy, and an equal copy seen through a
+    view 8 bytes into a larger buffer: equal bytes, three objects."""
+    buffer = np.empty(vector.size + 1)
+    buffer[1:] = vector
+    return [vector, vector.copy(), buffer[1:]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_x=st.integers(1, 40),
+    n_y=st.integers(1, 40),
+    dim=st.integers(1, 6),
+    window_days=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rescores_each_vector_object_pair_once(n_x, n_y, dim, window_days, seed):
+    """X and Y draw from shared arrays and their equal-valued copies: the
+    maxima and ids are the naive oracle's (ties to the smallest id), cosine
+    runs at most once per (x array, y array), and an equal copy is never
+    taken for the array it copies: every in-window Y whose bytes equal the
+    best match's is scored on its own array."""
+    rng = np.random.default_rng(seed)
+    pool = [v / np.linalg.norm(v) for v in rng.normal(size=(2, dim))]
+    objects = [copy for v in pool for copy in copies_of(v)]
+    base = dt.date(2021, 3, 1)
+
+    def draw(prefix, n):
+        return [
+            DatedVector(
+                f"{prefix}{int(rng.integers(0, 50)):02d}-{i}",
+                base + dt.timedelta(days=int(rng.integers(0, 15))),
+                objects[int(rng.integers(0, len(objects)))],
+            )
+            for i in range(n)
+        ]
+
+    xs = draw("x", n_x)
+    ys = sorted(draw("y", n_y), key=lambda y: (y.date, y.article_id))
+    calls = []
+
+    def counting_cosine(u, v):
+        calls.append((id(u), id(v)))
+        return cosine(u, v)
+
+    with mock.patch.object(similarity, "cosine", counting_cosine):
+        got = similarity._window_maxima(xs, ys, window_days)
+    oracle = naive_windowed_max(xs, ys, window_days)
+    assert got == [oracle[x.article_id] for x in xs]
+    scored = set(calls)
+    assert len(calls) == len(scored)
+    by_id = {y.article_id: y for y in ys}
+    for x, (best_id, _) in zip(xs, got):
+        if best_id is None:
+            continue
+        best_bytes = by_id[best_id].vector.tobytes()
+        for y in ys:
+            if abs((x.date - y.date).days) <= window_days and y.vector.tobytes() == best_bytes:
+                assert (id(x.vector), id(y.vector)) in scored
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("side", ["x", "y"])
 def test_non_finite_vector_is_an_error_naming_the_article(bad, side):
