@@ -48,11 +48,12 @@ _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
 def _esc(text: str) -> str:
-    """text as SVG character data: markup escaped, each character XML 1.0
-    forbids replaced by U+FFFD."""
+    """text as SVG character data: markup escaped, a carriage return written
+    as a character reference (a parser reads a raw one as a line feed), each
+    character XML 1.0 forbids replaced by U+FFFD."""
     return _NOT_XML.sub("\ufffd", (
         text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        .replace('"', "&quot;")
+        .replace('"', "&quot;").replace("\r", "&#13;")
     ))
 
 

@@ -91,6 +91,17 @@ def test_chart_replaces_characters_xml_forbids():
     assert {"A\ufffdB", "E\ufffd\ufffd", "T\ufffd & <x>\t"} <= set(texts)
 
 
+def test_chart_keeps_a_carriage_return_in_a_name():
+    """A raw carriage return would parse back as a line feed; it is written
+    as a character reference, and only where a name holds one."""
+    rows = [{"org": "Poli\rFact", "entity": "E\r\nF", "ps": 0.5, "delta_ps": 0.1}]
+    svg = render_polarity_chart(rows, title="T\r & <x>")
+    assert "\r" not in svg and svg.count("&#13;") == 3
+    texts = [el.text for el in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert {"Poli\rFact", "E\r\nF", "T\r & <x>"} <= set(texts)
+    assert "&#13;" not in render_polarity_chart(rows_fixture(), title="T\n")
+
+
 def test_chart_has_one_bar_and_error_bar_per_row():
     svg = render_polarity_chart(rows_fixture())
     # 1 background + 3 bars + 2 legend swatches; error bars add 3 lines each.
