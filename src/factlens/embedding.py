@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -189,19 +190,23 @@ def save_embeddings(
     """JSON-lines sidecar: a dimension header, then one row per (article, tag).
 
     Each row is the text json.dumps gives its fields; a vector array shared
-    by many rows is encoded once."""
+    by many rows is encoded once, and its JSON is kept only until its last
+    row is written, so unshared vectors are never held."""
     header = json.dumps({"kind": "header", "dim": dim, "provider": provider_name}) + "\n"
-    # id(vector) -> (vector, its JSON); holding the vector keeps its id unique.
+    rows_left = Counter(id(emb.vector) for emb in embeddings.values() if emb.vector is not None)
+    # id(vector) -> (vector, its JSON) while rows sharing it remain to be
+    # written; holding the vector keeps its id unique.
     encoded: dict[int, tuple[np.ndarray, str]] = {}
 
     def row(emb: TagEmbedding) -> str:
         if emb.vector is None:
             vector = "null"
         else:
-            hit = encoded.get(id(emb.vector))
-            if hit is None:
-                hit = encoded[id(emb.vector)] = (emb.vector, json.dumps(emb.vector.tolist()))
-            vector = hit[1]
+            key = id(emb.vector)
+            vector = encoded.pop(key, (None, ""))[1] or json.dumps(emb.vector.tolist())
+            rows_left[key] -= 1
+            if rows_left[key] > 0:
+                encoded[key] = (emb.vector, vector)
         return (
             f'{{"article_id": {json.dumps(emb.article_id)}, "tag": {json.dumps(emb.tag)}, '
             f'"n_sentences": {json.dumps(emb.n_sentences)}, "vector": {vector}}}\n'

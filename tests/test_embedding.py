@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -738,6 +739,29 @@ SIDECAR_VECTORS = [
     np.array([5e-324, -0.0, 1.0]),
     np.array([1e-300, 0.1 + 0.2, -1 / 3]),
 ]
+
+
+@pytest.mark.parametrize("tags", [("claim",), ("claim", "what")])
+def test_sidecar_holds_no_vector_text_past_its_last_row(tmp_path, tags):
+    """Wide vectors, each held by one row or by an article's adjacent
+    claim and what rows, go out one row at a time: no vector's JSON is
+    kept once its last row is written."""
+    vectors = np.random.default_rng(0).standard_normal((400 // len(tags), 2048))
+    embeddings = {
+        (f"a{i:03d}", tag): TagEmbedding(f"a{i:03d}", tag, vector, 3)
+        for i, vector in enumerate(vectors)
+        for tag in tags
+    }
+    path = tmp_path / "embeddings.jsonl"
+    tracemalloc.start()
+    try:
+        save_embeddings(embeddings, path, dim=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size / 20, (peak, size)
+    assert path.read_bytes() == former_sidecar(embeddings, 2048)
 
 
 @settings(max_examples=100, deadline=None)
