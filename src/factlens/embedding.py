@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -187,32 +186,25 @@ def save_embeddings(
     dim: int,
     provider_name: str = "",
 ) -> None:
-    """JSON-lines sidecar: a dimension header, then one row per (article, tag).
+    """JSON-lines vector table: a dimension header, then one row per
+    (article, tag) in key order, each line the json.dumps of its fields.
+    Each distinct vector array is one vector line, numbered 0, 1, ... and
+    written just before the first row that names it by number (a row's
+    vector is null when absent); an equal copy is a vector of its own."""
+    # id(vector) -> (its number, the vector); holding the vector keeps its id unique.
+    numbers: dict[int, tuple[int, np.ndarray]] = {}
 
-    Each row is the text json.dumps gives its fields; a vector array shared
-    by many rows is encoded once, and its JSON is kept only until its last
-    row is written, so unshared vectors are never held."""
+    def lines(emb: TagEmbedding) -> Iterator[str]:
+        if emb.vector is not None and id(emb.vector) not in numbers:
+            numbers[id(emb.vector)] = (len(numbers), emb.vector)
+            line = {"kind": "vector", "number": len(numbers) - 1, "vector": emb.vector.tolist()}
+            yield json.dumps(line) + "\n"
+        number = None if emb.vector is None else numbers[id(emb.vector)][0]
+        row = {"article_id": emb.article_id, "tag": emb.tag, "n_sentences": emb.n_sentences}
+        yield json.dumps({**row, "vector": number}) + "\n"
+
     header = json.dumps({"kind": "header", "dim": dim, "provider": provider_name}) + "\n"
-    rows_left = Counter(id(emb.vector) for emb in embeddings.values() if emb.vector is not None)
-    # id(vector) -> (vector, its JSON) while rows sharing it remain to be
-    # written; holding the vector keeps its id unique.
-    encoded: dict[int, tuple[np.ndarray, str]] = {}
-
-    def row(emb: TagEmbedding) -> str:
-        if emb.vector is None:
-            vector = "null"
-        else:
-            key = id(emb.vector)
-            vector = encoded.pop(key, (None, ""))[1] or json.dumps(emb.vector.tolist())
-            rows_left[key] -= 1
-            if rows_left[key] > 0:
-                encoded[key] = (emb.vector, vector)
-        return (
-            f'{{"article_id": {json.dumps(emb.article_id)}, "tag": {json.dumps(emb.tag)}, '
-            f'"n_sentences": {json.dumps(emb.n_sentences)}, "vector": {vector}}}\n'
-        )
-
-    rows = (row(embeddings[key]) for key in sorted(embeddings))
+    rows = itertools.chain.from_iterable(lines(embeddings[key]) for key in sorted(embeddings))
     write_output(path, itertools.chain([header], rows))
 
 
@@ -223,34 +215,42 @@ def _integer(value: object, key: str) -> int:
 
 
 def load_embeddings(path: str | Path) -> tuple[dict[tuple[str, str], TagEmbedding], int]:
-    """Load a sidecar; validates the dimension header (its first row)
-    against every row. A line that is not a row (a mistyped field, a wrong
-    dimension, a non-finite vector) is a ValueError naming its line."""
-    dims: list[int] = []  # the header's dimension, once its row is read
+    """Load a sidecar; validates the dimension header (its first line)
+    against every vector. Rows that name one vector share its one read-only
+    array. A line that is not a row or a vector (a mistyped field, a wrong
+    dimension, a non-finite vector, a number out of sequence or not yet
+    defined) is a ValueError naming its line."""
+    dims: list[int] = []  # the header's dimension, once its line is read
+    vectors: list[np.ndarray] = []  # the vector lines read so far, by number
+    out: dict[tuple[str, str], TagEmbedding] = {}
 
-    def row(raw: dict) -> TagEmbedding | None:
+    def read(raw: dict) -> None:
         if not dims:
             if raw.get("kind") != "header" or "dim" not in raw:
                 raise ValueError("embedding sidecar is missing its dimension header")
             dims.append(_integer(raw["dim"], "dim"))
-            return None
-        article_id, tag, vector = raw["article_id"], raw["tag"], raw["vector"]
-        if not isinstance(article_id, str) or not isinstance(tag, str):
-            raise TypeError("article_id, tag: expected strings")
-        if vector is not None:
-            vector = np.asarray(vector, dtype=np.float64)
-            if vector.shape != (dims[0],):
-                raise ValueError(
-                    f"row ({article_id}, {tag}) has shape {vector.shape}, "
-                    f"header says dimension {dims[0]}"
-                )
-            if not np.isfinite(vector).all():
-                raise ValueError(f"row ({article_id}, {tag}) has a non-finite vector")
-        n_sentences = _integer(raw["n_sentences"], "n_sentences")
-        return TagEmbedding(article_id, tag, vector, n_sentences)
+        elif raw.get("kind") == "vector":
+            if _integer(raw["number"], "number") != len(vectors):
+                raise ValueError(f"vector number {raw['number']}, expected {len(vectors)}")
+            vector = np.asarray(raw["vector"], dtype=np.float64)
+            if vector.shape != (dims[0],) or not np.isfinite(vector).all():
+                raise ValueError(f"vector {len(vectors)} is not {dims[0]} finite numbers")
+            vector.flags.writeable = False  # shared by every row that names it
+            vectors.append(vector)
+        else:
+            article_id, tag, number = raw["article_id"], raw["tag"], raw["vector"]
+            if not isinstance(article_id, str) or not isinstance(tag, str):
+                raise TypeError("article_id, tag: expected strings")
+            if isinstance(number, list):
+                raise ValueError("vector inside the row: an old sidecar; re-run factlens embed")
+            if number is not None and not 0 <= _integer(number, "vector") < len(vectors):
+                raise ValueError(f"row ({article_id}, {tag}) names vector {number}, not yet defined")
+            vector = None if number is None else vectors[number]
+            n_sentences = _integer(raw["n_sentences"], "n_sentences")
+            out[(article_id, tag)] = TagEmbedding(article_id, tag, vector, n_sentences)
 
-    rows = read_json_lines(path, row)
+    read_json_lines(path, read)
     with reading(path, "not a valid row", 1):
         if not dims:  # an empty file
             raise ValueError("embedding sidecar is missing its dimension header")
-    return {(emb.article_id, emb.tag): emb for emb in rows[1:]}, dims[0]
+    return out, dims[0]

@@ -270,41 +270,99 @@ def test_pipeline_stages_hold_what_the_store_reloads(tmp_path):
             assert got.vector.tobytes() == emb.vector.tobytes()
 
 
+HEADER_LINE = '{"kind": "header", "dim": 4}'
+
+
+def vector_line(**fields):
+    line = {"kind": "vector", "number": 0, "vector": [0.0, 1.0, 0.0, 0.0]}
+    return json.dumps({**line, **fields})
+
+
 def sidecar_row(**fields):
-    row = {"article_id": "a", "tag": "claim", "n_sentences": 1, "vector": [0.0, 1.0, 0.0, 0.0]}
+    row = {"article_id": "a", "tag": "claim", "n_sentences": 1, "vector": 0}
     return json.dumps({**row, **fields})
 
 
-# Line number -> the damaged text put there, in a header + two-row sidecar.
+# Line number -> the damaged text put there, in a sidecar of a header, one
+# vector line and two rows that name it.
 DAMAGED_SIDECAR_LINES = {
     "dim-overflow": (1, '{"kind": "header", "dim": 1e400}'),
     "dim-float": (1, '{"kind": "header", "dim": 4.0}'),
-    "n-sentences-overflow": (3, sidecar_row(n_sentences=None).replace("null", "1e400")),
-    "n-sentences-infinity": (3, sidecar_row(n_sentences=float("inf"))),
-    "n-sentences-string": (3, sidecar_row(n_sentences="1")),
-    "nan-vector": (3, sidecar_row(vector=[float("nan"), 0.0, 0.0, 1.0])),
-    "huge-int-vector": (3, sidecar_row(vector=[10**400, 0.0, 0.0, 1.0])),
-    "scalar-vector": (3, sidecar_row(vector=3)),
-    "article-id-int": (3, sidecar_row(article_id=3)),
-    "tag-list": (3, sidecar_row(tag=["claim"])),
-    "not-utf8": (3, sidecar_row().encode("utf-8").replace(b"claim", b"cl\xffim")),
-    "article-id-unpaired-surrogate": (3, sidecar_row(article_id="a\ud800")),
+    "n-sentences-overflow": (4, sidecar_row(n_sentences=None).replace("null", "1e400")),
+    "n-sentences-infinity": (4, sidecar_row(n_sentences=float("inf"))),
+    "n-sentences-string": (4, sidecar_row(n_sentences="1")),
+    "nan-vector": (2, vector_line(vector=[float("nan"), 0.0, 0.0, 1.0])),
+    "huge-int-vector": (2, vector_line(vector=[10**400, 0.0, 0.0, 1.0])),
+    "scalar-vector": (2, vector_line(vector=3)),
+    "short-vector": (2, vector_line(vector=[1.0, 0.0])),
+    "vector-number-string": (2, vector_line(number="0")),
+    "vector-misnumbered": (2, vector_line(number=1)),
+    "article-id-int": (4, sidecar_row(article_id=3)),
+    "tag-list": (4, sidecar_row(tag=["claim"])),
+    "row-names-a-later-vector": (4, sidecar_row(vector=1)),
+    "row-names-a-negative-vector": (4, sidecar_row(vector=-1)),
+    "row-names-vector-true": (4, sidecar_row(vector=True)),
+    "row-holds-its-vector": (4, sidecar_row(vector=[0.0, 1.0, 0.0, 0.0])),
+    "not-utf8": (4, sidecar_row().encode("utf-8").replace(b"claim", b"cl\xffim")),
+    "article-id-unpaired-surrogate": (4, sidecar_row(article_id="a\ud800")),
 }
+
+
+def write_sidecar(path, lines):
+    path.write_bytes(b"".join(
+        (entry if isinstance(entry, bytes) else entry.encode("utf-8")) + b"\n" for entry in lines
+    ))
 
 
 @pytest.mark.parametrize(
     "line_no, line", DAMAGED_SIDECAR_LINES.values(), ids=DAMAGED_SIDECAR_LINES
 )
 def test_damaged_sidecar_line_names_itself(tmp_path, line_no, line):
-    """A sidecar line that is not a row is a ValueError naming the file and
-    the line, never a row loaded with a mistyped or non-finite field."""
-    lines = ['{"kind": "header", "dim": 4}', sidecar_row(tag="what"), sidecar_row()]
+    """A sidecar line that is not a header, vector or row is a ValueError
+    naming the file and the line, never a row loaded with a mistyped or
+    non-finite field."""
+    lines = [HEADER_LINE, vector_line(), sidecar_row(tag="what"), sidecar_row()]
     lines[line_no - 1] = line
     path = tmp_path / "embeddings.jsonl"
-    path.write_bytes(b"".join(
-        (entry if isinstance(entry, bytes) else entry.encode("utf-8")) + b"\n" for entry in lines
-    ))
+    write_sidecar(path, lines)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: not a valid row"):
+        load_embeddings(path)
+
+
+# Whole tables whose vector lines are out of place, and the line that is named.
+MISPLACED_VECTOR_LINES = {
+    "deleted": ([HEADER_LINE, sidecar_row(tag="what"), sidecar_row()], 2),
+    "after-its-first-row": ([HEADER_LINE, sidecar_row(), vector_line()], 2),
+    "swapped": (
+        [HEADER_LINE, vector_line(number=1, vector=[1.0, 0.0, 0.0, 0.0]), sidecar_row(vector=1),
+         vector_line(), sidecar_row(tag="what")],
+        2,
+    ),
+    "repeated-number": (
+        [HEADER_LINE, vector_line(), sidecar_row(), vector_line(), sidecar_row(tag="what")], 4,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "lines, line_no", MISPLACED_VECTOR_LINES.values(), ids=MISPLACED_VECTOR_LINES
+)
+def test_misplaced_vector_line_names_the_line(tmp_path, lines, line_no):
+    path = tmp_path / "embeddings.jsonl"
+    write_sidecar(path, lines)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: not a valid row"):
+        load_embeddings(path)
+
+
+def test_a_sidecar_with_vectors_inside_its_rows_is_refused(tmp_path, hashed_provider):
+    """A sidecar written before the vector table holds each vector in its
+    row; its first such row is named, with the command that rebuilds it."""
+    embeddings = embed_annotations(SHARING_ANNOTATIONS, hashed_provider)
+    path = tmp_path / "embeddings.jsonl"
+    path.write_bytes(former_sidecar(embeddings, 64))
+    with pytest.raises(ValueError, match=(
+        f"^{re.escape(str(path))}:2: not a valid row .*an old sidecar; re-run factlens embed"
+    )):
         load_embeddings(path)
 
 
@@ -721,7 +779,7 @@ def test_a_failed_shared_text_leaves_every_row_that_shares_it_absent(caplog):
 
 
 def former_sidecar(embeddings, dim, provider_name=""):
-    """The sidecar as written before shared vectors: json.dumps of each row."""
+    """The sidecar as written before the vector table: each row holds its vector."""
     lines = [json.dumps({"kind": "header", "dim": dim, "provider": provider_name})]
     for key in sorted(embeddings):
         emb = embeddings[key]
@@ -734,6 +792,50 @@ def former_sidecar(embeddings, dim, provider_name=""):
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
+def vector_table(embeddings, dim, provider_name=""):
+    """The sidecar, one json.dumps per line: each distinct array (by
+    identity) is numbered in the key order of the first row that holds it,
+    and its vector line comes just before that row."""
+    lines = [json.dumps({"kind": "header", "dim": dim, "provider": provider_name})]
+    seen = []
+    for key in sorted(embeddings):
+        emb = embeddings[key]
+        number = None
+        if emb.vector is not None:
+            number = next((k for k, vector in enumerate(seen) if vector is emb.vector), None)
+            if number is None:
+                number = len(seen)
+                seen.append(emb.vector)
+                lines.append(json.dumps(
+                    {"kind": "vector", "number": number, "vector": emb.vector.tolist()}
+                ))
+        lines.append(json.dumps({
+            "article_id": emb.article_id,
+            "tag": emb.tag,
+            "n_sentences": emb.n_sentences,
+            "vector": number,
+        }))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def test_rows_that_shared_an_array_load_sharing_one_read_only_array(tmp_path, hashed_provider):
+    embeddings = embed_annotations(SHARING_ANNOTATIONS, hashed_provider)
+    path = tmp_path / "embeddings.jsonl"
+    save_embeddings(embeddings, path, dim=64)
+    loaded, _ = load_embeddings(path)
+    assert list(loaded) == sorted(embeddings)
+    for key, emb in embeddings.items():
+        for other, other_emb in embeddings.items():
+            shared = emb.vector is not None and emb.vector is other_emb.vector
+            assert shared == (loaded[key].vector is not None
+                              and loaded[key].vector is loaded[other].vector)
+        if not emb.absent:
+            assert not loaded[key].vector.flags.writeable
+            assert loaded[key].vector.tobytes() == emb.vector.tobytes()
+    # One vector line per distinct array: four among the present rows.
+    assert path.read_text().count('"kind": "vector"') == 4
+
+
 SIDECAR_VECTORS = [
     np.array([0.6, -0.8, 0.0]),
     np.array([5e-324, -0.0, 1.0]),
@@ -744,8 +846,8 @@ SIDECAR_VECTORS = [
 @pytest.mark.parametrize("tags", [("claim",), ("claim", "what")])
 def test_sidecar_holds_no_vector_text_past_its_last_row(tmp_path, tags):
     """Wide vectors, each held by one row or by an article's adjacent
-    claim and what rows, go out one row at a time: no vector's JSON is
-    kept once its last row is written."""
+    claim and what rows, go out one line at a time: no vector's JSON is
+    kept once its vector line is written."""
     vectors = np.random.default_rng(0).standard_normal((400 // len(tags), 2048))
     embeddings = {
         (f"a{i:03d}", tag): TagEmbedding(f"a{i:03d}", tag, vector, 3)
@@ -761,7 +863,7 @@ def test_sidecar_holds_no_vector_text_past_its_last_row(tmp_path, tags):
         tracemalloc.stop()
     size = path.stat().st_size
     assert peak < size / 20, (peak, size)
-    assert path.read_bytes() == former_sidecar(embeddings, 2048)
+    assert path.read_bytes() == vector_table(embeddings, 2048)
 
 
 @settings(max_examples=100, deadline=None)
@@ -779,9 +881,9 @@ def test_sidecar_holds_no_vector_text_past_its_last_row(tmp_path, tags):
 )
 def test_sidecar_rows_are_the_json_dumps_of_their_fields(rows):
     """Ids with quotes, backslashes and characters outside ASCII, absent
-    vectors, one vector shared by many rows and an equal copy of it, and
-    counts past 64 bits: the file is the former row-by-row json.dumps,
-    byte for byte, and loads back to the same rows."""
+    vectors, one vector shared by many rows and an equal copy of it (a
+    vector line of its own), and counts past 64 bits: the file is one
+    json.dumps per line, byte for byte, and loads back to the same rows."""
     embeddings = {}
     for article_id, tag, n_sentences, which in rows:
         vector = (
@@ -793,7 +895,7 @@ def test_sidecar_rows_are_the_json_dumps_of_their_fields(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "embeddings.jsonl"
         save_embeddings(embeddings, path, dim=3, provider_name="pé")
-        assert path.read_bytes() == former_sidecar(embeddings, 3, "pé")
+        assert path.read_bytes() == vector_table(embeddings, 3, "pé")
         loaded, dim = load_embeddings(path)
     assert dim == 3 and list(loaded) == sorted(embeddings)
     for key, emb in embeddings.items():
