@@ -286,6 +286,15 @@ def save_annotations(annotations: Mapping[str, Annotation], path: str | Path) ->
 
 
 def load_annotations(path: str | Path) -> dict[str, Annotation]:
-    """Load annotations.jsonl; a line that is not a row is a ValueError
-    naming the file and the line."""
-    return {ann.article_id: ann for ann in read_json_lines(path, Annotation.from_json_dict)}
+    """Load annotations.jsonl; a line that is not a row, or repeats an
+    earlier row's article id, is a ValueError naming the file and the line."""
+    out: dict[str, Annotation] = {}
+
+    def read(raw: Any) -> None:
+        ann = Annotation.from_json_dict(raw)
+        if ann.article_id in out:
+            raise ValueError(f"duplicate article_id {ann.article_id!r}")
+        out[ann.article_id] = ann
+
+    read_json_lines(path, read)
+    return out

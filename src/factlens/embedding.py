@@ -18,6 +18,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .annotation import SENTENCE_TAGS, Annotation
+from .config import MAX_EMBEDDING_DIM
 from .providers import (
     EmbeddingProvider,
     HttpEmbeddingProvider,
@@ -217,9 +218,10 @@ def _integer(value: object, key: str) -> int:
 def load_embeddings(path: str | Path) -> tuple[dict[tuple[str, str], TagEmbedding], int]:
     """Load a sidecar; validates the dimension header (its first line)
     against every vector. Rows that name one vector share its one read-only
-    array. A line that is not a row or a vector (a mistyped field, a wrong
-    dimension, a non-finite vector, a number out of sequence or not yet
-    defined) is a ValueError naming its line."""
+    array. A line that is not a row or a vector (a mistyped field, a
+    dimension outside [1, MAX_EMBEDDING_DIM] or not the header's, a
+    non-finite vector, a number out of sequence or not yet defined, a
+    repeated (article, tag)) is a ValueError naming its line."""
     dims: list[int] = []  # the header's dimension, once its line is read
     vectors: list[np.ndarray] = []  # the vector lines read so far, by number
     out: dict[tuple[str, str], TagEmbedding] = {}
@@ -229,6 +231,8 @@ def load_embeddings(path: str | Path) -> tuple[dict[tuple[str, str], TagEmbeddin
             if raw.get("kind") != "header" or "dim" not in raw:
                 raise ValueError("embedding sidecar is missing its dimension header")
             dims.append(_integer(raw["dim"], "dim"))
+            if not 1 <= dims[0] <= MAX_EMBEDDING_DIM:
+                raise ValueError(f"dim: must be in [1, {MAX_EMBEDDING_DIM}]")
         elif raw.get("kind") == "vector":
             if _integer(raw["number"], "number") != len(vectors):
                 raise ValueError(f"vector number {raw['number']}, expected {len(vectors)}")
@@ -245,6 +249,8 @@ def load_embeddings(path: str | Path) -> tuple[dict[tuple[str, str], TagEmbeddin
                 raise ValueError("vector inside the row: an old sidecar; re-run factlens embed")
             if number is not None and not 0 <= _integer(number, "vector") < len(vectors):
                 raise ValueError(f"row ({article_id}, {tag}) names vector {number}, not yet defined")
+            if (article_id, tag) in out:
+                raise ValueError(f"duplicate row ({article_id}, {tag})")
             vector = None if number is None else vectors[number]
             n_sentences = _integer(raw["n_sentences"], "n_sentences")
             out[(article_id, tag)] = TagEmbedding(article_id, tag, vector, n_sentences)

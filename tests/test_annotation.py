@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import re
 
 import pytest
 
@@ -315,6 +316,19 @@ def test_annotations_jsonl_round_trip(tmp_path):
     path = tmp_path / "annotations.jsonl"
     save_annotations(annotations, path)
     assert load_annotations(path) == annotations
+
+
+def test_a_repeated_article_id_names_its_line(tmp_path):
+    """A second row for one article is an error, never a silent overwrite."""
+    annotations = annotate_corpus(make_corpus(distinct_articles(3)), SyntheticChatProvider())
+    path = tmp_path / "annotations.jsonl"
+    save_annotations(annotations, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    with pytest.raises(ValueError, match=(
+        f"^{re.escape(str(path))}:4: not a valid row \\(ValueError: duplicate article_id"
+    )):
+        load_annotations(path)
 
 
 def test_interrupted_annotation_save_keeps_the_previous_file(tmp_path):

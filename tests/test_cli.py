@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 import factlens.entities as ent_mod
 from factlens import pipeline, prompts
-from factlens.annotation import load_annotations
+from factlens.annotation import SENTENCE_TAGS, load_annotations
 from factlens.cli import main
 from factlens.corpus import load_store, write_corpus_file
 from factlens.polarity import entity_series, org_polarity, polarity_rows
@@ -97,6 +97,29 @@ def test_ingest_annotate_embed_flow(runner, workspace):
         ["report", "--inputs", str(pol_file), "--format", "svg", "--out", str(svg_file)],
     )
     assert svg_file.read_text().startswith("<svg")
+
+
+def test_stage_subcommands_reproduce_run_all(runner, workspace):
+    """On run_all's store, `similarity` for each tag and `entities` for a
+    pair write the JSON run_all wrote for them, byte for byte, less the
+    keys only `entities` adds (each org's top entities)."""
+    store, out = workspace / "store", workspace / "out"
+    invoke(runner, ["run-all", "--store", str(store), "--config", str(workspace / "run.cfg"),
+                    "--out", str(out)])
+    orgs = "PolitiFact,Snopes"
+    for tag in SENTENCE_TAGS:
+        got = workspace / f"similarity-{tag}.json"
+        invoke(runner, ["similarity", "--store", str(store), "--tag", tag, "--orgs", orgs,
+                        "--out", str(got)])
+        assert got.read_bytes() == (out / "similarity" / f"PolitiFact-Snopes-{tag}.json").read_bytes()
+    got = workspace / "entities.json"
+    invoke(runner, ["entities", "--store", str(store), "--aliases", str(workspace / "aliases.csv"),
+                    "--orgs", orgs, "--out", str(got)])
+    [payload] = json.loads(got.read_text(encoding="utf-8"))
+    assert payload.pop("top_entities_x") and payload.pop("top_entities_y")
+    export_table([payload], "json", workspace / "entities-less-tops.json")
+    expected = (out / "entities" / "PolitiFact-Snopes.json").read_bytes()
+    assert (workspace / "entities-less-tops.json").read_bytes() == expected
 
 
 def test_annotate_with_fixture_mock(runner, tmp_path):

@@ -1,3 +1,4 @@
+import datetime as dt
 import hashlib
 import json
 import logging
@@ -7,6 +8,7 @@ import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from factlens import pipeline, prompts, providers
+from factlens import pipeline, prompts, providers, similarity
 from factlens.annotation import Annotation, load_annotations
-from factlens.config import RunConfig
+from factlens.config import MAX_EMBEDDING_DIM, RunConfig
 from factlens.embedding import (
     TagEmbedding,
     aggregate_tag,
@@ -270,6 +272,32 @@ def test_pipeline_stages_hold_what_the_store_reloads(tmp_path):
             assert got.vector.tobytes() == emb.vector.tobytes()
 
 
+def test_reloaded_embeddings_score_no_more_pairs_than_embedded_ones(tmp_path):
+    """The store's map shares arrays as embed's does, so similarity on it
+    makes no more cosine calls than on embed's, and gives the same results."""
+    articles = make_articles(240, (dt.date(2018, 1, 1), dt.date(2018, 3, 31)), seed=2)
+    corpus = make_corpus(articles)
+    cfg = RunConfig(cache_dir=str(tmp_path / "cache"), bootstrap_resamples=50)
+    embedded = pipeline.embed(cfg, pipeline.annotate(cfg, corpus, tmp_path), tmp_path)
+    loaded, _ = load_embeddings(tmp_path / pipeline.EMBEDDINGS_FILE)
+    calls = []
+
+    def counting_cosine(u, v):
+        calls.append(1)
+        return cosine(u, v)
+
+    def scored(embeddings):
+        calls.clear()
+        results = pipeline.similarity(cfg, corpus, embeddings, pipeline._org_pairs(corpus))
+        return [res.to_json_dict() for res in results], len(calls)
+
+    with mock.patch.object(similarity, "cosine", counting_cosine):
+        from_embed, embed_calls = scored(embedded)
+        from_store, store_calls = scored(loaded)
+    assert from_store == from_embed
+    assert 0 < store_calls <= embed_calls
+
+
 HEADER_LINE = '{"kind": "header", "dim": 4}'
 
 
@@ -288,6 +316,9 @@ def sidecar_row(**fields):
 DAMAGED_SIDECAR_LINES = {
     "dim-overflow": (1, '{"kind": "header", "dim": 1e400}'),
     "dim-float": (1, '{"kind": "header", "dim": 4.0}'),
+    "dim-zero": (1, '{"kind": "header", "dim": 0}'),
+    "dim-negative": (1, '{"kind": "header", "dim": -3}'),
+    "dim-past-the-config-bound": (1, json.dumps({"kind": "header", "dim": MAX_EMBEDDING_DIM + 1})),
     "n-sentences-overflow": (4, sidecar_row(n_sentences=None).replace("null", "1e400")),
     "n-sentences-infinity": (4, sidecar_row(n_sentences=float("inf"))),
     "n-sentences-string": (4, sidecar_row(n_sentences="1")),
@@ -303,6 +334,7 @@ DAMAGED_SIDECAR_LINES = {
     "row-names-a-negative-vector": (4, sidecar_row(vector=-1)),
     "row-names-vector-true": (4, sidecar_row(vector=True)),
     "row-holds-its-vector": (4, sidecar_row(vector=[0.0, 1.0, 0.0, 0.0])),
+    "repeated-row": (4, sidecar_row(tag="what", vector=None)),
     "not-utf8": (4, sidecar_row().encode("utf-8").replace(b"claim", b"cl\xffim")),
     "article-id-unpaired-surrogate": (4, sidecar_row(article_id="a\ud800")),
 }

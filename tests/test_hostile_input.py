@@ -202,3 +202,52 @@ def test_mutated_input_is_read_or_named(pristine, target, data):
             named = work / "store" if rel.startswith("store/") else path
             key = errors[0].removeprefix("Error: ").partition(":")[0]
             assert str(named) in errors[0] or (rel == "run.cfg" and key in DEFAULTS), errors[0]
+
+
+def one_error(result) -> str:
+    """The one `Error:` line of a command that failed cleanly."""
+    assert result.exit_code == 1, result.output
+    assert "Traceback" not in result.output
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, result.stderr
+    return errors[0]
+
+
+@pytest.mark.parametrize("name", ["annotations.jsonl", "embeddings.jsonl"])
+def test_a_repeated_store_row_names_its_line(pristine, tmp_path, name):
+    """A second row for one key in a store sidecar is an error, as a
+    repeated id in the corpus is a rejection; never a silent overwrite."""
+    work = tmp_path / "w"
+    shutil.copytree(pristine, work)
+    path = work / "store" / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    first_row = next(line for line in lines if '"article_id"' in line)
+    path.write_text("".join(lines + [first_row]), encoding="utf-8")
+    _, _, command = TARGETS[name]
+    error = one_error(CliRunner().invoke(main, [str(a) for a in command(work)]))
+    assert error.startswith(
+        f"Error: {path}:{len(lines) + 1}: not a valid row (ValueError: duplicate "
+    ), error
+
+
+def test_a_sidecar_from_before_the_vector_table_is_refused(pristine, tmp_path):
+    """A sidecar whose rows hold their vectors (the format before vector
+    lines) is named at its first such row, with the command that rebuilds it."""
+    work = tmp_path / "w"
+    shutil.copytree(pristine, work)
+    path = work / "store" / "embeddings.jsonl"
+    vectors, lines = [], []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        value = json.loads(line)
+        if value.get("kind") == "vector":
+            vectors.append(value["vector"])
+            continue
+        if value.get("vector") is not None:
+            value["vector"] = vectors[value["vector"]]
+        lines.append(json.dumps(value) + "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    first = 1 + next(i for i, line in enumerate(lines) if '"vector": [' in line)
+    _, _, command = TARGETS["embeddings.jsonl"]
+    error = one_error(CliRunner().invoke(main, [str(a) for a in command(work)]))
+    assert error.startswith(f"Error: {path}:{first}: not a valid row"), error
+    assert error.endswith("an old sidecar; re-run factlens embed)"), error
