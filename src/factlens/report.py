@@ -324,10 +324,10 @@ def reading(source: str | Path, what: str, line: int | None = None, error=ValueE
         raise error(f"{where}: {what} ({type(exc).__name__}: {exc})") from None
 
 
-def read_json_lines(path: str | Path, convert: Callable[[Any], Any]) -> list:
-    """convert(value) for the JSON value on each non-blank line, each line
-    decoded as UTF-8 on its own; one that fails is ``<path>:<line>: not a valid row``."""
-    out = []
+def read_json_lines(path: str | Path, read_row: Callable[[Any], None]) -> None:
+    """Calls read_row(value) for the JSON value on each non-blank line in
+    turn, each line decoded as UTF-8 on its own; a line that fails is
+    ``<path>:<line>: not a valid row``."""
     with Path(path).open("rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             with reading(path, "not a valid row", line_no):
@@ -336,8 +336,7 @@ def read_json_lines(path: str | Path, convert: Callable[[Any], Any]) -> list:
                     value = json.loads(line)
                     if not encodable(value, line):
                         raise ValueError("a string holds an unpaired surrogate")
-                    out.append(convert(value))
-    return out
+                    read_row(value)
 
 
 # How deeply a table's values may nest. Exporting a value recurses once

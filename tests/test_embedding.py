@@ -402,9 +402,10 @@ def test_sidecar_dimension_header_is_enforced(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
         '{"kind": "header", "dim": 4}\n'
-        '{"article_id": "a", "tag": "claim", "n_sentences": 1, "vector": [1.0, 0.0]}\n'
+        '{"kind": "vector", "number": 0, "vector": [1.0, 0.0]}\n'
+        '{"article_id": "a", "tag": "claim", "n_sentences": 1, "vector": 0}\n'
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vector 0 is not 4 finite numbers"):
         load_embeddings(path)
 
 
