@@ -325,7 +325,6 @@ DAMAGED_SIDECAR_LINES = {
     "nan-vector": (2, vector_line(vector=[float("nan"), 0.0, 0.0, 1.0])),
     "huge-int-vector": (2, vector_line(vector=[10**400, 0.0, 0.0, 1.0])),
     "scalar-vector": (2, vector_line(vector=3)),
-    "short-vector": (2, vector_line(vector=[1.0, 0.0])),
     "vector-number-string": (2, vector_line(number="0")),
     "vector-misnumbered": (2, vector_line(number=1)),
     "article-id-int": (4, sidecar_row(article_id=3)),
