@@ -19,12 +19,7 @@ import numpy as np
 
 from .annotation import SENTENCE_TAGS, Annotation
 from .config import MAX_EMBEDDING_DIM
-from .providers import (
-    EmbeddingProvider,
-    HttpEmbeddingProvider,
-    ProviderCallError,
-    ProviderUnreachableError,
-)
+from .providers import EmbeddingProvider, ProviderCallError, ProviderUnreachableError
 from .report import read_json_lines, reading, write_output
 
 logger = logging.getLogger(__name__)
@@ -47,8 +42,8 @@ class TagEmbedding:
 def embed_sentences(
     sentences: Sequence[str], provider: EmbeddingProvider, retries: int | None = None
 ) -> np.ndarray:
-    """One vector per sentence, all of the provider-declared dimension.
-    retries, when given, is passed on to an HTTP provider's requests."""
+    """One vector per sentence, all of the provider-declared dimension;
+    each request is sent with the given retries."""
     if any(not isinstance(s, str) or not s for s in sentences):
         raise ValueError("sentences must be non-empty strings")
     if not sentences:
@@ -56,8 +51,7 @@ def embed_sentences(
     chunks = []
     for start in range(0, len(sentences), _BATCH_SIZE):
         batch = sentences[start : start + _BATCH_SIZE]
-        sent = provider.embed(batch) if retries is None else provider.embed(batch, retries)
-        vectors = np.asarray(sent, dtype=np.float64)
+        vectors = np.asarray(provider.embed(batch, retries), dtype=np.float64)
         if vectors.shape != (len(batch), provider.dim):
             raise ProviderCallError(
                 f"provider returned shape {vectors.shape}, expected {(len(batch), provider.dim)}"
@@ -107,10 +101,10 @@ def _embed_groups(
     group is alone; only its rows are stored as absent.
 
     The undivided request and an isolated group are retried as the
-    provider's policy says; an HTTP provider sends the levels in between
-    once, so one failing text pays the backoff of two requests, not of
-    every level. A transport error at such a level sends it again under
-    the provider's policy, which alone decides the endpoint is down."""
+    provider's policy says; the levels in between are sent with retries=0,
+    so one failing text pays the backoff of two requests, not of every
+    level. A transport error at such a level sends it again under the
+    provider's policy, which alone decides the endpoint is down."""
     texts = [s for _, sentences in groups for s in sentences]
     try:
         vectors = embed_sentences(texts, provider, retries)
@@ -122,9 +116,8 @@ def _embed_groups(
     except ProviderCallError as exc:
         if len(groups) > 1:
             mid = len(groups) // 2
-            between = 0 if isinstance(provider, HttpEmbeddingProvider) else None
             for half in (groups[:mid], groups[mid:]):
-                _embed_groups(half, provider, out, None if len(half) == 1 else between)
+                _embed_groups(half, provider, out, None if len(half) == 1 else 0)
             return
         keys, _ = groups[0]
         logger.warning(

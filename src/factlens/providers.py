@@ -334,10 +334,12 @@ class SyntheticChatProvider:
 
 
 class EmbeddingProvider(Protocol):
+    """embed sends a failed request again at most retries times (None: the
+    provider's policy); an in-process embedder sends none and ignores it."""
     dim: int
     name: str
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray: ...
+    def embed(self, texts: Sequence[str], retries: int | None = None) -> np.ndarray: ...
 
 
 class HashedEmbeddingProvider:
@@ -370,7 +372,7 @@ class HashedEmbeddingProvider:
         self._slots[token] = slot
         return slot
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
+    def embed(self, texts: Sequence[str], retries: int | None = None) -> np.ndarray:
         self.calls += 1
         slots, dim = self._slots, self.dim
         cells: list[int] = []
@@ -406,8 +408,6 @@ class HttpEmbeddingProvider(_HttpClient):
         self.name = f"http:{endpoint}"
 
     def embed(self, texts: Sequence[str], retries: int | None = None) -> np.ndarray:
-        """The texts' vectors; a failed request is sent again at most
-        retries times (default max_retries)."""
         texts = list(texts)
         key = hashlib.sha256(json.dumps(texts).encode("utf-8")).hexdigest()
         return self._send(

@@ -1,5 +1,6 @@
 import datetime as dt
 import hashlib
+import inspect
 import json
 import logging
 import math
@@ -198,7 +199,7 @@ def test_embed_annotations_discards_failed_batches(hashed_provider):
     from factlens.providers import ProviderCallError
 
     class FlakyEmbedder(HashedEmbeddingProvider):
-        def embed(self, texts):
+        def embed(self, texts, retries=None):
             if any("poison" in t for t in texts):
                 raise ProviderCallError("batch rejected")
             return super().embed(texts)
@@ -573,7 +574,7 @@ def test_one_poisoned_text_in_a_full_batch_fails_only_its_tag():
             super().__init__(dim=64)
             self.batch_sizes = []
 
-        def embed(self, texts):
+        def embed(self, texts, retries=None):
             self.batch_sizes.append(len(texts))
             if any("poison" in t for t in texts):
                 raise ProviderCallError("batch rejected")
@@ -615,7 +616,7 @@ class FloatEmbedder:
     dim = 7
     name = "float"
 
-    def embed(self, texts):
+    def embed(self, texts, retries=None):
         return np.array([self.vector(t) for t in texts])
 
     def vector(self, text):
@@ -740,6 +741,46 @@ def test_transport_error_inside_a_split_is_left_to_the_retry_policy(stub_post, m
     assert provider.calls == 4 + 2 * 2  # each half: one send, then one under the policy
 
 
+def test_bisection_levels_in_between_get_no_retries_whatever_the_provider():
+    """An in-process embedder is sent the same retries as an HTTP one: the
+    provider's policy (None) for the whole request and an isolated group,
+    0 for the levels in between."""
+
+    class RetriesEmbedder(HashedEmbeddingProvider):
+        def __init__(self):
+            super().__init__(dim=64)
+            self.sent = []
+
+        def embed(self, texts, retries=None):
+            self.sent.append((len(texts), retries))
+            if any("poison" in t for t in texts):
+                raise ProviderCallError("batch rejected")
+            return super().embed(texts, retries)
+
+    # Five one-sentence groups, the fourth poisoned.
+    annotations = {
+        f"a{i}": Annotation(f"a{i}", claim=(f"Claim {i}.",),
+                            what=("poison pill",) if i == 2 else (), why=())
+        for i in range(4)
+    }
+    provider = RetriesEmbedder()
+    embeddings = embed_annotations(annotations, provider)
+    assert provider.sent == [
+        (5, None), (2, 0), (3, 0), (1, None), (2, 0), (1, None), (1, None)
+    ]
+    assert not any(embeddings[(f"a{i}", "claim")].absent for i in range(4))
+    assert embeddings[("a2", "what")].absent
+
+
+@pytest.mark.parametrize("name", ["EmbeddingProvider", "HashedEmbeddingProvider",
+                                  "HttpEmbeddingProvider"])
+def test_every_embedding_provider_takes_retries(name):
+    embedders = [v for v in vars(providers).values() if isinstance(v, type) and hasattr(v, "embed")]
+    assert name in [cls.__name__ for cls in embedders]
+    embed = getattr(providers, name).embed
+    assert inspect.signature(embed).parameters["retries"].default is None
+
+
 class CountingEmbedder(HashedEmbeddingProvider):
     """Hashed vectors; keeps every request's texts, and fails any request
     holding a text that starts with "poison"."""
@@ -748,7 +789,7 @@ class CountingEmbedder(HashedEmbeddingProvider):
         super().__init__(dim=64)
         self.requests = []
 
-    def embed(self, texts):
+    def embed(self, texts, retries=None):
         self.requests.append(list(texts))
         if any(t.startswith("poison") for t in texts):
             raise ProviderCallError("batch rejected")
