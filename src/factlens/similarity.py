@@ -137,11 +137,12 @@ def bootstrap_median_ci(
         take = min(chunk, cfg.bootstrap_resamples - done)
         ranks = rank[rng.integers(0, n, size=(take, m))]
         # np.median's arithmetic: the middle order statistic, or the mean of
-        # the two middle ones; a full row sort is faster than its partition.
+        # the two middle ones (np.mean of two values is their sum over 2); a
+        # full row sort is faster than its partition.
         ranks.sort(axis=1)
         medians[done : done + take] = (
             ordered[ranks[:, half]] if m % 2
-            else np.mean(ordered[ranks[:, half - 1 : half + 1]], axis=1)
+            else (ordered[ranks[:, half - 1]] + ordered[ranks[:, half]]) / 2
         )
         done += take
     alpha = 1.0 - cfg.confidence_level
@@ -175,8 +176,13 @@ def _percentile(ordered: np.ndarray, percent: float) -> float:
 
 
 # X rows per block product; temporaries are _BLOCK_ROWS x (Y rows in the
-# block's date slice).
-_BLOCK_ROWS = 64
+# block's date slice). OpenBLAS splits a product over its threads once
+# rows x Y rows x dim passes 4 x 65,536. At 64 rows, a dense quarter of 64-d
+# vectors (about 90 Y rows a block) passed it, and between those short
+# products the second thread spun: 0.2-0.4 s of its CPU in a 0.25-0.55 s
+# stage on 2 vCPUs, none at 32 rows. Wider dimensions or denser windows
+# still thread, as before.
+_BLOCK_ROWS = 32
 
 
 def _stacked(items: Sequence[DatedVector], dim: int) -> np.ndarray:

@@ -176,15 +176,20 @@ def hostile_vectors(prefix, n, dim, scale, rng, pool):
     return out
 
 
+# The kernel's block size and the former one (64) each get inputs that span
+# more than one block.
+BLOCK_SIZES = sorted({1, 5, 64, similarity._BLOCK_ROWS})
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    n_x=st.integers(0, similarity._BLOCK_ROWS + 12),
-    n_y=st.integers(0, similarity._BLOCK_ROWS + 12),
+    n_x=st.integers(0, BLOCK_SIZES[-1] + 12),
+    n_y=st.integers(0, BLOCK_SIZES[-1] + 12),
     dim=st.integers(1, 8),
     window_days=st.integers(0, 20),
     x_scale=st.sampled_from([1.0, 1e3, 1e-3]),
     y_scale=st.sampled_from([1.0, 1e3, 1e-3]),
-    block_rows=st.sampled_from([1, 5, similarity._BLOCK_ROWS]),
+    block_rows=st.sampled_from(BLOCK_SIZES),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_block_kernel_matches_naive_oracle(
