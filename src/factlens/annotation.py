@@ -124,8 +124,8 @@ def _normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
-def _verbatim_flags(sentences: Iterable[str], body: str, tag: str) -> list[str]:
-    haystack = _normalize_ws(body)
+def _verbatim_flags(sentences: Iterable[str], haystack: str, tag: str) -> list[str]:
+    """A flag per sentence not found in haystack, the body as _normalize_ws left it."""
     return [
         f"{tag}:not_verbatim"
         for s in sentences
@@ -134,13 +134,14 @@ def _verbatim_flags(sentences: Iterable[str], body: str, tag: str) -> list[str]:
 
 
 def _call(
-    provider: ChatProvider, cache: ResponseCache | None, key: str, template_id: str, prompt: str
+    provider: ChatProvider, cache: ResponseCache | None, key: str, template_id: str, body: str
 ) -> str | ProviderCallError:
-    """The provider's response, cached as it arrives, or the call's
-    permanent failure; an unreachable endpoint raises. A response that no
-    writer can encode (it holds an unpaired surrogate) is such a failure."""
+    """The provider's response to the body's rendered prompt, cached as it
+    arrives, or the call's permanent failure; an unreachable endpoint
+    raises. A response that no writer can encode (it holds an unpaired
+    surrogate) is such a failure."""
     try:
-        response = provider.complete(prompt, template_id)
+        response = provider.complete(prompts.render_prompt(template_id, body), template_id)
     except ProviderCallError as exc:
         return exc
     if not response.isascii():  # the common case skips the encode
@@ -158,7 +159,7 @@ def _call_all(
     provider: ChatProvider,
     cache: ResponseCache | None,
 ) -> dict[str, str | ProviderCallError]:
-    """_call for each cache key -> (template id, prompt).
+    """_call for each cache key -> (template id, article body).
 
     A provider that declares ``workers`` > 1 gets that many requests in
     flight at once; others are called one at a time, in order. An
@@ -203,6 +204,7 @@ def _annotation(
     values: dict[str, Any] = {}
     failed: list[str] = []
     flags: list[str] = []
+    haystack = _normalize_ws(article.body)
     for template_id, raw in raws:
         parser, fields, name = PASSES[template_id]
         if isinstance(raw, ProviderCallError):
@@ -222,7 +224,7 @@ def _annotation(
             value = parsed.value if len(fields) == 1 else parsed.value[tag]
             if tag in SENTENCE_TAGS:
                 value = tuple(value)
-                flags.extend(_verbatim_flags(value, article.body, tag))
+                flags.extend(_verbatim_flags(value, haystack, tag))
             values[tag] = value
     return Annotation(
         article_id=article.id, failed_tags=tuple(failed), flags=tuple(flags), **values
@@ -238,8 +240,9 @@ def annotate_corpus(
 
     Three phases: each (article, template) prompt is rendered and its
     cache entry read once; the misses go to the provider (concurrently
-    when it declares ``workers``), each response cached as it arrives;
-    then annotations are parsed and assembled in corpus order. A per-call
+    when it declares ``workers``), each prompt rendered again as it is
+    sent, so no table of prompts is held, and each response cached as it
+    arrives; then annotations are parsed and assembled in corpus order. A per-call
     failure marks only that tag failed; an unreachable provider aborts
     the run with all completed cache entries preserved.
     """
@@ -258,7 +261,7 @@ def annotate_corpus(
             if cached is not None:
                 responses[key] = cached
             else:
-                misses.setdefault(key, (template_id, prompt))
+                misses.setdefault(key, (template_id, article.body))
             keys.append(key)
         article_keys.append(keys)
     try:

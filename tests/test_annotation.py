@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import re
+import tracemalloc
 
 import pytest
 
@@ -168,6 +169,31 @@ def test_annotate_corpus_cache_contract(tmp_path):
     warm = annotate_corpus(corpus, warm_provider, config)
     assert warm_provider.calls == 0
     assert warm == annotations
+
+
+def test_cold_annotate_holds_no_table_of_prompts(tmp_path):
+    """A prompt is rendered for its key and again as it is sent, never kept
+    for every miss: the traced peak stays below half of all prompts."""
+    filler = " ".join(["the post was shared by many pages in the region."] * 102)
+    articles = [
+        make_article(f"a{i:03d}", body=f"Post {i} claimed a secret order. {filler} "
+                     f"It spread because of account {i}.")
+        for i in range(300)
+    ]
+    corpus = make_corpus(articles)
+    prompt_chars = sum(
+        len(prompts.render_prompt(t, a.body)) for a in articles for t in prompts.TEMPLATE_IDS
+    )
+    provider = SyntheticChatProvider()
+    tracemalloc.start()
+    try:
+        annotations = annotate_corpus(corpus, provider, ProviderConfig(cache_dir=tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert provider.calls == 900 and len(annotations) == 300
+    assert len(articles[0].body) > 5000
+    assert peak < prompt_chars / 2, (peak, prompt_chars)
 
 
 def test_cache_key_oracle(tmp_path):
