@@ -181,7 +181,7 @@ def _percentile(ordered: np.ndarray, percent: float) -> float:
 # vectors (about 90 Y rows a block) passed it, and between those short
 # products the second thread spun: 0.2-0.4 s of its CPU in a 0.25-0.55 s
 # stage on 2 vCPUs, none at 32 rows. Wider dimensions or denser windows
-# still thread, as before.
+# still pass it and thread.
 _BLOCK_ROWS = 32
 
 
