@@ -242,9 +242,9 @@ def annotate_corpus(
     cache entry read once; the misses go to the provider (concurrently
     when it declares ``workers``), each prompt rendered again as it is
     sent, so no table of prompts is held, and each response cached as it
-    arrives; then annotations are parsed and assembled in corpus order. A per-call
-    failure marks only that tag failed; an unreachable provider aborts
-    the run with all completed cache entries preserved.
+    arrives; then annotations are parsed and assembled in corpus order.
+    A per-call failure marks only that tag failed; an unreachable
+    provider aborts the run with all completed cache entries preserved.
     """
     cache = None
     if config is not None and config.cache_dir is not None:

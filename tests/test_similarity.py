@@ -176,8 +176,8 @@ def hostile_vectors(prefix, n, dim, scale, rng, pool):
     return out
 
 
-# The kernel's block size and the former one (64) each get inputs that span
-# more than one block.
+# The kernel's block size and 64, at which OpenBLAS threads a dense quarter's
+# products, each get inputs that span more than one block.
 BLOCK_SIZES = sorted({1, 5, 64, similarity._BLOCK_ROWS})
 
 
