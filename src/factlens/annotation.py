@@ -3,7 +3,9 @@
 Each article yields claim sentences, what/why sentences, and an
 entity -> sentiment map. Raw responses are cached byte-equal on disk
 keyed by (template id, rendered prompt, model) and re-parsed on read, so
-a warm run never touches the provider and parses identically.
+a warm run never touches the provider and parses identically. One pass
+over the corpus reads each cache entry, sends each miss as soon as it is
+found, and parses each article once its three responses are in hand.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ import errno
 import json
 import logging
 import os
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from queue import SimpleQueue
 from typing import Any, Callable, Iterable, Mapping
 
 from . import parsing, prompts
@@ -154,34 +157,6 @@ def _call(
     return response
 
 
-def _call_all(
-    misses: Mapping[str, tuple[str, str]],
-    provider: ChatProvider,
-    cache: ResponseCache | None,
-) -> dict[str, str | ProviderCallError]:
-    """_call for each cache key -> (template id, article body).
-
-    A provider that declares ``workers`` > 1 gets that many requests in
-    flight at once; others are called one at a time, in order. An
-    unreachable endpoint cancels the requests not yet sent, lets those in
-    flight finish (and be cached), and raises.
-    """
-    width = min(getattr(provider, "workers", 1), len(misses))
-    if width <= 1:
-        return {key: _call(provider, cache, key, *req) for key, req in misses.items()}
-    pool = ThreadPoolExecutor(max_workers=width)
-    try:
-        futures = {
-            key: pool.submit(_call, provider, cache, key, *req) for key, req in misses.items()
-        }
-        wait(futures.values(), return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    # Requests start in submission order, so a raised error comes before
-    # any cancelled request and result() re-raises it first.
-    return {key: future.result() for key, future in futures.items()}
-
-
 # Template id -> (parser, the Annotation fields its value fills, name in
 # log lines). A one-field pass's value is that field; a multi-field pass's
 # value is keyed by field.
@@ -238,47 +213,99 @@ def annotate_corpus(
 ) -> dict[str, Annotation]:
     """Annotate every article; deterministic given the cache or a mock.
 
-    Three phases: each (article, template) prompt is rendered and its
-    cache entry read once; the misses go to the provider (concurrently
-    when it declares ``workers``), each prompt rendered again as it is
-    sent, so no table of prompts is held, and each response cached as it
-    arrives; then annotations are parsed and assembled in corpus order.
-    A per-call failure marks only that tag failed; an unreachable
-    provider aborts the run with all completed cache entries preserved.
+    One pass in corpus order: each (article, template) prompt is rendered
+    and its cache entry read once, and a miss is sent as soon as it is
+    found, each response cached as it arrives. A provider that declares
+    ``workers`` gets a pool of that many threads, started at the first
+    miss; others are called inline, one at a time. A key shared by two
+    articles is sent once. An article is parsed as soon as its three
+    responses are in hand, so raw responses are not held past their
+    article; the result keeps corpus order. A per-call failure marks only
+    that tag failed. An unreachable provider stops further sends, lets the
+    requests in flight finish (and be cached), and aborts the run.
     """
     cache = None
     if config is not None and config.cache_dir is not None:
         cache = ResponseCache(config.cache_dir)
-    article_keys: list[list[str]] = []
-    responses: dict[str, str | ProviderCallError] = {}
-    misses: dict[str, tuple[str, str]] = {}
-    for article in corpus:
-        keys = []
-        for template_id in prompts.TEMPLATE_IDS:
-            prompt = prompts.render_prompt(template_id, article.body)
-            key = cache_key(template_id, prompt, provider.model_name)
-            cached = cache.get(key) if cache is not None else None
-            if cached is not None:
-                responses[key] = cached
-            else:
-                misses.setdefault(key, (template_id, article.body))
-            keys.append(key)
-        article_keys.append(keys)
+    workers = getattr(provider, "workers", 1)
+    pool: ThreadPoolExecutor | None = None
+    # Cache key of each miss -> its response or failure: a Future while in
+    # flight, None if an outage came before it was sent.
+    sent: dict[str, str | ProviderCallError | Future | None] = {}
+    # Cache key of each request in flight -> (article, its raw responses,
+    # the slot the request fills) for every article waiting on it.
+    waiting: dict[str, list[tuple[Article, list, int]]] = {}
+    finished: SimpleQueue[str] = SimpleQueue()  # keys whose requests are done
+    annotations: dict[str, Annotation | None] = {}  # None while waiting
+    outage: ProviderUnreachableError | None = None
+
+    def send(key: str, template_id: str, body: str) -> str | ProviderCallError | Future | None:
+        nonlocal pool, outage
+        if workers <= 1:
+            try:
+                return _call(provider, cache, key, template_id, body)
+            except ProviderUnreachableError as exc:
+                outage = exc
+                return None
+        if pool is None:
+            pool = ThreadPoolExecutor(max_workers=workers)
+        future = pool.submit(_call, provider, cache, key, template_id, body)
+        waiting[key] = []
+        future.add_done_callback(lambda _: finished.put(key))
+        return future
+
+    def settle(article: Article, raws: list) -> None:
+        """Parse the article unless one of its requests is still in flight."""
+        done = not any(isinstance(raw, Future) for raw in raws)
+        annotations[article.id] = (
+            _annotation(article, zip(prompts.TEMPLATE_IDS, raws)) if done else None
+        )
+
+    def collect(key: str) -> None:
+        """Give a finished request's result to the articles waiting on it."""
+        nonlocal outage
+        try:
+            result = sent[key] = sent[key].result()
+        except ProviderUnreachableError as exc:
+            outage = exc
+            pool.shutdown(cancel_futures=True)  # in-flight requests finish
+            return
+        for article, raws, slot in waiting.pop(key):
+            raws[slot] = result
+            settle(article, raws)
+
     try:
-        responses.update(_call_all(misses, provider, cache))
-    except ProviderUnreachableError:
+        for article in corpus:
+            while outage is None and not finished.empty():
+                collect(finished.get())
+            raws: list = []
+            for template_id in prompts.TEMPLATE_IDS:
+                prompt = prompts.render_prompt(template_id, article.body)
+                key = cache_key(template_id, prompt, provider.model_name)
+                if key in sent:  # never read: a request in flight may be writing it
+                    raw = sent[key]
+                else:
+                    raw = cache.get(key) if cache is not None else None
+                    if raw is None:
+                        raw = sent[key] = None if outage else send(key, template_id, article.body)
+                if isinstance(raw, Future):
+                    waiting[key].append((article, raws, len(raws)))
+                raws.append(raw)
+            if outage is None:
+                settle(article, raws)
+        while outage is None and waiting:
+            collect(finished.get())
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    if outage is not None:
         logger.error(
             "provider unreachable with %d uncached requests; aborting, "
             "completed responses stay cached",
-            len(misses),
+            len(sent),
         )
-        raise
-    return {
-        article.id: _annotation(
-            article, [(t, responses[key]) for t, key in zip(prompts.TEMPLATE_IDS, keys)]
-        )
-        for article, keys in zip(corpus, article_keys)
-    }
+        raise outage
+    return annotations
 
 
 def save_annotations(annotations: Mapping[str, Annotation], path: str | Path) -> None:

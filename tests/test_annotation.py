@@ -196,6 +196,27 @@ def test_cold_annotate_holds_no_table_of_prompts(tmp_path):
     assert peak < prompt_chars / 2, (peak, prompt_chars)
 
 
+def test_warm_annotate_holds_no_table_of_responses(tmp_path):
+    """Each article is parsed as soon as its responses are read and they are
+    dropped: beyond the annotations it returns, a warm run's traced peak
+    stays below the size of the cached responses it read."""
+    corpus = make_corpus(distinct_articles(300))
+    config = ProviderConfig(cache_dir=tmp_path)
+    annotate_corpus(make_corpus(distinct_articles(299)), SyntheticChatProvider(), config)
+    response_bytes = sum(
+        len(json.loads(path.read_bytes())["response"].encode()) for path in tmp_path.iterdir()
+    )
+    provider = SyntheticChatProvider()
+    tracemalloc.start()
+    try:
+        annotations = annotate_corpus(corpus, provider, config)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert provider.calls == 3 and len(annotations) == 300
+    assert peak - held < response_bytes, (peak, held, response_bytes)
+
+
 def test_cache_key_oracle(tmp_path):
     """The cache file name equals an independent hash recomputation."""
     article = make_article("a1", body=BODY)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from factlens import prompts, providers
-from factlens.annotation import annotate_corpus, save_annotations
+from factlens.annotation import ResponseCache, annotate_corpus, save_annotations
 from factlens.providers import (
     ProviderConfig,
     ProviderUnreachableError,
@@ -103,6 +103,63 @@ def test_pool_and_serial_runs_write_identical_files(stub_post, tmp_path):
     pooled, serial = files("pool"), files("serial")
     assert len(pooled) == 1 + 12 * 3 - 1  # annotations.jsonl, every answer but the 400
     assert pooled == serial
+
+
+def warm_cache(corpus, cache_dir):
+    config = ProviderConfig(cache_dir=cache_dir)
+    annotate_corpus(corpus, SyntheticChatProvider(model_name=MODEL), config)
+    return config
+
+
+def test_warm_annotate_sends_a_miss_while_the_scan_runs(stub_post, tmp_path, monkeypatch):
+    """Every lookup after the first miss waits until the endpoint has received
+    a request: the scan ends only if a miss is sent as soon as it is found."""
+    corpus = articles(6)
+    config = warm_cache(corpus, tmp_path / "cache")
+    for template_id in prompts.TEMPLATE_IDS:
+        prompt = prompts.render_prompt(template_id, corpus.articles[2].body)
+        (tmp_path / "cache" / f"{cache_key(template_id, prompt, MODEL)}.json").unlink()
+    received = threading.Event()
+
+    def reply(body):
+        received.set()
+        return synthetic_answer(body)
+
+    get = ResponseCache.get
+    missed = False
+
+    def lookup(self, key):
+        nonlocal missed
+        if missed:
+            assert received.wait(timeout=5), "no miss was sent before the scan ended"
+        response = get(self, key)
+        missed = missed or response is None
+        return response
+
+    stub_post(reply)
+    monkeypatch.setattr(ResponseCache, "get", lookup)
+    provider = http_chat()
+    annotations = annotate_corpus(corpus, provider, config)
+    assert provider.calls == 3
+    assert annotations == annotate_corpus(corpus, SyntheticChatProvider(model_name=MODEL), config)
+
+
+def test_annotate_with_every_lookup_hit_starts_no_thread(stub_post, tmp_path, monkeypatch):
+    corpus = articles(4)
+    config = warm_cache(corpus, tmp_path / "cache")
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread.name)
+        start(thread)
+
+    stub_post(chat_reply('["ok"]'))
+    monkeypatch.setattr(threading.Thread, "start", record)
+    provider = http_chat()
+    annotations = annotate_corpus(corpus, provider, config)
+    assert provider.calls == 0 and len(annotations) == 4
+    assert started == []
 
 
 def test_throttle_spaces_concurrent_sends(stub_post):
