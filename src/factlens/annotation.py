@@ -75,8 +75,10 @@ class Annotation:
         if not isinstance(raw["article_id"], str):
             raise TypeError("article_id: expected a string")
         entities = raw.get("entities", {})
-        if not isinstance(entities, dict) or not all(isinstance(v, str) for v in entities.values()):
-            raise TypeError("entities: expected an object of strings")
+        if not isinstance(entities, dict) or not all(
+            name.strip() and label in parsing.SENTIMENT_LABELS for name, label in entities.items()
+        ):
+            raise TypeError("entities: expected non-empty names mapped to sentiment labels")
         return cls(
             article_id=raw["article_id"],
             claim=strings("claim"),
@@ -110,13 +112,15 @@ class ResponseCache:
             # Decoded as UTF-8 first: json.loads would accept UTF-16 bytes.
             text = raw.decode("utf-8")
             response = json.loads(text)["response"]
+            if not isinstance(response, str):
+                raise TypeError("response is not a string")
             if not encodable(response, text):
                 raise ValueError("unpaired surrogate")
         except (OSError, *DECODE_ERRORS) as exc:
             if not (isinstance(exc, OSError) and exc.errno in _NO_ENTRY):
                 logger.warning("cache entry %s is corrupt; refetching", key)
             return None
-        return response if isinstance(response, str) else None
+        return response
 
     def put(self, key: str, response: str) -> None:
         with open(self._path(key), "w", encoding="utf-8") as fh:

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .annotation import Annotation
 from .corpus import Corpus
-from .report import read_csv_records
+from .report import read_csv_records, reading
 
 logger = logging.getLogger(__name__)
 
@@ -86,11 +86,17 @@ def load_aliases_csv(path: str | Path) -> AliasMap:
     """Read the alias sidecar: columns surface, canonical, political.
 
     The political yes/no flag is meaningful on canonical rows (surface
-    equal to canonical) but is honored wherever it appears.
+    equal to canonical) but is honored wherever it appears. Rows without
+    one of the three columns are ``<path>: not a valid alias file``.
     """
+    rows = read_csv_records(path)
+    with reading(path, "not a valid alias file"):
+        for column in ("surface", "canonical", "political"):
+            if rows and column not in rows[0]:
+                raise ValueError(f"missing column {column!r}")
     pairs: list[tuple[str, str]] = []
     political: set[str] = set()
-    for row in read_csv_records(path):
+    for row in rows:
         surface = (row.get("surface") or "").strip()
         canonical = (row.get("canonical") or "").strip()
         if not surface or not canonical:

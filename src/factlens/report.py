@@ -354,9 +354,10 @@ def _nesting(value: object) -> int:
 def read_table(path: str | Path) -> list[dict]:
     """The rows of a table file: JSON (one object or a list of objects,
     nested at most _MAX_NESTING deep) when the name ends in .json, else
-    CSV. Any other content is a ValueError naming the file."""
+    CSV; a leading byte order mark is skipped. Any other content is a
+    ValueError naming the file."""
     with reading(path, "not a table"):
-        with open(path, encoding="utf-8", newline="") as fh:  # a quoted "\r" stays
+        with open(path, encoding="utf-8-sig", newline="") as fh:  # a quoted "\r" stays
             text = fh.read()
         data = parse_json(text) if str(path).endswith(".json") else parse_csv(text)
         if not encodable(data, text):
@@ -371,10 +372,11 @@ def read_table(path: str | Path) -> list[dict]:
 
 def read_csv_records(path: str | Path) -> list[dict]:
     """The rows of a UTF-8 CSV file keyed by its header (csv.DictReader's
-    rows). Undecodable text or a malformed CSV (say, a field over the csv
+    rows); a leading byte order mark is not part of the first column's
+    name. Undecodable text or a malformed CSV (say, a field over the csv
     module's size limit) is a ValueError naming the file."""
     with reading(path, "not a readable CSV file"):
-        with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        with Path(path).open("r", encoding="utf-8-sig", newline="") as fh:
             return list(csv.DictReader(fh))
 
 

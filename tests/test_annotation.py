@@ -273,7 +273,7 @@ CACHE_ENTRIES = {
     "truncated": (lambda p: p.write_bytes(b'{"response": "o'), None, True),
     "not-an-object": (lambda p: p.write_bytes(b'["ok"]'), None, True),
     "no-response": (lambda p: p.write_bytes(b'{"other": "ok"}'), None, True),
-    "non-string-response": (lambda p: p.write_bytes(b'{"response": 3}'), None, False),
+    "non-string-response": (lambda p: p.write_bytes(b'{"response": 3}'), None, True),
     "deep-nesting": (
         lambda p: p.write_bytes(b'{"response": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"),
         None, True,

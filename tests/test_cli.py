@@ -549,6 +549,14 @@ BAD_CSV_FILES = {
         "polarity", "--store", str(tmp / "store"),
         "--aliases", write(tmp / "bad.csv", f"surface,canonical,political\nA,{BIG_FIELD},yes\n"),
     ],
+    "entities-aliases-missing-political": lambda tmp: [
+        "entities", "--store", str(tmp / "store"), "--orgs", "PolitiFact,Snopes",
+        "--aliases", write(tmp / "bad.csv", "surface,canonical\nJoe Biden,Joe Biden\n"),
+    ],
+    "polarity-aliases-missing-surface": lambda tmp: [
+        "polarity", "--store", str(tmp / "store"),
+        "--aliases", write(tmp / "bad.csv", "canonical,political\nJoe Biden,yes\n"),
+    ],
     "polarity-precisions-field-too-large": lambda tmp: [
         "polarity", "--store", str(tmp / "store"),
         "--precisions", write(tmp / "bad.csv", f"positive,negative,neutral\n1.0,{BIG_FIELD},1.0\n"),
@@ -587,6 +595,8 @@ MISTYPED_ROWS = {
     "claim-string": {"claim": "abc"},
     "failed-tags-string": {"failed_tags": "entities"},
     "entity-label-int": {"entities": {"Joe Biden": 3}},
+    "entity-label-unknown": {"entities": {"Joe Biden": "happy"}},
+    "entity-name-empty": {"entities": {"": "negative"}},
 }
 
 

@@ -1,6 +1,7 @@
 import datetime as dt
 import itertools
 import random
+import re
 import statistics
 from collections import Counter
 
@@ -18,6 +19,7 @@ from factlens.entities import (
     top_k_entities,
     windowed_jaccard,
 )
+from factlens.synthetic import write_alias_csv
 
 ALIASES = build_alias_map(
     [
@@ -239,6 +241,29 @@ def test_alias_csv_round_trip(tmp_path):
     assert canonicalize("President Biden", aliases) == "Joe Biden"
     assert aliases.is_political("Joe Biden")
     assert not aliases.is_political("NASA")
+
+
+def test_alias_csv_saved_with_a_byte_order_mark_loads_as_without(tmp_path):
+    """Spreadsheet tools save "CSV UTF-8" with a BOM; it is not part of the
+    first column's name."""
+    plain = write_alias_csv(tmp_path / "plain.csv")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    aliases = load_aliases_csv(plain)
+    assert aliases.mapping and aliases.political
+    assert load_aliases_csv(marked) == aliases
+
+
+@pytest.mark.parametrize("column", ["surface", "canonical", "political"])
+def test_alias_csv_without_a_column_is_refused(tmp_path, column):
+    header = [c for c in ("surface", "canonical", "political") if c != column]
+    path = tmp_path / "aliases.csv"
+    path.write_text(",".join(header) + "\nJoe Biden,Joe Biden\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=(
+        f"^{re.escape(str(path))}: not a valid alias file "
+        f"\\(ValueError: missing column '{column}'\\)$"
+    )):
+        load_aliases_csv(path)
 
 
 def test_empty_alias_map_treats_all_as_political():
