@@ -144,6 +144,33 @@ def test_warm_annotate_sends_a_miss_while_the_scan_runs(stub_post, tmp_path, mon
     assert annotations == annotate_corpus(corpus, SyntheticChatProvider(model_name=MODEL), config)
 
 
+def test_shared_keys_in_flight_are_sent_once_and_results_keep_corpus_order(stub_post, tmp_path):
+    """Articles share bodies, and so cache keys, while their requests are in
+    flight; threads switch often. Each key is sent once, and the result
+    equals a serial run's, in corpus order."""
+    articles = [
+        make_article(f"a{i:02d}", body=f"Claim number {i % 7} spread online.") for i in range(28)
+    ]
+    corpus = make_corpus(articles)
+    config = warm_cache(make_corpus(articles[:3]), tmp_path / "cache")  # bodies 0-2
+
+    def reply(body):
+        threading.Event().wait(0.001 * (zlib.crc32(prompt_of(body).encode()) % 4))
+        return synthetic_answer(body)
+
+    stub_post(reply)
+    provider = http_chat()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        annotations = annotate_corpus(corpus, provider, config)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = annotate_corpus(corpus, SyntheticChatProvider(model_name=MODEL))
+    assert list(annotations.items()) == list(serial.items())
+    assert provider.calls == 3 * 4  # bodies 3-6, four articles each
+
+
 def test_annotate_with_every_lookup_hit_starts_no_thread(stub_post, tmp_path, monkeypatch):
     corpus = articles(4)
     config = warm_cache(corpus, tmp_path / "cache")
