@@ -245,6 +245,8 @@ def annotate_corpus(
 
     def send(key: str, template_id: str, body: str) -> str | ProviderCallError | Future | None:
         nonlocal pool, outage
+        if outage is not None:
+            return None
         if workers <= 1:
             try:
                 return _call(provider, cache, key, template_id, body)
@@ -291,7 +293,7 @@ def annotate_corpus(
                 else:
                     raw = cache.get(key) if cache is not None else None
                     if raw is None:
-                        raw = sent[key] = None if outage else send(key, template_id, article.body)
+                        raw = sent[key] = send(key, template_id, article.body)
                 if isinstance(raw, Future):
                     waiting[key].append((article, raws, len(raws)))
                 raws.append(raw)
