@@ -148,11 +148,11 @@ def test_shared_keys_in_flight_are_sent_once_and_results_keep_corpus_order(stub_
     """Articles share bodies, and so cache keys, while their requests are in
     flight; threads switch often. Each key is sent once, and the result
     equals a serial run's, in corpus order."""
-    articles = [
+    shared = [
         make_article(f"a{i:02d}", body=f"Claim number {i % 7} spread online.") for i in range(28)
     ]
-    corpus = make_corpus(articles)
-    config = warm_cache(make_corpus(articles[:3]), tmp_path / "cache")  # bodies 0-2
+    corpus = make_corpus(shared)
+    config = warm_cache(make_corpus(shared[:3]), tmp_path / "cache")  # bodies 0-2
 
     def reply(body):
         threading.Event().wait(0.001 * (zlib.crc32(prompt_of(body).encode()) % 4))
