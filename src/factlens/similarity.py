@@ -128,9 +128,11 @@ def bootstrap_median_ci(
     rank[order] = np.arange(n)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     medians = np.empty(cfg.bootstrap_resamples, dtype=np.float64)
-    # Chunks of about 512 KiB of int64 draws; the draw sequence is identical
-    # to one big call.
-    chunk = max(1, 2**19 // (8 * m))
+    # Chunks of about 128 KiB of int64 draws, since their buffers stay
+    # resident after the call; but at least 128 rows while those fit in
+    # 512 KiB, as shorter chunks of long rows cost time. The draw sequence
+    # is identical to one big call.
+    chunk = max(1, 2**17 // (8 * m), min(128, 2**19 // (8 * m)))
     half = m // 2
     done = 0
     while done < cfg.bootstrap_resamples:

@@ -2,11 +2,12 @@ import datetime as dt
 import math
 import random
 import statistics
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factlens import similarity
@@ -366,15 +367,22 @@ def test_bootstrap_bit_identical_to_median_formulation(values, fraction, resampl
 
 @settings(max_examples=60, deadline=None)
 @given(
-    values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=400),
+    values=st.integers(1, 400).flatmap(
+        lambda n: st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    ),
     fraction=st.floats(0.001, 1.0),
-    resamples=st.integers(1, 700),
+    resamples=st.integers(1, 3000),
     level=st.floats(0.01, 0.99),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(values=[i / 400 for i in range(400)], fraction=1.0, resamples=700, level=0.95, seed=5)
+@example(values=[i / 200 for i in range(200)], fraction=0.2, resamples=1000, level=0.95, seed=6)
 def test_bootstrap_bit_identical_on_random_samples(values, fraction, resamples, level, seed):
-    """Random samples, sizes and confidence levels; up to m = 400 draws per
-    resample, so the 512 KiB chunks hold from 163 rows up."""
+    """Random samples, sizes and confidence levels. A chunk holds 128 KiB of
+    draws, or 128 rows from m = 128 draws per resample up (to m = 400 here):
+    3,000 resamples cross chunks from m = 6, and a third or more of the
+    examples do. The two explicit ones cross 128-row chunks at m = 400 and
+    409-row chunks at m = 40, each ending in a partial chunk."""
     cfg = AnalysisConfig(
         seed=seed, bootstrap_fraction=fraction, bootstrap_resamples=resamples,
         confidence_level=level,
@@ -397,6 +405,22 @@ def test_percentile_of_a_sample_holding_nan_is_nan():
     ordered = np.sort(np.array([0.3, np.nan, 0.1]))
     assert math.isnan(np.percentile(ordered, 50.0))
     assert math.isnan(similarity._percentile(ordered, 50.0))
+
+
+def test_bootstrap_working_set_is_a_few_hundred_kb():
+    """200 values at the default fraction draw 40 per resample; the 10,000
+    resamples go in chunks of 128 KiB of draws, whose buffers, with the
+    80 kB of medians, set the call's peak: 283 kB (873 kB with 512 KiB
+    chunks)."""
+    values = list(np.random.default_rng(0).random(200))
+    bootstrap_median_ci(values, CFG)  # numpy's first-call allocations aside
+    tracemalloc.start()
+    try:
+        bootstrap_median_ci(values, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000, peak
 
 
 def test_bootstrap_constant_data_zero_width():
