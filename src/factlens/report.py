@@ -199,13 +199,20 @@ def export_csv(rows: Sequence[dict], columns: Sequence[str] | None = None) -> st
 
 
 def parse_csv(text: str) -> list[dict]:
-    """Inverse of export_csv up to cell text; values come back as strings."""
+    """Inverse of export_csv up to cell text; values come back as strings.
+    Blank lines are skipped, as csv.DictReader skips them; a row whose cell
+    count is not the header's is a ValueError naming the line it ends on."""
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
-        return []
-    header = rows[0]
-    return [dict(zip(header, row)) for row in rows[1:]]
+    rows = filter(None, reader)
+    header = next(rows, None)
+    records = []
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(
+                f"line {reader.line_num}: cell count {len(row)}, the header's {len(header)}"
+            )
+        records.append(dict(zip(header, row)))
+    return records
 
 
 _CONTAINERS = (dict, list, tuple)

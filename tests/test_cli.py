@@ -573,6 +573,14 @@ BAD_CSV_FILES = {
         "report", "--format", "csv",
         "--inputs", write(tmp / "bad.csv", f"org,entity,ps,delta_ps\nO,{BIG_FIELD},0.5,0.1\n"),
     ],
+    "report-short-row": lambda tmp: [
+        "report", "--format", "csv",
+        "--inputs", write(tmp / "bad.csv", "org,entity,ps,delta_ps\nO,E,0.5,0.1\nO,F,0.5\n"),
+    ],
+    "report-long-row": lambda tmp: [
+        "report", "--format", "csv",
+        "--inputs", write(tmp / "bad.csv", "org,entity,ps,delta_ps\nO,E,0.5,0.1,extra\n"),
+    ],
 }
 
 

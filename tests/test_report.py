@@ -136,6 +136,14 @@ def test_csv_zero_rows_header_only():
     assert parse_csv(text) == []
 
 
+def test_parse_csv_skips_blank_lines_and_names_a_ragged_row():
+    assert parse_csv("\na,b\n\n1,2\n\n") == [{"a": "1", "b": "2"}]
+    with pytest.raises(ValueError, match="^line 4: cell count 1, the header's 2$"):
+        parse_csv("a,b\n1,2\n\n3\n")
+    with pytest.raises(ValueError, match="^line 3: cell count 3, the header's 2$"):
+        parse_csv('a,b\n1,"x\ny",3\n')
+
+
 def test_csv_three_rows_four_lines():
     text = export_csv(rows_fixture(), ("org", "entity", "ps", "delta_ps"))
     assert len(text.splitlines()) == 4
@@ -189,9 +197,10 @@ def test_read_table_reads_what_export_table_wrote(tmp_path, fmt):
         ("t.json", b"[1, 2]"), ("t.json", b'[{"org": '), ("t.json", b'"text"'), ("t.csv", b"\xff\n"),
         ("t.json", b"[" * 200_000 + b"]" * 200_000),
         ("t.json", b'[{"a": ' + b"[" * 800 + b"]" * 800 + b"}]"),
+        ("t.csv", b"org,ps\nA,0.5\n\nB\n"), ("t.csv", b'org,ps\nA,0.5,"x\ny"\n'),
     ],
     ids=["rows-not-objects", "truncated-json", "json-string", "not-utf8", "deep-nesting",
-         "nested-too-deep-to-export"],
+         "nested-too-deep-to-export", "csv-short-row", "csv-long-row"],
 )
 def test_read_table_names_a_file_that_is_not_a_table(tmp_path, name, data):
     (tmp_path / name).write_bytes(data)
