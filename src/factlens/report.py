@@ -200,8 +200,8 @@ def export_csv(rows: Sequence[dict], columns: Sequence[str] | None = None) -> st
 
 def parse_csv(text: str) -> list[dict]:
     """Inverse of export_csv up to cell text; values come back as strings.
-    Blank lines are skipped, as csv.DictReader skips them; a row whose cell
-    count is not the header's is a ValueError naming the line it ends on."""
+    Blank lines are skipped, before the header too; a row whose cell count
+    is not the header's is a ValueError naming the line it ends on."""
     reader = csv.reader(io.StringIO(text))
     rows = filter(None, reader)
     header = next(rows, None)

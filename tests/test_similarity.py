@@ -380,9 +380,10 @@ def test_bootstrap_bit_identical_to_median_formulation(values, fraction, resampl
 def test_bootstrap_bit_identical_on_random_samples(values, fraction, resamples, level, seed):
     """Random samples, sizes and confidence levels. A chunk holds 128 KiB of
     draws, or 128 rows from m = 128 draws per resample up (to m = 400 here):
-    3,000 resamples cross chunks from m = 6, and a third or more of the
-    examples do. The two explicit ones cross 128-row chunks at m = 400 and
-    409-row chunks at m = 40, each ending in a partial chunk."""
+    3,000 resamples cross chunks from m = 6, and 19 to 29 of the 60
+    examples did in three trials. The two explicit ones cross 128-row
+    chunks at m = 400 and 409-row chunks at m = 40, each ending in a
+    partial chunk."""
     cfg = AnalysisConfig(
         seed=seed, bootstrap_fraction=fraction, bootstrap_resamples=resamples,
         confidence_level=level,
