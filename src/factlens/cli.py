@@ -23,7 +23,6 @@ from . import report as report_mod
 from .annotation import SENTENCE_TAGS, load_annotations
 from .config import DEFAULTS, ConfigError, RunConfig, load_config, override, serialize_config
 from .embedding import load_embeddings
-from .entities import org_mentions
 from .providers import ProviderUnreachableError
 
 
@@ -77,11 +76,12 @@ def main(verbose: bool) -> None:
 @click.option("--out", "store_dir", required=True, type=click.Path())
 def ingest(input_file, date_from, date_to, store_dir) -> None:
     """Load a JSON-lines corpus into a canonical store directory."""
-    cfg = _config(RunConfig, date_from=date_from.date(), date_to=date_to.date())
-    result = corpus_mod.ingest(input_file, (cfg.date_from, cfg.date_to))
-    corpus_path, rejects_path = corpus_mod.write_store(result, store_dir)
-    click.echo(f"ingested {len(result.corpus)} articles -> {corpus_path}")
-    click.echo(f"rejected {len(result.rejections)} records -> {rejects_path}")
+    cfg = _config(RunConfig, input_file=input_file, date_from=date_from.date(),
+                  date_to=date_to.date())
+    store = Path(store_dir)
+    corpus, n_rejections = pipeline.ingest(cfg, store)
+    click.echo(f"ingested {len(corpus)} articles -> {store / 'corpus.jsonl'}")
+    click.echo(f"rejected {n_rejections} records -> {store / 'rejections.log'}")
 
 
 @main.command()
@@ -177,8 +177,7 @@ def entities(store_dir, aliases_file, top_k, window, orgs, out_file) -> None:
     corpus = corpus_mod.load_store(store_dir)
     org_x, org_y = _org_pair(orgs, corpus)
     annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
-    aliases = pipeline.load_alias_map(cfg)
-    mentions = {org: org_mentions(corpus, annotations, aliases, org) for org in (org_x, org_y)}
+    _, mentions = pipeline.entity_views(cfg, corpus, annotations, (org_x, org_y))
     tops, [payload] = pipeline.entity_overlap(cfg, mentions, [(org_x, org_y)])
     payload["top_entities_x"] = [list(e) for e in tops[org_x].entities]
     payload["top_entities_y"] = [list(e) for e in tops[org_y].entities]
@@ -205,8 +204,7 @@ def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_suppo
         cfg = override(cfg, **{f"precision_{name}": value for name, value in prec.items()})
     corpus = corpus_mod.load_store(store_dir)
     annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
-    aliases = pipeline.load_alias_map(cfg)
-    views = {org: org_mentions(corpus, annotations, aliases, org) for org in corpus.orgs()}
+    aliases, views = pipeline.entity_views(cfg, corpus, annotations, corpus.orgs())
     org_results, skipped = pipeline.polarity(cfg, views)
     for reason in skipped.values():
         click.echo(f"warning: {reason}", err=True)

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .annotation import Annotation
 from .corpus import Corpus
-from .report import read_csv_records, reading
+from .report import parse_csv, read_text, reading
 
 logger = logging.getLogger(__name__)
 
@@ -70,14 +70,22 @@ def build_alias_map(
 ) -> AliasMap:
     """Build an AliasMap from (surface, canonical) pairs.
 
-    Canonical names are forced to be fixed points; the political set, if
-    given, holds canonical names.
+    Each canonical name maps to itself, so canonicalize is idempotent. A
+    canonical name that is also another name's alias (a chain such as
+    Biden -> Joe Biden -> President Biden), or that differs from another
+    canonical name only in case or spacing, is a ValueError. The political
+    set, if given, holds canonical names.
     """
     mapping: dict[str, str] = {}
+    canonicals = []
     for surface, canonical in pairs:
         canonical = " ".join(canonical.split())
         mapping[_lookup_key(surface)] = canonical
         mapping.setdefault(_lookup_key(canonical), canonical)
+        canonicals.append(canonical)
+    for canonical in canonicals:
+        if (mapped := mapping[_lookup_key(canonical)]) != canonical:
+            raise ValueError(f"canonical name {canonical!r} is an alias of {mapped!r}")
     pol = None if political is None else frozenset(political)
     return AliasMap(mapping=mapping, political=pol)
 
@@ -86,26 +94,24 @@ def load_aliases_csv(path: str | Path) -> AliasMap:
     """Read the alias sidecar: columns surface, canonical, political.
 
     The political yes/no flag is meaningful on canonical rows (surface
-    equal to canonical) but is honored wherever it appears. Rows without
-    one of the three columns are ``<path>: not a valid alias file``.
+    equal to canonical) but is honored wherever it appears. A file that
+    parse_csv refuses, that lacks one of the three columns or whose pairs
+    build_alias_map refuses is ``<path>: not a valid alias file``.
     """
-    rows = read_csv_records(path)
+    pairs: list[tuple[str, str]] = []
+    political: set[str] = set()
     with reading(path, "not a valid alias file"):
+        rows = parse_csv(read_text(path))
         for column in ("surface", "canonical", "political"):
             if rows and column not in rows[0]:
                 raise ValueError(f"missing column {column!r}")
-    pairs: list[tuple[str, str]] = []
-    political: set[str] = set()
-    for row in rows:
-        surface = (row.get("surface") or "").strip()
-        canonical = (row.get("canonical") or "").strip()
-        if not surface or not canonical:
-            continue
-        pairs.append((surface, canonical))
-        flag = (row.get("political") or "").strip().lower()
-        if flag == "yes":
-            political.add(" ".join(canonical.split()))
-    return build_alias_map(pairs, political)
+        for row in rows:
+            surface, canonical = row["surface"].strip(), row["canonical"].strip()
+            if surface and canonical:
+                pairs.append((surface, canonical))
+                if row["political"].strip().lower() == "yes":
+                    political.add(" ".join(canonical.split()))
+        return build_alias_map(pairs, political)
 
 
 @dataclass(frozen=True)

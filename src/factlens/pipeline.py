@@ -1,8 +1,9 @@
 """End-to-end pipeline: ingest through annotation, embeddings, similarity,
 entity overlap, polarity, and rendered reports, in one deterministic run.
 
-Every output is a pure function of (corpus, config), so two runs over the
-same inputs produce byte-identical files.
+Each stage is one function, called by run_all and by the stage's CLI
+subcommand alike. Every output is a pure function of (corpus, config), so
+two runs over the same inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -60,13 +61,6 @@ def build_embedding_provider(cfg: RunConfig):
     return HttpEmbeddingProvider(cfg.embedding_endpoint, dim=cfg.embedding_dim, seed=cfg.seed)
 
 
-def load_alias_map(cfg: RunConfig) -> AliasMap:
-    if cfg.aliases_file:
-        return load_aliases_csv(cfg.aliases_file)
-    logger.info("no aliases file configured; treating every entity as political")
-    return AliasMap.empty()
-
-
 # The longest escaped name, in UTF-8 bytes, used as is: with two of them,
 # "{x}-{y}-{tag}.json" stays within the usual 255-byte file-name limit.
 _NAME_BYTES = 120
@@ -103,6 +97,19 @@ def _org_pairs(corpus: corpus_mod.Corpus) -> list[tuple[str, str]]:
     for country in sorted(by_country):
         pairs.extend(itertools.permutations(sorted(by_country[country]), 2))
     return pairs
+
+
+def ingest(cfg: RunConfig, store: Path) -> tuple[corpus_mod.Corpus, int]:
+    """The corpus of cfg.input_file, ingested into the store, or else the
+    store's own; with the number of input records rejected."""
+    if not cfg.input_file:
+        corpus = corpus_mod.load_store(store)
+        logger.info("loaded %d articles from store", len(corpus))
+        return corpus, 0
+    result = corpus_mod.ingest(cfg.input_file, (cfg.date_from, cfg.date_to))
+    corpus_mod.write_store(result, store)
+    logger.info("ingested %d articles (%d rejected)", len(result.corpus), len(result.rejections))
+    return result.corpus, len(result.rejections)
 
 
 def annotate(cfg: RunConfig, corpus: corpus_mod.Corpus, store: Path) -> dict[str, Annotation]:
@@ -167,6 +174,20 @@ def _export_similarity(results: Iterable[SimilarityResult], out: Path) -> int:
     return len(rows)
 
 
+def entity_views(
+    cfg: RunConfig, corpus: corpus_mod.Corpus, annotations: dict[str, Annotation],
+    orgs: Iterable[str],
+) -> tuple[AliasMap, dict[str, ent_mod.Mentions]]:
+    """The alias map of cfg.aliases_file (without one, every entity is
+    political) and each org's entity view, which overlap and polarity read."""
+    if cfg.aliases_file:
+        aliases = load_aliases_csv(cfg.aliases_file)
+    else:
+        logger.info("no aliases file configured; treating every entity as political")
+        aliases = AliasMap.empty()
+    return aliases, {org: ent_mod.org_mentions(corpus, annotations, aliases, org) for org in orgs}
+
+
 def entity_overlap(
     cfg: RunConfig,
     mentions: dict[str, ent_mod.Mentions],
@@ -223,6 +244,37 @@ def polarity(
     return results, skipped
 
 
+def _export_entities(overlaps: list[dict], out: Path) -> None:
+    """Each pair's JSON, then entities.csv."""
+    rows = []
+    for payload in overlaps:
+        report.export_table(
+            [payload], "json",
+            out / "entities" / f"{_escaped(payload['org_x'])}-{_escaped(payload['org_y'])}.json",
+        )
+        rows.append({**payload, "n_days": len(payload["windowed_days"])})
+    report.export_table(rows, "csv", out / "entities.csv", JACCARD_COLUMNS)
+
+
+def _export_polarity(cfg: RunConfig, org_results: list[pol_mod.OrgPolarity], out: Path) -> None:
+    """polarity.csv and .json, org_polarity.csv and the chart of each org's top entities."""
+    rows = [row for res in org_results for row in pol_mod.polarity_rows(res.entities)]
+    report.export_table(rows, "csv", out / "polarity.csv", POLARITY_COLUMNS)
+    report.export_table(rows, "json", out / "polarity.json")
+    org_rows = [
+        {"org": res.org, "micro_ps": res.micro_ps, "macro_ps": res.macro_ps,
+         "n_entities": len(res.entities)}
+        for res in org_results
+    ]
+    report.export_table(org_rows, "csv", out / "org_polarity.csv", ORG_COLUMNS)
+    chart_rows = [
+        row for res in org_results
+        for row in pol_mod.polarity_rows(res.entities[: cfg.top_k_polarity])
+    ]
+    svg = report.render_polarity_chart(chart_rows, title="Entity polarity by organization")
+    report.write_output(out / "charts" / "polarity.svg", svg)
+
+
 @dataclass(frozen=True)
 class PipelineSummary:
     n_articles: int
@@ -239,67 +291,28 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
     out = Path(out_dir)
     report.write_output(out / "run_config.txt", serialize_config(cfg))
 
-    # Ingest: either a configured raw input file, or a pre-built store.
-    n_rejections = 0
-    if cfg.input_file:
-        result = corpus_mod.ingest(cfg.input_file, (cfg.date_from, cfg.date_to))
-        corpus_mod.write_store(result, store)
-        corpus = result.corpus
-        n_rejections = len(result.rejections)
-        logger.info("ingested %d articles (%d rejected)", len(corpus), n_rejections)
-    else:
-        corpus = corpus_mod.load_store(store)
-        logger.info("loaded %d articles from store", len(corpus))
-
+    corpus, n_rejections = ingest(cfg, store)
     # Each stage's inputs are dropped after their last reader.
     annotations = annotate(cfg, corpus, store)
     embeddings = embed(cfg, annotations, store)
-    aliases = load_alias_map(cfg)
-    mentions = {
-        org: ent_mod.org_mentions(corpus, annotations, aliases, org) for org in corpus.orgs()
-    }
+    _, mentions = entity_views(cfg, corpus, annotations, corpus.orgs())
     n_annotations = len(annotations)
     del annotations
     pairs = _org_pairs(corpus)
     results = similarity(cfg, corpus, embeddings, pairs)
     del embeddings
     n_similarity_results = _export_similarity(results, out)
-
-    js_rows = []
-    _, overlaps = entity_overlap(cfg, mentions, pairs)
-    for payload in overlaps:
-        report.export_table(
-            [payload], "json",
-            out / "entities" / f"{_escaped(payload['org_x'])}-{_escaped(payload['org_y'])}.json",
-        )
-        js_rows.append({**payload, "n_days": len(payload["windowed_days"])})
-    report.export_table(js_rows, "csv", out / "entities.csv", JACCARD_COLUMNS)
-
+    _export_entities(entity_overlap(cfg, mentions, pairs)[1], out)
     org_results, skipped = polarity(cfg, mentions)
     for org, reason in skipped.items():
         logger.warning("skipping polarity for %s: %s", org, reason)
-    pol_rows = [row for res in org_results for row in pol_mod.polarity_rows(res.entities)]
-    org_rows = [
-        {"org": res.org, "micro_ps": res.micro_ps, "macro_ps": res.macro_ps,
-         "n_entities": len(res.entities)}
-        for res in org_results
-    ]
-    chart_rows = [
-        row for res in org_results
-        for row in pol_mod.polarity_rows(res.entities[: cfg.top_k_polarity])
-    ]
-    report.export_table(pol_rows, "csv", out / "polarity.csv", POLARITY_COLUMNS)
-    report.export_table(pol_rows, "json", out / "polarity.json")
-    report.export_table(org_rows, "csv", out / "org_polarity.csv", ORG_COLUMNS)
-
-    svg = report.render_polarity_chart(chart_rows, title="Entity polarity by organization")
-    report.write_output(out / "charts" / "polarity.svg", svg)
+    _export_polarity(cfg, org_results, out)
 
     return PipelineSummary(
         n_articles=len(corpus),
         n_rejections=n_rejections,
         n_annotations=n_annotations,
         n_similarity_results=n_similarity_results,
-        n_org_reports=len(org_rows),
+        n_org_reports=len(org_results),
         out_dir=out,
     )

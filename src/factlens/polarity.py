@@ -19,7 +19,7 @@ from .annotation import Annotation
 from .config import PrecisionConfig, RunConfig
 from .corpus import Corpus
 from .entities import AliasMap, Mentions, canonicalize, org_mentions
-from .report import read_csv_records, reading
+from .report import parse_csv, read_text, reading
 
 logger = logging.getLogger(__name__)
 
@@ -222,15 +222,13 @@ def negativity_ratio(
 
 
 def load_precisions_csv(path: str | Path) -> PrecisionConfig:
-    """Read a CSV with positive and negative columns and one value row; any
-    other column (a neutral one, say) is ignored. Any other content is a
-    ValueError naming the file."""
-    rows = read_csv_records(path)
+    """Read a CSV with positive and negative columns and one value row, by
+    parse_csv's rules; any other column (a neutral one, say) is ignored.
+    Any other content is a ValueError naming the file."""
     with reading(path, "not a valid precision file"):
+        rows = parse_csv(read_text(path))
         if len(rows) != 1:
             raise ValueError(f"expected exactly one precision row, got {len(rows)}")
-        if None in rows[0].values():
-            raise ValueError("the value row is shorter than the header")
         cells = {name: rows[0].get(name) for name in ("positive", "negative")}
         for name, cell in cells.items():
             if cell is None:

@@ -18,6 +18,7 @@ import json
 import os
 import re
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -200,11 +201,15 @@ def export_csv(rows: Sequence[dict], columns: Sequence[str] | None = None) -> st
 
 def parse_csv(text: str) -> list[dict]:
     """Inverse of export_csv up to cell text; values come back as strings.
-    Blank lines are skipped, before the header too; a row whose cell count
-    is not the header's is a ValueError naming the line it ends on."""
+    Blank lines are skipped, before the header too; a header that repeats a
+    name, or a row whose cell count is not the header's, is a ValueError
+    naming the line it ends on."""
     reader = csv.reader(io.StringIO(text))
     rows = filter(None, reader)
     header = next(rows, None)
+    repeated = [name for name, count in Counter(header or ()).items() if count > 1]
+    if repeated:
+        raise ValueError(f"line {reader.line_num}: the header repeats {repeated[0]!r}")
     records = []
     for row in rows:
         if len(row) != len(header):
@@ -364,8 +369,7 @@ def read_table(path: str | Path) -> list[dict]:
     CSV; a leading byte order mark is skipped. Any other content is a
     ValueError naming the file."""
     with reading(path, "not a table"):
-        with open(path, encoding="utf-8-sig", newline="") as fh:  # a quoted "\r" stays
-            text = fh.read()
+        text = read_text(path)
         data = parse_json(text) if str(path).endswith(".json") else parse_csv(text)
         if not encodable(data, text):
             raise ValueError("a string holds an unpaired surrogate")
@@ -377,14 +381,11 @@ def read_table(path: str | Path) -> list[dict]:
     return rows
 
 
-def read_csv_records(path: str | Path) -> list[dict]:
-    """The rows of a UTF-8 CSV file keyed by its header (csv.DictReader's
-    rows); a leading byte order mark is not part of the first column's
-    name. Undecodable text or a malformed CSV (say, a field over the csv
-    module's size limit) is a ValueError naming the file."""
-    with reading(path, "not a readable CSV file"):
-        with Path(path).open("r", encoding="utf-8-sig", newline="") as fh:
-            return list(csv.DictReader(fh))
+def read_text(path: str | Path) -> str:
+    """A UTF-8 input file's text, less a leading byte order mark (so it is
+    not part of a CSV's first column name); line ends are kept as they are."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        return fh.read()
 
 
 def write_output(path: str | Path, text: str | Iterable[str]) -> Path:

@@ -100,12 +100,25 @@ def test_ingest_annotate_embed_flow(runner, workspace):
 
 
 def test_stage_subcommands_reproduce_run_all(runner, workspace):
-    """On run_all's store, `similarity` for each tag and `entities` for a
-    pair write the JSON run_all wrote for them, byte for byte, less the
-    keys only `entities` adds (each org's top entities)."""
+    """`ingest` writes the store run_all wrote, rejected line included. On
+    run_all's store, `similarity` for each tag, `entities` for a pair and
+    `polarity` write the files run_all wrote for them, byte for byte, less
+    the keys only `entities` adds (each org's top entities)."""
+    with (workspace / "input.jsonl").open("a", encoding="utf-8") as fh:
+        fh.write("not a record\n")
     store, out = workspace / "store", workspace / "out"
     invoke(runner, ["run-all", "--store", str(store), "--config", str(workspace / "run.cfg"),
                     "--out", str(out)])
+    staged = workspace / "staged"
+    invoke(runner, ["ingest", "--input", str(workspace / "input.jsonl"), "--out", str(staged)])
+    assert (store / "rejections.log").read_text(encoding="utf-8").count("\n") == 1
+    for name in ("corpus.jsonl", "rejections.log", "meta.json"):
+        assert (staged / name).read_bytes() == (store / name).read_bytes(), name
+    for name in ("polarity.csv", "polarity.json"):
+        invoke(runner, ["polarity", "--store", str(store), "--aliases",
+                        str(workspace / "aliases.csv"), "--min-support", "1",
+                        "--out", str(workspace / name)])
+        assert (workspace / name).read_bytes() == (out / name).read_bytes(), name
     orgs = "PolitiFact,Snopes"
     for tag in SENTENCE_TAGS:
         got = workspace / f"similarity-{tag}.json"
@@ -120,6 +133,24 @@ def test_stage_subcommands_reproduce_run_all(runner, workspace):
     export_table([payload], "json", workspace / "entities-less-tops.json")
     expected = (out / "entities" / "PolitiFact-Snopes.json").read_bytes()
     assert (workspace / "entities-less-tops.json").read_bytes() == expected
+
+
+def test_an_alias_chain_is_refused_naming_the_file(runner, workspace):
+    """With Joe Biden itself an alias of President Biden, a second
+    canonicalization would move the names `polarity --by-year` reports."""
+    store, aliases = workspace / "store", workspace / "aliases.csv"
+    invoke(runner, ["ingest", "--input", str(workspace / "input.jsonl"), "--out", str(store)])
+    invoke(runner, ["annotate", "--store", str(store), "--cache", str(workspace / "cache")])
+    aliases.write_text(aliases.read_text(encoding="utf-8") + "Joe Biden,President Biden,yes\n",
+                       encoding="utf-8")
+    result = runner.invoke(main, ["polarity", "--store", str(store), "--aliases", str(aliases),
+                                  "--by-year", "--min-support", "1",
+                                  "--out", str(workspace / "ps.csv")])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.splitlines() == [
+        f"Error: {aliases}: not a valid alias file (ValueError: canonical name 'Joe Biden' "
+        "is an alias of 'President Biden')"
+    ]
 
 
 def test_annotate_with_fixture_mock(runner, tmp_path):

@@ -60,6 +60,33 @@ def test_canonicalize_idempotent(surface):
     assert canonicalize(once, ALIASES) == once
 
 
+@pytest.mark.parametrize("pairs", [
+    [("Biden", "Joe Biden"), ("Joe Biden", "President Biden")],
+    [("Joe Biden", "President Biden"), ("Biden", "Joe Biden")],
+    [("Biden", "Joe Biden"), ("JB", "joe  biden")],
+])
+def test_build_alias_map_refuses_a_canonical_name_that_is_an_alias(pairs):
+    with pytest.raises(ValueError, match="^canonical name '.*' is an alias of '.*'$"):
+        build_alias_map(pairs)
+
+
+NAMES = st.sampled_from(["Biden", "biden", "Joe Biden", "joe  biden", "President Biden", "JB"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(NAMES, NAMES), max_size=4))
+def test_alias_map_is_refused_or_canonical_names_are_fixed_points(pairs):
+    try:
+        aliases = build_alias_map(pairs)
+    except ValueError:
+        return
+    for name in {name for pair in pairs for name in pair}:
+        once = canonicalize(name, aliases)
+        assert canonicalize(once, aliases) == once
+    for _, canonical in pairs:
+        assert canonicalize(canonical, aliases) == " ".join(canonical.split())
+
+
 def test_top_k_counts_article_level():
     annotations = [
         ann("a1", {"Biden": "neutral"}),
@@ -262,6 +289,21 @@ def test_alias_csv_without_a_column_is_refused(tmp_path, column):
     with pytest.raises(ValueError, match=(
         f"^{re.escape(str(path))}: not a valid alias file "
         f"\\(ValueError: missing column '{column}'\\)$"
+    )):
+        load_aliases_csv(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("Joe,Joe Biden,yes,extra\n", "line 2: cell count 4, the header's 3"),
+    ("Joe Biden,Joe Biden,yes\nKam,Kamala Harris\n", "line 3: cell count 2, the header's 3"),
+    ("Biden,Joe Biden,\nJoe Biden,President Biden,yes\n",
+     "canonical name 'Joe Biden' is an alias of 'President Biden'"),
+])
+def test_alias_csv_with_a_ragged_row_or_a_chain_is_refused(tmp_path, rows, message):
+    path = tmp_path / "aliases.csv"
+    path.write_text("surface,canonical,political\n" + rows, encoding="utf-8")
+    with pytest.raises(ValueError, match=(
+        f"^{re.escape(str(path))}: not a valid alias file \\(ValueError: {re.escape(message)}\\)$"
     )):
         load_aliases_csv(path)
 

@@ -251,3 +251,21 @@ def test_a_sidecar_from_before_the_vector_table_is_refused(pristine, tmp_path):
     error = one_error(CliRunner().invoke(main, [str(a) for a in command(work)]))
     assert error.startswith(f"Error: {path}:{first}: not a valid row"), error
     assert error.endswith("an old sidecar; re-run factlens embed)"), error
+
+
+@pytest.mark.parametrize("name", ["aliases.csv", "precisions.csv"])
+def test_a_cell_dropped_or_added_in_a_settings_csv_is_named(pristine, tmp_path, name):
+    """A row of the alias or precision CSV that loses or gains a cell is an
+    error naming the file; never read with its cells shifted or lost."""
+    rel, _, command = TARGETS[name]
+    work = tmp_path / "w"
+    shutil.copytree(pristine, work)
+    path = work / rel
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        cells = line.rstrip("\n").split(",")
+        for changed in (cells[1:], ["1.5", *cells]):
+            path.write_text("".join([*lines[:i], ",".join(changed) + "\n", *lines[i + 1:]]),
+                            encoding="utf-8")
+            error = one_error(CliRunner().invoke(main, [str(a) for a in command(work)]))
+            assert error.startswith(f"Error: {path}: "), error

@@ -260,7 +260,9 @@ def test_precision_csv_loader(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("positive,neutral\n1.0,1.0\n", "precision_negative: missing"),
-    ("positive,negative,neutral\n0.9,1\n", "shorter than the header"),
+    ("positive,negative,neutral\n0.9,1\n", "line 2: cell count 2, the header's 3"),
+    ("positive,negative,neutral\n0.9,0.8,0.7,5\n", "line 2: cell count 4, the header's 3"),
+    ("positive,negative,positive\n0.9,0.8,0.1\n", "line 1: the header repeats 'positive'"),
 ])
 def test_precision_csv_loader_rejects_a_missing_cell(tmp_path, text, message):
     path = tmp_path / "prec.csv"

@@ -144,6 +144,12 @@ def test_parse_csv_skips_blank_lines_and_names_a_ragged_row():
         parse_csv('a,b\n1,"x\ny",3\n')
 
 
+def test_parse_csv_refuses_a_repeated_header_name():
+    """Both cells stay in the file, so keeping one would drop the other."""
+    with pytest.raises(ValueError, match="^line 2: the header repeats 'ps'$"):
+        parse_csv("\norg,entity,ps,ps,delta_ps\nO,E,0.5,0.9,0.1\n")
+
+
 def test_csv_three_rows_four_lines():
     text = export_csv(rows_fixture(), ("org", "entity", "ps", "delta_ps"))
     assert len(text.splitlines()) == 4
