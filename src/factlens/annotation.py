@@ -29,7 +29,7 @@ from .providers import (
     ProviderUnreachableError,
     cache_key,
 )
-from .report import DECODE_ERRORS, encodable, read_json_lines, write_output
+from .report import DECODE_ERRORS, encodable, parse_json, read_json_lines, write_output
 
 logger = logging.getLogger(__name__)
 
@@ -108,14 +108,9 @@ class ResponseCache:
     def get(self, key: str) -> str | None:
         try:
             with open(self._path(key), "rb") as fh:
-                raw = fh.read()
-            # Decoded as UTF-8 first: json.loads would accept UTF-16 bytes.
-            text = raw.decode("utf-8")
-            response = json.loads(text)["response"]
+                response = parse_json(fh.read())["response"]
             if not isinstance(response, str):
                 raise TypeError("response is not a string")
-            if not encodable(response, text):
-                raise ValueError("unpaired surrogate")
         except (OSError, *DECODE_ERRORS) as exc:
             if not (isinstance(exc, OSError) and exc.errno in _NO_ENTRY):
                 logger.warning("cache entry %s is corrupt; refetching", key)

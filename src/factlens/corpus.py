@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .config import parse_date
-from .report import encodable, reading, write_output
+from .report import encodable, parse_json, reading, write_output
 
 logger = logging.getLogger(__name__)
 
@@ -251,7 +251,7 @@ def load_store(store_dir: str | Path) -> Corpus:
     if not meta_path.exists():
         raise CorpusError(f"store {store} has no meta.json (run ingest first)")
     with reading(meta_path, "not a valid store meta file", error=CorpusError):
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = parse_json(meta_path.read_bytes())
         start, end = (parse_date(meta[key]) for key in ("date_from", "date_to"))
         if start > end:
             raise ValueError(f"date_from {start} is after date_to {end}")

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import prompts
 from .config import ProviderConfig, http_url
-from .report import DECODE_ERRORS, encodable, reading, write_output
+from .report import DECODE_ERRORS, parse_json, reading, write_output
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -190,14 +190,11 @@ class _HttpClient:
 
 def _chat_content(raw: bytes) -> str:
     try:
-        text = raw.decode("utf-8")
-        content = json.loads(text)["choices"][0]["message"]["content"]
+        content = parse_json(raw)["choices"][0]["message"]["content"]
     except (IndexError, *DECODE_ERRORS) as exc:
         raise ProviderCallError(f"malformed response body: {exc}") from exc
     if not isinstance(content, str):
         raise ProviderCallError(f"malformed response body: content is {type(content).__name__}")
-    if not encodable(content, text):
-        raise ProviderCallError("malformed response body: content holds an unpaired surrogate")
     return content
 
 
@@ -416,7 +413,7 @@ class HttpEmbeddingProvider(_HttpClient):
 
     def _vectors(self, raw: bytes, n: int) -> np.ndarray:
         try:
-            vectors = np.asarray(json.loads(raw.decode("utf-8"))["vectors"], dtype=np.float64)
+            vectors = np.asarray(parse_json(raw)["vectors"], dtype=np.float64)
         except DECODE_ERRORS as exc:
             raise _RetryBody(f"malformed response body: {exc}") from exc
         if vectors.shape != (n, self.dim):

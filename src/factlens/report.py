@@ -298,10 +298,6 @@ def export_json(rows) -> str:
     return "".join(parts)
 
 
-def parse_json(text: str):
-    return json.loads(text)
-
-
 # What decoding malformed input raises: undecodable bytes, bad JSON or CSV,
 # a wrong type or a missing key, deep nesting, a number too large for a float.
 DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError, OverflowError,
@@ -325,6 +321,18 @@ def encodable(value: Any, source: str) -> bool:
     return True
 
 
+def parse_json(text: str | bytes):
+    """The one decoder of JSON the program reads from a file or the wire.
+    Bytes are decoded as strict UTF-8 (json.loads alone would take UTF-16);
+    a string holding an unpaired surrogate is a ValueError."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    value = json.loads(text)
+    if not encodable(value, text):
+        raise ValueError("a string holds an unpaired surrogate")
+    return value
+
+
 @contextmanager
 def reading(source: str | Path, what: str, line: int | None = None, error=ValueError):
     """Runs its body under the reading rule: a DECODE_ERRORS failure means the
@@ -345,10 +353,7 @@ def read_json_lines(path: str | Path, read_row: Callable[[Any], None]) -> None:
             with reading(path, "not a valid row", line_no):
                 line = raw.decode("utf-8")
                 if line.strip():
-                    value = json.loads(line)
-                    if not encodable(value, line):
-                        raise ValueError("a string holds an unpaired surrogate")
-                    read_row(value)
+                    read_row(parse_json(line))
 
 
 # How deeply a table's values may nest. Exporting a value recurses once
@@ -371,8 +376,6 @@ def read_table(path: str | Path) -> list[dict]:
     with reading(path, "not a table"):
         text = read_text(path)
         data = parse_json(text) if str(path).endswith(".json") else parse_csv(text)
-        if not encodable(data, text):
-            raise ValueError("a string holds an unpaired surrogate")
         rows = data if isinstance(data, list) else [data]
         if not all(isinstance(row, dict) for row in rows):
             raise ValueError("expected an object or a list of objects")
