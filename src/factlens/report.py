@@ -321,13 +321,28 @@ def encodable(value: Any, source: str) -> bool:
     return True
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        seen: set[str] = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"an object repeats the key {key!r}")
+    return value
+
+
+# One decoder for every call: json.loads(..., object_pairs_hook=...) would
+# build a new one each time.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def parse_json(text: str | bytes):
     """The one decoder of JSON the program reads from a file or the wire.
     Bytes are decoded as strict UTF-8 (json.loads alone would take UTF-16);
-    a string holding an unpaired surrogate is a ValueError."""
+    a string holding an unpaired surrogate, or an object that repeats a
+    key, is a ValueError."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    value = json.loads(text)
+    value = _DECODER.decode(text)
     if not encodable(value, text):
         raise ValueError("a string holds an unpaired surrogate")
     return value

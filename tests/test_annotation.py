@@ -246,6 +246,23 @@ def test_cache_corruption_refetches_exactly_one(tmp_path):
     assert provider.calls == 1
 
 
+def test_a_cache_entry_that_repeats_a_key_is_refetched(tmp_path, caplog):
+    """{"response": "a", "response": "b"} is corrupt, not the response "b"."""
+    corpus = make_corpus(distinct_articles(3))
+    config = ProviderConfig(cache_dir=tmp_path / "cache")
+    annotate_corpus(corpus, SyntheticChatProvider(), config)
+    entry = sorted((tmp_path / "cache").glob("*.json"))[0]
+    kept = entry.read_bytes()
+    entry.write_bytes(b'{"response": "a", "response": "b"}')
+
+    provider = SyntheticChatProvider()
+    with caplog.at_level(logging.WARNING, logger="factlens.annotation"):
+        annotate_corpus(corpus, provider, config)
+    assert provider.calls == 1
+    assert f"cache entry {entry.stem} is corrupt; refetching" in caplog.text
+    assert entry.read_bytes() == kept
+
+
 def _symlink_loop(path):
     path.symlink_to(path.name)
 
@@ -355,6 +372,21 @@ def test_annotate_corpus_deterministic_with_mock():
     first = annotate_corpus(corpus, SyntheticChatProvider())
     second = annotate_corpus(corpus, SyntheticChatProvider())
     assert first == second
+
+
+def test_an_annotation_row_that_repeats_a_key_names_its_line(tmp_path):
+    """A row holding "claim" twice is refused, not read as its last value."""
+    annotations = annotate_corpus(make_corpus(distinct_articles(3)), SyntheticChatProvider())
+    path = tmp_path / "annotations.jsonl"
+    save_annotations(annotations, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = lines[1].replace('"claim": ', '"claim": [], "claim": ', 1)
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=(
+        f"^{re.escape(str(path))}:2: not a valid row "
+        "\\(ValueError: an object repeats the key 'claim'\\)$"
+    )):
+        load_annotations(path)
 
 
 def test_annotations_jsonl_round_trip(tmp_path):

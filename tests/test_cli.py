@@ -153,6 +153,22 @@ def test_an_alias_chain_is_refused_naming_the_file(runner, workspace):
     ]
 
 
+def test_a_report_input_that_repeats_a_key_is_refused(runner, tmp_path):
+    """A JSON row holding "ps" twice is an error naming the file and the key,
+    not a table holding the last value."""
+    path = tmp_path / "t.json"
+    path.write_text('[{"org": "O", "entity": "E", "ps": 0.5, "ps": 0.9, "delta_ps": 0.1}]',
+                    encoding="utf-8")
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, ["report", "--inputs", str(path), "--format", "csv",
+                                  "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.splitlines() == [
+        f"Error: {path}: not a table (ValueError: an object repeats the key 'ps')"
+    ]
+    assert not out.exists()
+
+
 def test_annotate_with_fixture_mock(runner, tmp_path):
     body = "Somebody claimed something. It spread because of a chain letter."
     (tmp_path / "input.jsonl").write_text(
