@@ -73,20 +73,22 @@ def build_alias_map(
     Each canonical name maps to itself, so canonicalize is idempotent. A
     canonical name that is also another name's alias (a chain such as
     Biden -> Joe Biden -> President Biden), or that differs from another
-    canonical name only in case or spacing, is a ValueError. The political
-    set, if given, holds canonical names.
+    canonical name only in case or spacing, is a ValueError; so, checked
+    after that, is a surface listed for two canonical names. The political
+    set, if given, holds canonical names, whitespace-normalized here.
     """
+    pairs = [(surface, " ".join(canonical.split())) for surface, canonical in pairs]
     mapping: dict[str, str] = {}
-    canonicals = []
     for surface, canonical in pairs:
-        canonical = " ".join(canonical.split())
         mapping[_lookup_key(surface)] = canonical
         mapping.setdefault(_lookup_key(canonical), canonical)
-        canonicals.append(canonical)
-    for canonical in canonicals:
+    for _, canonical in pairs:
         if (mapped := mapping[_lookup_key(canonical)]) != canonical:
             raise ValueError(f"canonical name {canonical!r} is an alias of {mapped!r}")
-    pol = None if political is None else frozenset(political)
+    for surface, canonical in pairs:
+        if (mapped := mapping[_lookup_key(surface)]) != canonical:
+            raise ValueError(f"surface {surface!r} is listed for {canonical!r} and {mapped!r}")
+    pol = None if political is None else frozenset(" ".join(name.split()) for name in political)
     return AliasMap(mapping=mapping, political=pol)
 
 
@@ -110,7 +112,7 @@ def load_aliases_csv(path: str | Path) -> AliasMap:
             if surface and canonical:
                 pairs.append((surface, canonical))
                 if row["political"].strip().lower() == "yes":
-                    political.add(" ".join(canonical.split()))
+                    political.add(canonical)
         return build_alias_map(pairs, political)
 
 

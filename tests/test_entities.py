@@ -70,6 +70,23 @@ def test_build_alias_map_refuses_a_canonical_name_that_is_an_alias(pairs):
         build_alias_map(pairs)
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([("Biden", "Joe Biden"), ("Biden", "Joseph Biden")],
+     "surface 'Biden' is listed for 'Joe Biden' and 'Joseph Biden'"),
+    ([("President Biden", "Joe Biden"), ("president  biden", "President Biden")],
+     "surface 'President Biden' is listed for 'Joe Biden' and 'President Biden'"),
+])
+def test_build_alias_map_refuses_a_surface_listed_for_two_names(pairs, message):
+    """Which politician a surface counts toward does not hang on row order."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_alias_map(pairs)
+
+
+def test_build_alias_map_normalizes_the_spacing_of_political_names():
+    aliases = build_alias_map([("Biden", "Joe  Biden")], political=["Joe  Biden"])
+    assert aliases.is_political(canonicalize("Biden", aliases))
+
+
 NAMES = st.sampled_from(["Biden", "biden", "Joe Biden", "joe  biden", "President Biden", "JB"])
 
 
