@@ -181,7 +181,9 @@ def _cell_to_text(value) -> str:
 
 def export_csv(rows: Sequence[dict], columns: Sequence[str] | None = None) -> str:
     """Rows as CSV text, each line ended by "\n"; floats fixed at 4 decimals,
-    None as empty. A cell holding "\n" or "\r" is quoted."""
+    None as empty. A cell holding "\n" or "\r" is quoted. A first column
+    name that would start the text with U+FEFF is a ValueError: a reader
+    takes that for a byte order mark."""
     if columns is None:
         if not rows:
             raise ValueError("columns are required when exporting zero rows")
@@ -196,6 +198,8 @@ def export_csv(rows: Sequence[dict], columns: Sequence[str] | None = None) -> st
         buf.truncate()
         writer.writerow(cells)
         lines.append(buf.getvalue()[:-2] + "\n")
+    if lines[0].startswith("\ufeff"):
+        raise ValueError(f"column {columns[0]!r} starts with a byte order mark")
     return "".join(lines)
 
 

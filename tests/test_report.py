@@ -4,7 +4,9 @@ import json
 import os
 import re
 import stat
+import tempfile
 import threading
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -212,6 +214,67 @@ def test_read_table_names_a_file_that_is_not_a_table(tmp_path, name, data):
     (tmp_path / name).write_bytes(data)
     with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / name))}: not a table"):
         read_table(tmp_path / name)
+
+
+# Cells that a CSV or JSON writer must quote, escape or refuse: quotes,
+# commas, line ends, U+2028, a leading U+FEFF and lone surrogates.
+HOSTILE = st.builds(
+    lambda bom, parts: "\ufeff" * bom + "".join(parts),
+    st.booleans(),
+    st.lists(st.sampled_from(['"', ",", "\r", "\n", "\r\n", "\u2028", "\ud800", "\udfff",
+                              "a", "é", " "]), max_size=5),
+)
+
+
+def utf8(*texts: str) -> bool:
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def assert_read_back_or_not_written(rows, fmt, expected, refusable, columns=None):
+    """export_table then read_table gives expected, or the writer refuses
+    without writing; it may refuse only when refusable."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"t.{fmt}"
+        try:
+            export_table(rows, fmt, path, columns)
+        except ValueError:
+            assert refusable
+            assert list(Path(tmp).iterdir()) == []
+            return
+        assert read_table(path) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(HOSTILE, min_size=1, max_size=3, unique=True).flatmap(
+    lambda columns: st.tuples(st.just(columns), st.lists(st.lists(
+        HOSTILE, min_size=len(columns), max_size=len(columns)), max_size=3))))
+def test_a_csv_table_reads_back_as_written_or_is_not_written(table):
+    columns, cells = table
+    rows = [dict(zip(columns, row)) for row in cells]
+    texts = [*columns, *(cell for row in cells for cell in row)]
+    refusable = not utf8(*texts) or columns[0].startswith("\ufeff")
+    assert_read_back_or_not_written(rows, "csv", rows, refusable, columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(HOSTILE, st.one_of(
+    HOSTILE, st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False)), max_size=3),
+    max_size=3))
+def test_a_json_table_reads_back_as_written_or_is_not_written(rows):
+    """NaN is left out only because it never equals itself."""
+    texts = [text for row in rows for item in row.items() for text in item if isinstance(text, str)]
+    assert_read_back_or_not_written(rows, "json", round_floats(rows), not utf8(*texts))
+
+
+def test_a_csv_column_named_with_a_leading_byte_order_mark_is_not_written(tmp_path):
+    """read_text drops a leading U+FEFF, so the column would read back as 'a'."""
+    with pytest.raises(ValueError, match=r"^column '\\ufeffa' starts with a byte order mark$"):
+        export_table([{"\ufeffa": "x"}], "csv", tmp_path / "t.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def round_floats(value):
