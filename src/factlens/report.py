@@ -5,8 +5,9 @@ are fixed at 4 decimal places and JSON floats are rounded to 4 decimals,
 so export -> parse -> export is byte-identical in both formats and the
 SVG never changes between runs on the same data.
 
-Also the one rule for reading input files (``reading``) and the one writer
-of every file (``write_output``); this module imports no package code.
+Also the one rule for reading input files (``reading``), the one decoder
+of JSON input (``parse_json``) and the one writer of every file
+(``write_output``); this module imports no package code.
 """
 
 from __future__ import annotations
@@ -328,9 +329,8 @@ def encodable(value: Any, source: str) -> bool:
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     value = dict(pairs)
     if len(value) < len(pairs):
-        seen: set[str] = set()
-        key = next(key for key, _ in pairs if key in seen or seen.add(key))
-        raise ValueError(f"an object repeats the key {key!r}")
+        repeated = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise ValueError(f"an object repeats the key {repeated!r}")
     return value
 
 
