@@ -177,7 +177,7 @@ def entities(store_dir, aliases_file, top_k, window, orgs, out_file) -> None:
     corpus = corpus_mod.load_store(store_dir)
     org_x, org_y = _org_pair(orgs, corpus)
     annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
-    _, mentions = pipeline.entity_views(cfg, corpus, annotations, (org_x, org_y))
+    mentions = pipeline.entity_views(cfg, corpus, annotations, (org_x, org_y))
     tops, [payload] = pipeline.entity_overlap(cfg, mentions, [(org_x, org_y)])
     payload["top_entities_x"] = [list(e) for e in tops[org_x].entities]
     payload["top_entities_y"] = [list(e) for e in tops[org_y].entities]
@@ -204,7 +204,7 @@ def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_suppo
         cfg = override(cfg, **{f"precision_{name}": value for name, value in prec.items()})
     corpus = corpus_mod.load_store(store_dir)
     annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
-    aliases, views = pipeline.entity_views(cfg, corpus, annotations, corpus.orgs())
+    views = pipeline.entity_views(cfg, corpus, annotations, corpus.orgs())
     org_results, skipped = pipeline.polarity(cfg, views)
     for reason in skipped.values():
         click.echo(f"warning: {reason}", err=True)
@@ -212,7 +212,7 @@ def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_suppo
     for res in org_results:
         if by_year:
             top = [r.counts.entity for r in res.entities[: cfg.top_k_polarity]]
-            series = pol_mod.view_series(views[res.org], res.org, top, aliases, cfg.precisions)
+            series = pol_mod.view_series(views[res.org], res.org, top, cfg.precisions)
             rows.extend(pol_mod.polarity_rows(series))
         else:
             rows.extend(pol_mod.polarity_rows(res.entities))

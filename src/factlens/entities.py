@@ -209,20 +209,17 @@ class WindowTopK:
 
     def __init__(self, mentions: Mentions, k: int, window_days: int):
         self.k, self.window_days = k, window_days
-        self._window = dt.timedelta(days=window_days)
         self._ordered = sorted(mentions, key=_date)
+        self._ordinals = [date.toordinal() for date, _ in self._ordered]
         self._sets: dict[dt.date, frozenset[str]] = {}
         self.days = sorted({date for date, _ in self._ordered})  # those with a mention
 
     def at(self, day: dt.date) -> frozenset[str]:
         names = self._sets.get(day)
         if names is None:
-            # Clamped to the date type's range, which a wide window overruns.
-            lo = day - min(self._window, day - dt.date.min)
-            hi = day + min(self._window, dt.date.max - day)
-            ordered = self._ordered
-            window = ordered[
-                bisect_left(ordered, lo, key=_date) : bisect_right(ordered, hi, key=_date)
+            d, w = day.toordinal(), self.window_days
+            window = self._ordered[
+                bisect_left(self._ordinals, d - w) : bisect_right(self._ordinals, d + w)
             ]
             names = entity_set((labels for _, labels in window), self.k).names()
             self._sets[day] = names

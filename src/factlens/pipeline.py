@@ -177,15 +177,15 @@ def _export_similarity(results: Iterable[SimilarityResult], out: Path) -> int:
 def entity_views(
     cfg: RunConfig, corpus: corpus_mod.Corpus, annotations: dict[str, Annotation],
     orgs: Iterable[str],
-) -> tuple[AliasMap, dict[str, ent_mod.Mentions]]:
-    """The alias map of cfg.aliases_file (without one, every entity is
-    political) and each org's entity view, which overlap and polarity read."""
+) -> dict[str, ent_mod.Mentions]:
+    """Each org's entity view, which overlap and polarity read, canonical by
+    cfg.aliases_file's alias map (without one, every entity is political)."""
     if cfg.aliases_file:
         aliases = load_aliases_csv(cfg.aliases_file)
     else:
         logger.info("no aliases file configured; treating every entity as political")
         aliases = AliasMap.empty()
-    return aliases, {org: ent_mod.org_mentions(corpus, annotations, aliases, org) for org in orgs}
+    return {org: ent_mod.org_mentions(corpus, annotations, aliases, org) for org in orgs}
 
 
 def entity_overlap(
@@ -295,7 +295,7 @@ def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> Pipel
     # Each stage's inputs are dropped after their last reader.
     annotations = annotate(cfg, corpus, store)
     embeddings = embed(cfg, annotations, store)
-    _, mentions = entity_views(cfg, corpus, annotations, corpus.orgs())
+    mentions = entity_views(cfg, corpus, annotations, corpus.orgs())
     n_annotations = len(annotations)
     del annotations
     pairs = _org_pairs(corpus)

@@ -100,31 +100,29 @@ def entity_series(
     entity: str,
     prec: PrecisionConfig | None = None,
 ) -> list[PolarityResult]:
-    """Polarity per year plus overall for one canonical entity.
+    """Polarity per year plus overall for the entity's canonical name.
 
     An entity with zero occurrences yields an empty list.
     """
     view = org_mentions(corpus, annotations, aliases, org, political_only=False)
-    return view_series(view, org, [entity], aliases, prec)
+    return view_series(view, org, [canonicalize(entity, aliases)], prec)
 
 
 def view_series(
     mentions: Mentions,
     org: str,
-    entities: Iterable[str],
-    aliases: AliasMap,
+    names: Iterable[str],
     prec: PrecisionConfig | None = None,
 ) -> list[PolarityResult]:
-    """entity_series of each entity in turn, concatenated, all read from
-    one org's entity view."""
+    """entity_series of each canonical name in turn, concatenated, all read
+    from one org's entity view."""
     prec = prec or PrecisionConfig()
     table = _tag_counts(mentions)
     out = []
-    for entity in entities:
-        name = canonicalize(entity, aliases)
+    for name in names:
         per_period = table.get(name)
         if not per_period:
-            logger.warning("no occurrences of %r at %s", entity, org)
+            logger.warning("no occurrences of %r at %s", name, org)
             continue
         periods = sorted(p for p in per_period if p != OVERALL) + [OVERALL]
         out.extend(

@@ -33,7 +33,7 @@ from typing import Any, Callable, Protocol, Sequence
 import numpy as np
 
 from . import prompts
-from .config import ProviderConfig, http_url
+from .config import ProviderConfig, RunConfig, http_url
 from .report import DECODE_ERRORS, parse_json, reading, write_output
 from .seeds import derive_seed
 
@@ -353,7 +353,7 @@ class HashedEmbeddingProvider:
 
     _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
-    def __init__(self, dim: int = 64):
+    def __init__(self, dim: int = RunConfig.embedding_dim):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig
 from .corpus import KNOWN_ORGS, Article
 from .report import write_output
 
@@ -53,7 +54,7 @@ _POSITIVE_VERBS = ("praised", "lauded", "credited")
 
 def make_articles(
     n: int,
-    date_range: tuple[dt.date, dt.date] = (dt.date(2018, 1, 1), dt.date(2023, 12, 31)),
+    date_range: tuple[dt.date, dt.date] = (RunConfig.date_from, RunConfig.date_to),
     orgs: tuple[str, ...] = tuple(KNOWN_ORGS),
     seed: int = 0,
 ) -> list[Article]:
