@@ -18,7 +18,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from queue import SimpleQueue
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from . import parsing, prompts
 from .corpus import Article, Corpus
@@ -29,11 +29,20 @@ from .providers import (
     ProviderUnreachableError,
     cache_key,
 )
-from .report import DECODE_ERRORS, encodable, parse_json, read_json_lines, write_output
+from .report import DECODE_ERRORS, encodable, parse_json, read_json_lines, reading, write_output
 
 logger = logging.getLogger(__name__)
 
 SENTENCE_TAGS = ("claim", "what", "why")
+
+
+def _check_entities(entities: object) -> None:
+    """A TypeError unless entities maps non-blank names to sentiment labels:
+    the rule of a stored row's entities, read and written alike."""
+    if not isinstance(entities, dict) or not all(
+        name.strip() and label in parsing.SENTIMENT_LABELS for name, label in entities.items()
+    ):
+        raise TypeError("entities: expected non-empty names mapped to sentiment labels")
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,10 +84,7 @@ class Annotation:
         if not isinstance(raw["article_id"], str):
             raise TypeError("article_id: expected a string")
         entities = raw.get("entities", {})
-        if not isinstance(entities, dict) or not all(
-            name.strip() and label in parsing.SENTIMENT_LABELS for name, label in entities.items()
-        ):
-            raise TypeError("entities: expected non-empty names mapped to sentiment labels")
+        _check_entities(entities)
         return cls(
             article_id=raw["article_id"],
             claim=strings("claim"),
@@ -310,10 +316,18 @@ def annotate_corpus(
 
 
 def save_annotations(annotations: Mapping[str, Annotation], path: str | Path) -> None:
-    write_output(path, (
-        json.dumps(annotations[article_id].to_json_dict(), ensure_ascii=False) + "\n"
-        for article_id in sorted(annotations)
-    ))
+    """annotations.jsonl, one row per article in id order. An annotation
+    whose entities load_annotations would refuse is ``<path>: cannot write
+    <id> (TypeError: ...)``, and the file is left as it was."""
+
+    def lines() -> Iterator[str]:
+        for article_id in sorted(annotations):
+            row = annotations[article_id].to_json_dict()
+            with reading(path, f"cannot write {article_id!r}"):
+                _check_entities(row["entities"])
+            yield json.dumps(row, ensure_ascii=False) + "\n"
+
+    write_output(path, lines())
 
 
 def load_annotations(path: str | Path) -> dict[str, Annotation]:

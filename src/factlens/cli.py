@@ -8,6 +8,7 @@ pass the same checks.
 
 from __future__ import annotations
 
+import datetime as dt
 import logging
 import sys
 from dataclasses import asdict
@@ -21,7 +22,9 @@ from . import pipeline
 from . import polarity as pol_mod
 from . import report as report_mod
 from .annotation import SENTENCE_TAGS, load_annotations
-from .config import DEFAULTS, ConfigError, RunConfig, load_config, override, serialize_config
+from .config import (
+    DEFAULTS, ConfigError, RunConfig, load_config, override, parse_date, serialize_config,
+)
 from .embedding import load_embeddings
 from .providers import ProviderUnreachableError
 
@@ -67,17 +70,24 @@ def main(verbose: bool) -> None:
     )
 
 
+def _date(ctx: click.Context, param: click.Parameter, value: str) -> dt.date:
+    """A date flag's value, read by run.cfg's rule."""
+    try:
+        return parse_date(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
+
+
 @main.command()
 @click.option("--input", "input_file", required=True, type=click.Path(exists=True))
-@click.option("--from", "date_from", type=click.DateTime(["%Y-%m-%d"]),
+@click.option("--from", "date_from", callback=_date,
               default=str(DEFAULTS["date_from"]), show_default=True)
-@click.option("--to", "date_to", type=click.DateTime(["%Y-%m-%d"]),
+@click.option("--to", "date_to", callback=_date,
               default=str(DEFAULTS["date_to"]), show_default=True)
 @click.option("--out", "store_dir", required=True, type=click.Path())
 def ingest(input_file, date_from, date_to, store_dir) -> None:
     """Load a JSON-lines corpus into a canonical store directory."""
-    cfg = _config(RunConfig, input_file=input_file, date_from=date_from.date(),
-                  date_to=date_to.date())
+    cfg = _config(RunConfig, input_file=input_file, date_from=date_from, date_to=date_to)
     store = Path(store_dir)
     corpus, n_rejections = pipeline.ingest(cfg, store)
     click.echo(f"ingested {len(corpus)} articles -> {store / 'corpus.jsonl'}")
@@ -234,13 +244,20 @@ def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_suppo
 @click.option("--out", "out_file", required=True, type=click.Path())
 @click.option("--title", default="Entity polarity", show_default=True)
 def report(input_files, fmt, out_file, title) -> None:
-    """Re-render analysis outputs as a table or an SVG chart."""
+    """Re-render analysis outputs as a table or an SVG chart. A csv table has
+    the first row's columns, so a row with other columns is refused."""
     rows = []
     for path in input_files:
         table = report_mod.read_table(path)
         if fmt == "svg":
             with report_mod.reading(path, "not a chart table"):
                 report_mod.check_chart_rows(table)
+        elif fmt == "csv" and (rows or table):
+            first = (rows or table)[0].keys()
+            for row in table:
+                if row.keys() != first:
+                    column = next(c for c in [*row, *first] if c not in row.keys() & first)
+                    raise ValueError(f"{path}: column {column!r} is not in every row")
         rows.extend(table)
     if fmt == "svg":
         report_mod.write_output(out_file, report_mod.render_polarity_chart(rows, title=title))

@@ -252,7 +252,7 @@ def load_config(
     if path is not None:
         p = Path(path)
         try:
-            values = parse_config_text(p.read_text(encoding="utf-8"))
+            values = parse_config_text(p.read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {p}: {exc}") from exc
         except ConfigError as exc:

@@ -96,8 +96,9 @@ def load_aliases_csv(path: str | Path) -> AliasMap:
     """Read the alias sidecar: columns surface, canonical, political.
 
     The political yes/no flag is meaningful on canonical rows (surface
-    equal to canonical) but is honored wherever it appears. A file that
-    parse_csv refuses, that lacks one of the three columns or whose pairs
+    equal to canonical) but is honored wherever it appears. A row with both
+    names blank is skipped. A file that parse_csv refuses, that lacks one of
+    the three columns, that has a row with one name blank or whose pairs
     build_alias_map refuses is ``<path>: not a valid alias file``.
     """
     pairs: list[tuple[str, str]] = []
@@ -113,6 +114,9 @@ def load_aliases_csv(path: str | Path) -> AliasMap:
                 pairs.append((surface, canonical))
                 if row["political"].strip().lower() == "yes":
                     political.add(canonical)
+            elif surface or canonical:
+                blank = "canonical" if surface else "surface"
+                raise ValueError(f"a row names {surface or canonical!r} with a blank {blank}")
         return build_alias_map(pairs, political)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from factlens import prompts
 from factlens.annotation import (
+    Annotation,
     ResponseCache,
     annotate_corpus,
     load_annotations,
@@ -532,3 +533,22 @@ def test_http_chat_content_with_unpaired_surrogate_fails_only_its_tag(stub_post,
     assert ann.failed_tags == ("claim",)
     assert ann.flags == ("claim:provider_error",)
     assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+
+@pytest.mark.parametrize("entities", [
+    {"": "negative"}, {" \x85": "positive"}, {"Joe Biden": "happy"}, {"Joe Biden": ""},
+])
+def test_saving_entities_the_loader_refuses_keeps_the_previous_file(tmp_path, entities):
+    """The writer checks a row's entities by the loader's rule, so it never
+    writes a file that load_annotations refuses."""
+    path = tmp_path / "annotations.jsonl"
+    good = {"a1": Annotation("a1", entities={"Joe Biden": "negative"})}
+    save_annotations(good, path)
+    before = {path.name: path.read_bytes()}
+    with pytest.raises(ValueError, match=(
+        f"^{re.escape(str(path))}: cannot write 'b2' \\(TypeError: entities: "
+        "expected non-empty names mapped to sentiment labels\\)$"
+    )):
+        save_annotations({**good, "b2": Annotation("b2", entities=entities)}, path)
+    assert_unchanged(before, tmp_path)
+    assert load_annotations(path) == good

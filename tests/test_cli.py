@@ -740,3 +740,62 @@ def test_report_csv_round_trip_keeps_line_ends_inside_cells(runner, tmp_path):
     invoke(runner, ["report", "--inputs", str(first), "--format", "csv",
                     "--out", str(tmp_path / "second.csv")])
     assert (tmp_path / "second.csv").read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("inputs, bad, column", [
+    ({"a.csv": "org,entity,ps,delta_ps\nO,E,0.5,0.1\n", "b.csv": "x,y\n1,2\n"}, "b.csv", "x"),
+    ({"a.csv": "org,entity,ps,delta_ps\nO,E,0.5,0.1\n", "b.csv": "org,entity\nO,E\n"},
+     "b.csv", "ps"),
+    ({"t.json": '[{"a": 1}, {"b": 2}]'}, "t.json", "b"),
+    ({"t.json": '[{"a": 1, "b": 2}, {"a": 3}]'}, "t.json", "b"),
+])
+def test_report_csv_refuses_a_row_with_other_columns(runner, tmp_path, inputs, bad, column):
+    """A csv table has the first row's columns; a row with others would be
+    written with blank cells."""
+    args = ["report", "--format", "csv", "--out", str(tmp_path / "out.csv")]
+    for name, text in inputs.items():
+        args += ["--inputs", write(tmp_path / name, text)]
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.stderr == (
+        f"Error: {tmp_path / bad}: column {column!r} is not in every row\n"
+    )
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_report_csv_takes_the_first_rows_columns_in_any_order(runner, tmp_path):
+    first = write(tmp_path / "a.csv", "org,entity,ps,delta_ps\nO,E,0.5,0.1\n")
+    second = write(tmp_path / "b.json", '[{"delta_ps": 0.2, "ps": 0.4, "entity": "F", "org": "P"}]')
+    out = tmp_path / "out.csv"
+    invoke(runner, ["report", "--inputs", first, "--inputs", second, "--format", "csv",
+                    "--out", str(out)])
+    assert out.read_text(encoding="utf-8") == (
+        "org,entity,ps,delta_ps\nO,E,0.5,0.1\nP,F,0.4000,0.2000\n"
+    )
+
+
+def test_report_json_keeps_rows_with_other_columns(runner, tmp_path):
+    rows = write(tmp_path / "t.json", '[{"a": 1}, {"b": 2}]')
+    out = tmp_path / "out.json"
+    invoke(runner, ["report", "--inputs", rows, "--format", "json", "--out", str(out)])
+    assert json.loads(out.read_text(encoding="utf-8")) == [{"a": 1}, {"b": 2}]
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+@pytest.mark.parametrize("value", ["2020-6-1", "２０２０-06-01", "20200601"])
+def test_ingest_date_flags_are_read_as_run_cfg_reads_dates(runner, tmp_path, flag, value):
+    """run.cfg refuses these dates, so the flags that set the same keys do too."""
+    (tmp_path / "i.jsonl").write_text("{}\n")
+    result = runner.invoke(main, ["ingest", "--input", str(tmp_path / "i.jsonl"), flag, value,
+                                  "--out", str(tmp_path / "s")])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{flag}': not a YYYY-MM-DD date: {value!r}" in result.output
+    assert not (tmp_path / "s").exists()
+
+
+def test_ingest_date_flags_set_the_range(runner, tmp_path):
+    write_corpus_file(make_articles(40, seed=3), tmp_path / "i.jsonl")
+    invoke(runner, ["ingest", "--input", str(tmp_path / "i.jsonl"), "--from", "2019-01-01",
+                    "--to", "2020-12-31", "--out", str(tmp_path / "s")])
+    dates = [a.published_at.isoformat() for a in load_store(tmp_path / "s")]
+    assert dates and "2019-01-01" <= min(dates) and max(dates) <= "2020-12-31"

@@ -299,3 +299,13 @@ def test_precision_out_of_range_in_run_cfg_names_the_key(tmp_path):
     path.write_text("precision_negative = 1.5\n")
     with pytest.raises(ConfigError, match=r"^precision_negative: must be in \[0, 1\]$"):
         load_config(path, env={})
+
+
+def test_run_cfg_saved_with_a_byte_order_mark_loads_as_without(tmp_path):
+    """Editors save "UTF-8 with BOM"; the mark is not part of the first key."""
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text("window_days = 3\nmin_support = 2\n", encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    cfg = load_config(marked, env={})
+    assert (cfg.window_days, cfg.min_support) == (3, 2)
+    assert cfg == load_config(plain, env={})

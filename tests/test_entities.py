@@ -361,3 +361,27 @@ def test_shared_window_sets_must_match_k_and_window():
     windowed_jaccard(x, x, k=2, window_days=5, org_x="P", org_y="Q", windows=windows)
     with pytest.raises(ValueError, match="window sets of P"):
         windowed_jaccard(x, x, k=3, window_days=5, org_x="P", org_y="Q", windows=windows)
+
+
+@pytest.mark.parametrize("row, message", [
+    (",Joe Biden,yes\n", "a row names 'Joe Biden' with a blank surface"),
+    ("Joe Biden,,yes\n", "a row names 'Joe Biden' with a blank canonical"),
+    (" ,Joe Biden,\n", "a row names 'Joe Biden' with a blank surface"),
+])
+def test_alias_csv_row_with_one_blank_name_is_refused(tmp_path, row, message):
+    """Skipped, such a row would take its political flag with it."""
+    path = tmp_path / "aliases.csv"
+    path.write_text("surface,canonical,political\n" + row + "Biden,Joe Biden,\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=(
+        f"^{re.escape(str(path))}: not a valid alias file \\(ValueError: {re.escape(message)}\\)$"
+    )):
+        load_aliases_csv(path)
+
+
+def test_alias_csv_row_with_both_names_blank_is_skipped(tmp_path):
+    """A spreadsheet's trailing ",," rows."""
+    path = tmp_path / "aliases.csv"
+    path.write_text(
+        "surface,canonical,political\nJoe Biden,Joe Biden,yes\n,,\n , ,yes\n", encoding="utf-8"
+    )
+    assert load_aliases_csv(path) == build_alias_map([("Joe Biden", "Joe Biden")], ["Joe Biden"])
