@@ -254,10 +254,11 @@ def report(input_files, fmt, out_file, title) -> None:
                 report_mod.check_chart_rows(table)
         elif fmt == "csv" and (rows or table):
             first = (rows or table)[0].keys()
-            for row in table:
-                if row.keys() != first:
-                    column = next(c for c in [*row, *first] if c not in row.keys() & first)
-                    raise ValueError(f"{path}: column {column!r} is not in every row")
+            with report_mod.reading(path, "a row's columns are not the first row's"):
+                for row in table:
+                    if row.keys() != first:
+                        column = next(c for c in [*row, *first] if c not in row.keys() & first)
+                        raise ValueError(f"first differing column {column!r}")
         rows.extend(table)
     if fmt == "svg":
         report_mod.write_output(out_file, report_mod.render_polarity_chart(rows, title=title))

@@ -758,7 +758,8 @@ def test_report_csv_refuses_a_row_with_other_columns(runner, tmp_path, inputs, b
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 1, result.output
     assert result.stderr == (
-        f"Error: {tmp_path / bad}: column {column!r} is not in every row\n"
+        f"Error: {tmp_path / bad}: a row's columns are not the first row's "
+        f"(ValueError: first differing column {column!r})\n"
     )
     assert not (tmp_path / "out.csv").exists()
 
