@@ -219,27 +219,26 @@ def annotate_corpus(
     """Annotate every article; deterministic given the cache or a mock.
 
     One pass in corpus order: each (article, template) prompt is rendered
-    and its cache entry read once, and a miss is sent as soon as it is
-    found, each response cached as it arrives. A provider that declares
-    ``workers`` gets a pool of that many threads, started at the first
-    miss; others are called inline, one at a time. A key shared by two
-    articles is sent once. An article is parsed as soon as its three
-    responses are in hand, so raw responses are not held past their
-    article; the result keeps corpus order. A per-call failure marks only
-    that tag failed. An unreachable provider stops further sends, lets the
-    requests in flight finish (and be cached), and aborts the run.
+    and its cache entry read at most once, and a miss is sent as soon as
+    it is found, each response cached as it arrives. A provider that
+    declares ``workers`` gets a pool of that many threads, started at the
+    first miss; others are called inline, one at a time. A key asked for
+    while its request is in flight joins it; an answer is reused only
+    through the cache, so one that no cache holds (a per-call failure, or
+    any answer without a cache) is sent again. No table of answers is
+    kept: an article is parsed as soon as its three responses are in hand;
+    the result keeps corpus order. A per-call failure marks only that tag
+    failed. An unreachable provider stops further sends, lets the requests
+    in flight finish (and be cached), and aborts the run.
     """
     cache = None
     if config is not None and config.cache_dir is not None:
         cache = ResponseCache(config.cache_dir)
     workers = getattr(provider, "workers", 1)
     pool: ThreadPoolExecutor | None = None
-    # Cache key of each miss -> its response or failure: a Future while in
-    # flight, None if an outage came before it was sent.
-    sent: dict[str, str | ProviderCallError | Future | None] = {}
-    # Cache key of each request in flight -> (article, its raw responses,
-    # the slot the request fills) for every article waiting on it.
-    waiting: dict[str, list[tuple[Article, list, int]]] = {}
+    # Cache key of each request in flight -> its Future and (article, its raw
+    # responses, the slot the request fills) for every article waiting on it.
+    in_flight: dict[str, tuple[Future, list[tuple[Article, list, int]]]] = {}
     finished: SimpleQueue[str] = SimpleQueue()  # keys whose requests are done
     annotations: dict[str, Annotation | None] = {}  # None while waiting
     outage: ProviderUnreachableError | None = None
@@ -257,7 +256,7 @@ def annotate_corpus(
         if pool is None:
             pool = ThreadPoolExecutor(max_workers=workers)
         future = pool.submit(_call, provider, cache, key, template_id, body)
-        waiting[key] = []
+        in_flight[key] = (future, [])
         future.add_done_callback(lambda _: finished.put(key))
         return future
 
@@ -272,12 +271,12 @@ def annotate_corpus(
         """Give a finished request's result to the articles waiting on it."""
         nonlocal outage
         try:
-            result = sent[key] = sent[key].result()
+            result = in_flight[key][0].result()
         except ProviderUnreachableError as exc:
             outage = exc
             pool.shutdown(cancel_futures=True)  # in-flight requests finish
             return
-        for article, raws, slot in waiting.pop(key):
+        for article, raws, slot in in_flight.pop(key)[1]:
             raws[slot] = result
             settle(article, raws)
 
@@ -289,27 +288,27 @@ def annotate_corpus(
             for template_id in prompts.TEMPLATE_IDS:
                 prompt = prompts.render_prompt(template_id, article.body)
                 key = cache_key(template_id, prompt, provider.model_name)
-                if key in sent:  # never read: a request in flight may be writing it
-                    raw = sent[key]
+                if key in in_flight:  # never read: its request may be writing it
+                    raw = in_flight[key][0]
                 else:
                     raw = cache.get(key) if cache is not None else None
                     if raw is None:
-                        raw = sent[key] = send(key, template_id, article.body)
+                        raw = send(key, template_id, article.body)
                 if isinstance(raw, Future):
-                    waiting[key].append((article, raws, len(raws)))
+                    in_flight[key][1].append((article, raws, len(raws)))
                 raws.append(raw)
             if outage is None:
                 settle(article, raws)
-        while outage is None and waiting:
+        while outage is None and in_flight:
             collect(finished.get())
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     if outage is not None:
         logger.error(
-            "provider unreachable with %d uncached requests; aborting, "
+            "provider unreachable with %d requests in flight; aborting, "
             "completed responses stay cached",
-            len(sent),
+            len(in_flight),
         )
         raise outage
     return annotations
