@@ -230,16 +230,21 @@ def _parse_value(key: str, raw: str) -> object:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment."""
+    """Parse `key = value` lines; '#' starts a comment. A key set twice is
+    an error naming both lines."""
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {line_no}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in set_on:
+            raise ConfigError(f"line {line_no}: {key!r} is already set on line {set_on[key]}")
+        set_on[key] = line_no
+        values[key] = value
     return values
 
 

@@ -95,11 +95,12 @@ def build_alias_map(
 def load_aliases_csv(path: str | Path) -> AliasMap:
     """Read the alias sidecar: columns surface, canonical, political.
 
-    The political yes/no flag is meaningful on canonical rows (surface
-    equal to canonical) but is honored wherever it appears. A row with both
-    names blank is skipped. A file that parse_csv refuses, that lacks one of
-    the three columns, that has a row with one name blank or whose pairs
-    build_alias_map refuses is ``<path>: not a valid alias file``.
+    The political flag (yes, no or blank, in any case and spacing) is
+    meaningful on canonical rows (surface equal to canonical) but is
+    honored wherever it appears. A row with both names blank is skipped. A
+    file that parse_csv refuses, that lacks one of the three columns, that
+    has a row with one name blank or another political cell, or whose
+    pairs build_alias_map refuses is ``<path>: not a valid alias file``.
     """
     pairs: list[tuple[str, str]] = []
     political: set[str] = set()
@@ -112,7 +113,13 @@ def load_aliases_csv(path: str | Path) -> AliasMap:
             surface, canonical = row["surface"].strip(), row["canonical"].strip()
             if surface and canonical:
                 pairs.append((surface, canonical))
-                if row["political"].strip().lower() == "yes":
+                flag = row["political"].strip().lower()
+                if flag not in ("yes", "no", ""):
+                    raise ValueError(
+                        f"political cell {row['political']!r} for {surface!r}; "
+                        "expected yes, no or blank"
+                    )
+                if flag == "yes":
                     political.add(canonical)
             elif surface or canonical:
                 blank = "canonical" if surface else "surface"

@@ -218,6 +218,65 @@ def test_warm_annotate_holds_no_table_of_responses(tmp_path):
     assert peak - held < response_bytes, (peak, held, response_bytes)
 
 
+PAD = 50_000  # trailing spaces on every answer; the parsers strip them
+
+
+class PaddedChatProvider(SyntheticChatProvider):
+    def complete(self, prompt, template_id):
+        return super().complete(prompt, template_id) + " " * PAD
+
+
+def test_cold_annotate_holds_no_table_of_answers(tmp_path):
+    """Each answer is cached as it arrives and dropped once its article is
+    parsed: a cold run's traced peak stays within a few answers, not the 180
+    it receives."""
+    corpus = make_corpus(distinct_articles(60))
+    provider = PaddedChatProvider()
+    tracemalloc.start()
+    try:
+        annotations = annotate_corpus(corpus, provider, ProviderConfig(cache_dir=tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert provider.calls == 180
+    assert not any(ann.failed_tags for ann in annotations.values())
+    assert peak < 10 * PAD, peak / PAD
+
+
+def test_an_answer_is_reused_only_through_the_cache(tmp_path, monkeypatch):
+    """Three articles share one body. A failed call is no answer, so each
+    article sends its own three requests; an answered key that a later
+    article asks for is read from the cache."""
+    corpus = make_corpus([make_article(f"a{i}", body=BODY) for i in range(3)])
+    config = ProviderConfig(cache_dir=tmp_path / "cache")
+    provider = FixtureChatProvider(tmp_path / "fixtures")
+    annotations = annotate_corpus(corpus, provider, config)
+    assert provider.calls == 9
+    assert all(
+        ann.failed_tags == ("claim", "what", "why", "entities") for ann in annotations.values()
+    )
+
+    write_fixture(tmp_path / "fixtures", prompts.CLAIM, BODY, '["X claimed Y."]')
+    claim_key = cache_key(
+        prompts.CLAIM, prompts.render_prompt(prompts.CLAIM, BODY), provider.model_name
+    )
+    reads = []
+    get = ResponseCache.get
+
+    def lookup(self, key):
+        response = get(self, key)
+        if key == claim_key:
+            reads.append(response)
+        return response
+
+    monkeypatch.setattr(ResponseCache, "get", lookup)
+    provider = FixtureChatProvider(tmp_path / "fixtures")
+    annotations = annotate_corpus(corpus, provider, config)
+    assert provider.calls == 1 + 2 * 3  # the claim once; what/why and entities per article
+    assert reads == [None, '["X claimed Y."]', '["X claimed Y."]']
+    assert all(ann.claim == ("X claimed Y.",) for ann in annotations.values())
+
+
 def test_cache_key_oracle(tmp_path):
     """The cache file name equals an independent hash recomputation."""
     article = make_article("a1", body=BODY)

@@ -5,6 +5,7 @@ stubbed ``providers._post``; no socket opens."""
 import sys
 import threading
 import time
+import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -169,6 +170,34 @@ def test_shared_keys_in_flight_are_sent_once_and_results_keep_corpus_order(stub_
     serial = annotate_corpus(corpus, SyntheticChatProvider(model_name=MODEL))
     assert list(annotations.items()) == list(serial.items())
     assert provider.calls == 3 * 4  # bodies 3-6, four articles each
+
+
+def test_cold_pooled_annotate_holds_no_table_of_answers(stub_post, tmp_path):
+    """An answer leaves with its request once its articles have it: beside
+    the copies that the two requests in flight make, a cold pooled run's
+    traced peak stays within a few answers, not the 180 it receives."""
+    pad = 50_000  # trailing spaces on every answer; the parsers strip them
+
+    def reply(body):
+        prompt = prompt_of(body)
+        return chat_reply(
+            SyntheticChatProvider().complete(prompt, template_of(prompt)) + " " * pad
+        )
+
+    stub_post(reply)
+    provider = http_chat()
+    provider.workers = 2
+    tracemalloc.start()
+    try:
+        annotations = annotate_corpus(
+            articles(60), provider, ProviderConfig(cache_dir=tmp_path / "cache")
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert provider.calls == 180
+    assert not any(ann.failed_tags for ann in annotations.values())
+    assert peak < 45 * pad, peak / pad
 
 
 def test_annotate_with_every_lookup_hit_starts_no_thread(stub_post, tmp_path, monkeypatch):

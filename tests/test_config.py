@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 from dataclasses import replace
 
 import pytest
@@ -309,3 +310,18 @@ def test_run_cfg_saved_with_a_byte_order_mark_loads_as_without(tmp_path):
     cfg = load_config(marked, env={})
     assert (cfg.window_days, cfg.min_support) == (3, 2)
     assert cfg == load_config(plain, env={})
+
+
+def test_a_key_set_twice_in_run_cfg_names_both_lines(tmp_path):
+    """The file's own repeat is refused, not read as its last value; an
+    environment override still replaces the file's value."""
+    path = tmp_path / "run.cfg"
+    path.write_text("window_days = 3\nwindow_days = 9\n")
+    message = f"{path}: line 2: 'window_days' is already set on line 1"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(path, env={})
+    path.write_text("# run\nwindow_days = 3\n\n  window_days=3\n")
+    with pytest.raises(ConfigError, match="line 4: 'window_days' is already set on line 2$"):
+        load_config(path, env={})
+    path.write_text("window_days = 3\n")
+    assert load_config(path, env={"FACTLENS_WINDOW_DAYS": "9"}).window_days == 9

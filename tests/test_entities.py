@@ -378,6 +378,35 @@ def test_alias_csv_row_with_one_blank_name_is_refused(tmp_path, row, message):
         load_aliases_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["true", "y", "1", "Ja", "yes!"])
+def test_alias_csv_political_cell_other_than_yes_no_or_blank_is_refused(tmp_path, cell):
+    """Read as no, such a cell would drop its name from overlap and polarity."""
+    path = tmp_path / "aliases.csv"
+    path.write_text(
+        f"surface,canonical,political\nJoe Biden,Joe Biden,{cell}\n"
+        "Donald Trump,Donald Trump,yes\n",
+        encoding="utf-8",
+    )
+    message = (
+        f"{path}: not a valid alias file (ValueError: political cell {cell!r} for "
+        "'Joe Biden'; expected yes, no or blank)"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_aliases_csv(path)
+
+
+def test_alias_csv_political_cell_reads_yes_no_or_blank_in_any_case(tmp_path):
+    path = tmp_path / "aliases.csv"
+    path.write_text(
+        "surface,canonical,political\nJoe Biden,Joe Biden, YES \nDonald Trump,Donald Trump,No\n"
+        "Narendra Modi,Narendra Modi,\nRahul Gandhi,Rahul Gandhi,yes\n",
+        encoding="utf-8",
+    )
+    names = ["Joe Biden", "Donald Trump", "Narendra Modi", "Rahul Gandhi"]
+    expected = build_alias_map([(n, n) for n in names], ["Joe Biden", "Rahul Gandhi"])
+    assert load_aliases_csv(path) == expected
+
+
 def test_alias_csv_row_with_both_names_blank_is_skipped(tmp_path):
     """A spreadsheet's trailing ",," rows."""
     path = tmp_path / "aliases.csv"
