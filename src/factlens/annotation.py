@@ -228,8 +228,9 @@ def annotate_corpus(
     any answer without a cache) is sent again. No table of answers is
     kept: an article is parsed as soon as its three responses are in hand;
     the result keeps corpus order. A per-call failure marks only that tag
-    failed. An unreachable provider stops further sends, lets the requests
-    in flight finish (and be cached), and aborts the run.
+    failed. An unreachable provider aborts the run where its error is
+    raised, so no later article is looked up; requests already in flight
+    finish (and are cached), and those still queued are cancelled.
     """
     cache = None
     if config is not None and config.cache_dir is not None:
@@ -241,18 +242,11 @@ def annotate_corpus(
     in_flight: dict[str, tuple[Future, list[tuple[Article, list, int]]]] = {}
     finished: SimpleQueue[str] = SimpleQueue()  # keys whose requests are done
     annotations: dict[str, Annotation | None] = {}  # None while waiting
-    outage: ProviderUnreachableError | None = None
 
-    def send(key: str, template_id: str, body: str) -> str | ProviderCallError | Future | None:
-        nonlocal pool, outage
-        if outage is not None:
-            return None
+    def send(key: str, template_id: str, body: str) -> str | ProviderCallError | Future:
+        nonlocal pool
         if workers <= 1:
-            try:
-                return _call(provider, cache, key, template_id, body)
-            except ProviderUnreachableError as exc:
-                outage = exc
-                return None
+            return _call(provider, cache, key, template_id, body)
         if pool is None:
             pool = ThreadPoolExecutor(max_workers=workers)
         future = pool.submit(_call, provider, cache, key, template_id, body)
@@ -269,20 +263,14 @@ def annotate_corpus(
 
     def collect(key: str) -> None:
         """Give a finished request's result to the articles waiting on it."""
-        nonlocal outage
-        try:
-            result = in_flight[key][0].result()
-        except ProviderUnreachableError as exc:
-            outage = exc
-            pool.shutdown(cancel_futures=True)  # in-flight requests finish
-            return
+        result = in_flight[key][0].result()
         for article, raws, slot in in_flight.pop(key)[1]:
             raws[slot] = result
             settle(article, raws)
 
     try:
         for article in corpus:
-            while outage is None and not finished.empty():
+            while not finished.empty():
                 collect(finished.get())
             raws: list = []
             for template_id in prompts.TEMPLATE_IDS:
@@ -297,20 +285,19 @@ def annotate_corpus(
                 if isinstance(raw, Future):
                     in_flight[key][1].append((article, raws, len(raws)))
                 raws.append(raw)
-            if outage is None:
-                settle(article, raws)
-        while outage is None and in_flight:
+            settle(article, raws)
+        while in_flight:
             collect(finished.get())
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    if outage is not None:
+    except ProviderUnreachableError:
         logger.error(
             "provider unreachable with %d requests in flight; aborting, "
             "completed responses stay cached",
             len(in_flight),
         )
-        raise outage
+        raise
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # in-flight requests finish
     return annotations
 
 

@@ -158,15 +158,17 @@ class _HttpClient:
         request."""
         retries = self.max_retries if retries is None else retries
         last_error: Exception | None = None
-        unreachable = False
         for attempt in range(retries + 1):
             self._throttle()
             try:
                 status, raw = _post(self.endpoint, body, headers or {}, self._timeout)
             except (OSError, http.client.HTTPException) as exc:
-                last_error, unreachable = exc, True
+                if attempt == retries:
+                    raise ProviderUnreachableError(
+                        f"{self._kind} endpoint unreachable: {exc}"
+                    ) from exc
+                last_error = exc
             else:
-                unreachable = False
                 if status == 200:
                     try:
                         return parse(raw)
@@ -183,8 +185,6 @@ class _HttpClient:
                     "%s call failed (%s); retrying in %.2fs", self._kind, last_error, delay
                 )
                 time.sleep(delay)
-        if unreachable:
-            raise ProviderUnreachableError(f"{self._kind} endpoint unreachable: {last_error}")
         raise ProviderCallError(f"{self._kind} request failed after retries: {last_error}")
 
 
