@@ -15,8 +15,9 @@ a 128-text request of the hashed embedder then holds 64 MiB.
 bootstrap_resamples stops at 10**7, whose resample medians take 80 MB;
 analyses use 1,000 to 10,000.
 
-An error in the file itself (a line that is not ``key = value``, an
-unknown key) names the file; an error in a value names its key.
+An error in the file itself (a line that is not ``key = value``, a
+trailing comment, an unknown key) names the file; an error in a value
+names its key.
 """
 
 from __future__ import annotations
@@ -154,6 +155,8 @@ class RunConfig:
                 raise ConfigError(f"{key}: must be >= 1")
         if self.embedding_dim > MAX_EMBEDDING_DIM:
             raise ConfigError(f"embedding_dim: must be <= {MAX_EMBEDDING_DIM}")
+        if not self.cache_dir:  # else the cache fills the working directory
+            raise ConfigError("cache_dir: must not be empty")
         if self.date_from > self.date_to:
             raise ConfigError("date_from: must not be after date_to")
         if self.provider_kind not in ("synthetic", "fixtures", "http"):
@@ -230,8 +233,10 @@ def _parse_value(key: str, raw: str) -> object:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment. A key set twice is
-    an error naming both lines."""
+    """Parse `key = value` lines; a line starting with '#' is a comment. A
+    '#' after a space or tab is an error (a comment takes a line of its
+    own), so it never joins a value; a key set twice is an error naming
+    both lines."""
     values: dict[str, str] = {}
     set_on: dict[str, int] = {}  # key -> the line that set it
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -240,6 +245,8 @@ def parse_config_text(text: str) -> dict[str, str]:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {line_no}: expected 'key = value'")
+        if re.search(r"[ \t]#", stripped):
+            raise ConfigError(f"line {line_no}: a comment must take a line of its own")
         key, _, value = (part.strip() for part in stripped.partition("="))
         if key in set_on:
             raise ConfigError(f"line {line_no}: {key!r} is already set on line {set_on[key]}")

@@ -20,7 +20,7 @@ from . import entities as ent_mod
 from . import polarity as pol_mod
 from . import report
 from .annotation import Annotation, annotate_corpus, save_annotations
-from .config import RunConfig, serialize_config
+from .config import ConfigError, RunConfig, serialize_config
 from .embedding import SENTENCE_TAGS, TagEmbedding, embed_annotations, save_embeddings
 from .entities import AliasMap, load_aliases_csv
 from .providers import (
@@ -51,6 +51,10 @@ def build_chat_provider(cfg: RunConfig):
     if cfg.provider_kind == "synthetic":
         return SyntheticChatProvider(model_name=cfg.provider_model)
     if cfg.provider_kind == "fixtures":
+        if not Path(cfg.provider_fixtures_dir).is_dir():  # else every tag fails
+            raise ConfigError(
+                f"provider_fixtures_dir: {cfg.provider_fixtures_dir!r} is not a directory"
+            )
         return FixtureChatProvider(cfg.provider_fixtures_dir, model_name=cfg.provider_model)
     return HttpChatProvider(cfg.provider_config(), api_key=cfg.api_key, seed=cfg.seed)
 

@@ -427,6 +427,31 @@ def test_unreachable_provider_aborts_preserving_cache(tmp_path):
     assert resumed.calls == 5
 
 
+def test_an_outage_ends_the_pass_where_it_is_raised(tmp_path, monkeypatch):
+    """A provider down at its first call aborts before any later lookup:
+    one call and one cache read, not a scan of the rest of the corpus."""
+    reads = []
+    get = ResponseCache.get
+
+    def lookup(self, key):
+        reads.append(key)
+        return get(self, key)
+
+    monkeypatch.setattr(ResponseCache, "get", lookup)
+
+    class DownProvider(SyntheticChatProvider):
+        def complete(self, prompt, template_id):
+            self.calls += 1
+            raise ProviderUnreachableError("down")
+
+    provider = DownProvider()
+    config = ProviderConfig(cache_dir=tmp_path / "cache")
+    with pytest.raises(ProviderUnreachableError, match="down"):
+        annotate_corpus(make_corpus(distinct_articles(300)), provider, config)
+    assert provider.calls == 1
+    assert len(reads) == 1
+
+
 def test_annotate_corpus_deterministic_with_mock():
     corpus = make_corpus(distinct_articles(4))
     first = annotate_corpus(corpus, SyntheticChatProvider())

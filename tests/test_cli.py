@@ -203,6 +203,31 @@ def test_annotate_with_fixture_mock(runner, tmp_path):
     assert ann["failed_tags"] == []
 
 
+def test_a_fixtures_dir_that_is_not_a_directory_is_refused(runner, workspace):
+    """A mistyped fixture directory is one `Error:` line, not a run in
+    which every tag fails."""
+    missing = workspace / "no" / "such" / "dir"
+    with (workspace / "run.cfg").open("a") as fh:
+        fh.write(f"provider_kind = fixtures\nprovider_fixtures_dir = {missing}\n")
+    result = runner.invoke(
+        main,
+        ["run-all", "--store", str(workspace / "store"),
+         "--config", str(workspace / "run.cfg"), "--out", str(workspace / "out")],
+    )
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"Error: provider_fixtures_dir: {str(missing)!r} is not a directory\n"
+    assert not (workspace / "out" / "similarity.csv").exists()
+    assert not (workspace / "store" / "annotations.jsonl").exists()
+
+
+def test_annotate_with_an_empty_cache_flag_is_refused(runner, workspace):
+    store = workspace / "store"
+    invoke(runner, ["ingest", "--input", str(workspace / "input.jsonl"), "--out", str(store)])
+    result = runner.invoke(main, ["annotate", "--store", str(store), "--cache", ""])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == "Error: cache_dir: must not be empty\n"
+
+
 def test_run_all_and_print_config(runner, workspace):
     result = invoke(
         runner,

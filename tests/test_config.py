@@ -10,6 +10,7 @@ from factlens.config import (
     ConfigError,
     RunConfig,
     load_config,
+    override,
     serialize_config,
 )
 from factlens.providers import HttpChatProvider, HttpEmbeddingProvider, ProviderConfig
@@ -325,3 +326,38 @@ def test_a_key_set_twice_in_run_cfg_names_both_lines(tmp_path):
         load_config(path, env={})
     path.write_text("window_days = 3\n")
     assert load_config(path, env={"FACTLENS_WINDOW_DAYS": "9"}).window_days == 9
+
+
+def test_an_empty_cache_dir_is_refused(tmp_path):
+    """An empty cache_dir would put the cache in the working directory."""
+    path = tmp_path / "run.cfg"
+    path.write_text("cache_dir =\n")
+    with pytest.raises(ConfigError, match="^cache_dir: must not be empty$"):
+        load_config(path, env={})
+    with pytest.raises(ConfigError, match="^cache_dir: must not be empty$"):
+        load_config(None, env={"FACTLENS_CACHE_DIR": ""})
+    with pytest.raises(ConfigError, match="^cache_dir: must not be empty$"):
+        override(RunConfig(), cache_dir="")
+
+
+@pytest.mark.parametrize("line", [
+    "provider_model = gpt-4  # cheaper",
+    "cache_dir = mycache # here",
+    "window_days = 5\t# x",
+    "provider_model = # none",
+])
+def test_a_trailing_comment_is_refused_naming_its_line(tmp_path, line):
+    """A '#' after a space or tab never joins a value."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# run\n{line}\n")
+    message = f"{path}: line 2: a comment must take a line of its own"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(path, env={})
+
+
+def test_a_hash_inside_a_value_still_loads(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("provider_kind = http\nprovider_endpoint = http://h/p#x\n")
+    assert load_config(path, env={}).provider_endpoint == "http://h/p#x"
+    env = {"FACTLENS_PROVIDER_MODEL": "gpt-4  # not a comment"}
+    assert load_config(None, env=env).provider_model == "gpt-4  # not a comment"
