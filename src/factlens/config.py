@@ -106,7 +106,6 @@ class ProviderConfig:
     max_retries: int = 3
     rate_limit: float = 5.0
     cache_dir: Path | None = None
-    retry_base_seconds: float = 0.5
 
     def __post_init__(self) -> None:
         # Named by their run.cfg keys; written so that NaN fails too.

@@ -62,7 +62,9 @@ def build_chat_provider(cfg: RunConfig):
 def build_embedding_provider(cfg: RunConfig):
     if cfg.embedding_kind == "hashed":
         return HashedEmbeddingProvider(dim=cfg.embedding_dim)
-    return HttpEmbeddingProvider(cfg.embedding_endpoint, dim=cfg.embedding_dim, seed=cfg.seed)
+    return HttpEmbeddingProvider(
+        cfg.embedding_endpoint, cfg.embedding_dim, cfg.provider_max_retries, cfg.seed
+    )
 
 
 # The longest escaped name, in UTF-8 bytes, used as is: with two of them,

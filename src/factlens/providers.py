@@ -121,15 +121,14 @@ class _HttpClient:
 
     _kind = ""  # "chat" or "embed": names the jitter stream and the errors
     _timeout = 60
+    _backoff_base = 0.5  # seconds before the first retry, doubled for each next, plus jitter
 
-    def __init__(self, endpoint: str, max_retries: int, retry_base_seconds: float,
-                 seed: int, min_interval: float = 0.0):
+    def __init__(self, endpoint: str, max_retries: int, seed: int, min_interval: float = 0.0):
         if not http_url(endpoint):
             raise ValueError(f"HTTP {self._kind} provider needs an http:// or https:// "
                              f"endpoint, got {endpoint!r}")
         self.endpoint = endpoint
         self.max_retries = max_retries
-        self.retry_base_seconds = retry_base_seconds
         self._seed = seed
         self._min_interval = min_interval
         self._lock = threading.Lock()
@@ -147,7 +146,7 @@ class _HttpClient:
             time.sleep(wait)
 
     def _backoff(self, key: str, attempt: int) -> float:
-        base = self.retry_base_seconds * (2**attempt)
+        base = self._backoff_base * (2**attempt)
         rng = np.random.default_rng(derive_seed(self._seed, f"{self._kind}-retry:{key}:{attempt}"))
         return base + float(rng.uniform(0.0, base / 2.0))
 
@@ -207,8 +206,7 @@ class HttpChatProvider(_HttpClient):
 
     def __init__(self, config: ProviderConfig, api_key: str | None = None, seed: int = 0):
         super().__init__(
-            config.endpoint, config.max_retries, config.retry_base_seconds, seed,
-            min_interval=1.0 / config.rate_limit,
+            config.endpoint, config.max_retries, seed, min_interval=1.0 / config.rate_limit
         )
         self.model_name = config.model_name
         self.api_key = api_key
@@ -390,32 +388,28 @@ class HashedEmbeddingProvider:
         return out
 
 
+def _vectors(raw: bytes) -> np.ndarray:
+    try:
+        return np.asarray(parse_json(raw)["vectors"], dtype=np.float64)
+    except DECODE_ERRORS as exc:
+        raise _RetryBody(f"malformed response body: {exc}") from exc
+
+
 class HttpEmbeddingProvider(_HttpClient):
     """Embedding client, no rate limit; a 200 body with no vector array is
-    retried, vectors of the wrong shape fail at once. Retry jitter is keyed
-    by the SHA-256 of the request's JSON texts."""
+    retried. The array's shape is checked by embedding.embed_sentences.
+    Retry jitter is keyed by the SHA-256 of the request's JSON texts."""
 
     _kind = "embed"
     _timeout = 120
 
     def __init__(self, endpoint: str, dim: int, max_retries: int = ProviderConfig.max_retries,
-                 retry_base_seconds: float = ProviderConfig.retry_base_seconds, seed: int = 0):
-        super().__init__(endpoint, max_retries, retry_base_seconds, seed)
+                 seed: int = 0):
+        super().__init__(endpoint, max_retries, seed)
         self.dim = dim
         self.name = f"http:{endpoint}"
 
     def embed(self, texts: Sequence[str], retries: int | None = None) -> np.ndarray:
         texts = list(texts)
         key = hashlib.sha256(json.dumps(texts).encode("utf-8")).hexdigest()
-        return self._send(
-            {"texts": texts}, key, lambda raw: self._vectors(raw, len(texts)), retries=retries
-        )
-
-    def _vectors(self, raw: bytes, n: int) -> np.ndarray:
-        try:
-            vectors = np.asarray(parse_json(raw)["vectors"], dtype=np.float64)
-        except DECODE_ERRORS as exc:
-            raise _RetryBody(f"malformed response body: {exc}") from exc
-        if vectors.shape != (n, self.dim):
-            raise ProviderCallError(f"expected shape {(n, self.dim)}, got {vectors.shape}")
-        return vectors
+        return self._send({"texts": texts}, key, _vectors, retries=retries)

@@ -108,12 +108,14 @@ def stub_post(monkeypatch):
     return install
 
 
-def http_chat(max_retries=2, rate_limit=1e6, retry_base_seconds=0.0, seed=0):
-    config = ProviderConfig(
-        endpoint="http://chat.test/v1", max_retries=max_retries,
-        rate_limit=rate_limit, retry_base_seconds=retry_base_seconds,
-    )
-    return HttpChatProvider(config, seed=seed)
+def http_chat(max_retries=2, rate_limit=1e6, backoff_base=0.0, seed=0):
+    """A chat client of the stubbed endpoint; with the default backoff_base
+    its retries wait no backoff."""
+    config = ProviderConfig(endpoint="http://chat.test/v1", max_retries=max_retries,
+                            rate_limit=rate_limit)
+    provider = HttpChatProvider(config, seed=seed)
+    provider._backoff_base = backoff_base
+    return provider
 
 
 def chat_reply(content):

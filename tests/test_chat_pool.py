@@ -271,7 +271,7 @@ def test_retry_delays_follow_the_request_not_the_completion_order(stub_post, mon
 
         def sleep(seconds):
             # At this rate limit the throttle waits microseconds at most;
-            # every backoff is at least retry_base_seconds = 1.
+            # every backoff is at least backoff_base = 1.
             if seconds >= 1.0:
                 with lock:
                     delays.setdefault(local.prompt, []).append(seconds)
@@ -279,7 +279,7 @@ def test_retry_delays_follow_the_request_not_the_completion_order(stub_post, mon
         stub_post(reply)
         fake_time = SimpleNamespace(monotonic=time.monotonic, sleep=sleep)
         monkeypatch.setattr(providers, "time", fake_time)
-        provider = http_chat(retry_base_seconds=1.0, seed=7)
+        provider = http_chat(backoff_base=1.0, seed=7)
         with ThreadPoolExecutor(max_workers=n) as pool:
             list(pool.map(lambda i: provider.complete(f"prompt {i}", prompts.CLAIM), range(n)))
         return delays, finished
@@ -289,7 +289,7 @@ def test_retry_delays_follow_the_request_not_the_completion_order(stub_post, mon
     assert order_first != order_second
     assert first == second
     assert len(first) == n and all(len(d) == 2 for d in first.values())
-    provider = http_chat(retry_base_seconds=1.0, seed=7)
+    provider = http_chat(backoff_base=1.0, seed=7)
     for prompt, delays in first.items():
         key = cache_key(prompts.CLAIM, prompt, MODEL)
         assert delays == [provider._backoff(key, 0), provider._backoff(key, 1)]

@@ -410,9 +410,10 @@ def test_sidecar_dimension_header_is_enforced(tmp_path):
 
 
 def http_embedder(dim=4):
-    return HttpEmbeddingProvider(
-        "http://embed.test/v1", dim=dim, max_retries=2, retry_base_seconds=0.0
-    )
+    """An embedding client of the stubbed endpoint; its retries wait no backoff."""
+    provider = HttpEmbeddingProvider("http://embed.test/v1", dim=dim, max_retries=2)
+    provider._backoff_base = 0.0
+    return provider
 
 
 MALFORMED_EMBEDDING_BODIES = {
@@ -520,9 +521,7 @@ def test_http_embedder_retry_delays_follow_the_request(stub_post, monkeypatch):
         attempts.clear()
         slept = []
         monkeypatch.setattr(providers.time, "sleep", slept.append)
-        provider = HttpEmbeddingProvider(
-            "http://embed.test/v1", dim=4, retry_base_seconds=1.0, seed=7
-        )
+        provider = HttpEmbeddingProvider("http://embed.test/v1", dim=4, seed=7)
         for texts in requests_texts:
             provider.embed(texts)
         return slept
@@ -533,6 +532,36 @@ def test_http_embedder_retry_delays_follow_the_request(stub_post, monkeypatch):
     assert len(first) == 2 and len(second) == 4
     assert second[2:] == first
     assert second[:2] != first  # the jitter differs per request
+
+
+def test_provider_max_retries_is_the_embedders_retry_count_too(stub_post, monkeypatch):
+    """One run.cfg key sets the retry count of both live providers: at
+    provider_max_retries = 1 an always-503 endpoint gets 2 sends of a
+    one-list request, and the one backoff between them is _backoff's."""
+    slept = []
+    monkeypatch.setattr(providers.time, "sleep", slept.append)
+    stub_post(StubResponse(503, {"error": "busy"}))
+    cfg = RunConfig(embedding_kind="http", embedding_endpoint="http://embed.test/v1",
+                    provider_max_retries=1, seed=7)
+    provider = pipeline.build_embedding_provider(cfg)
+    with pytest.raises(ProviderCallError, match="after retries"):
+        provider.embed(["alpha"])
+    assert provider.calls == 2
+    key = hashlib.sha256(json.dumps(["alpha"]).encode("utf-8")).hexdigest()
+    assert slept == [provider._backoff(key, 0)]
+
+
+def test_backoff_delays_are_pinned():
+    """Both clients' delays for seed 7, key "k" and attempts 0-3, pinned to
+    the bit: 0.5 s doubled per attempt, plus the seeded jitter."""
+    embed = HttpEmbeddingProvider("http://embed.test/v1", dim=4, seed=7)
+    chat = providers.HttpChatProvider(ProviderConfig(endpoint="http://chat.test/v1"), seed=7)
+    assert [embed._backoff("k", attempt) for attempt in range(4)] == [
+        0.6473622709494512, 1.0467802339854797, 2.5682127780536423, 4.654420808727243,
+    ]
+    assert [chat._backoff("k", attempt) for attempt in range(4)] == [
+        0.5275086278037882, 1.4670093028014692, 2.2597837631107316, 4.4331814982441315,
+    ]
 
 
 def test_unreachable_embedder_aborts_embed_annotations(stub_post):

@@ -74,14 +74,16 @@ def server(monkeypatch):
 
 
 def chat(url, api_key=None):
-    config = ProviderConfig(endpoint=f"{url}/chat", max_retries=RETRIES, rate_limit=1e6,
-                            retry_base_seconds=0.0)
-    return HttpChatProvider(config, api_key=api_key)
+    config = ProviderConfig(endpoint=f"{url}/chat", max_retries=RETRIES, rate_limit=1e6)
+    provider = HttpChatProvider(config, api_key=api_key)
+    provider._backoff_base = 0.0  # the local server answers at once
+    return provider
 
 
 def embedder(url):
-    return HttpEmbeddingProvider(f"{url}/embed", dim=2, max_retries=RETRIES,
-                                 retry_base_seconds=0.0)
+    provider = HttpEmbeddingProvider(f"{url}/embed", dim=2, max_retries=RETRIES)
+    provider._backoff_base = 0.0
+    return provider
 
 
 def send(provider):
