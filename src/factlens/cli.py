@@ -105,6 +105,7 @@ def annotate(store_dir, config_file, cache_dir, fixtures_dir) -> None:
         lambda: load_config(config_file), cache_dir=cache_dir,
         provider_kind="fixtures" if fixtures_dir else None, provider_fixtures_dir=fixtures_dir,
     )
+    pipeline.check_paths(cfg)
     store = Path(store_dir)
     annotations = pipeline.annotate(cfg, corpus_mod.load_store(store), store)
     failed = sum(1 for a in annotations.values() if a.failed_tags)
@@ -176,7 +177,7 @@ def similarity(store_dir, tag, orgs, window, tau, seed, resamples, fraction, lev
 
 @main.command()
 @click.option("--store", "store_dir", required=True, type=click.Path(exists=True))
-@click.option("--aliases", "aliases_file", type=click.Path(exists=True))
+@click.option("--aliases", "aliases_file", type=click.Path())
 @click.option("--top-k", default=DEFAULTS["top_k_entities"], show_default=True)
 @click.option("--window", default=DEFAULTS["window_days"], show_default=True)
 @click.option("--orgs", required=True, help="Comma-separated pair X,Y.")
@@ -184,6 +185,7 @@ def similarity(store_dir, tag, orgs, window, tau, seed, resamples, fraction, lev
 def entities(store_dir, aliases_file, top_k, window, orgs, out_file) -> None:
     """Top-k political-entity overlap (global and windowed) for one pair."""
     cfg = _config(RunConfig, aliases_file=aliases_file, top_k_entities=top_k, window_days=window)
+    pipeline.check_paths(cfg)
     corpus = corpus_mod.load_store(store_dir)
     org_x, org_y = _org_pair(orgs, corpus)
     annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
@@ -199,7 +201,7 @@ def entities(store_dir, aliases_file, top_k, window, orgs, out_file) -> None:
 
 @main.command()
 @click.option("--store", "store_dir", required=True, type=click.Path(exists=True))
-@click.option("--aliases", "aliases_file", type=click.Path(exists=True))
+@click.option("--aliases", "aliases_file", type=click.Path())
 @click.option("--top-k", default=DEFAULTS["top_k_polarity"], show_default=True)
 @click.option("--precisions", "precisions_file", type=click.Path(exists=True))
 @click.option("--by-year", is_flag=True)
@@ -209,6 +211,7 @@ def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_suppo
     """Polarity scores with max-log-error bars per organization."""
     cfg = _config(RunConfig, aliases_file=aliases_file, top_k_polarity=top_k,
                   min_support=min_support)
+    pipeline.check_paths(cfg)
     if precisions_file:
         prec = asdict(pol_mod.load_precisions_csv(precisions_file))
         cfg = override(cfg, **{f"precision_{name}": value for name, value in prec.items()})

@@ -9,6 +9,7 @@ occurrence in file order. Iteration order is total: sorted by
 
 from __future__ import annotations
 
+import codecs
 import datetime as dt
 import json
 import logging
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .config import parse_date
-from .report import encodable, parse_json, reading, write_output
+from .report import DECODER, encodable, parse_json, reading, write_output
 
 logger = logging.getLogger(__name__)
 
@@ -131,8 +132,9 @@ def ingest(path: str | Path, date_range: tuple[dt.date, dt.date]) -> IngestResul
     """Load a JSON-lines corpus file, keeping valid in-range records.
 
     Lines end at ``\n``, ``\r\n`` or ``\r``, as a text-mode file reads
-    them. Every input line becomes either one Article or one Rejection
-    (a line that is not UTF-8 too), so ``len(corpus) + len(rejections)``
+    them, and a leading byte order mark is skipped. Every input line
+    becomes either one Article or one Rejection (a line that is not UTF-8,
+    or whose JSON repeats a key, too), so ``len(corpus) + len(rejections)``
     equals the number of lines.
     """
     path = Path(path)
@@ -140,7 +142,7 @@ def ingest(path: str | Path, date_range: tuple[dt.date, dt.date]) -> IngestResul
     if start > end:
         raise CorpusError(f"date range start {start} after end {end}")
     try:
-        lines = path.read_bytes().splitlines()
+        lines = path.read_bytes().removeprefix(codecs.BOM_UTF8).splitlines()
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
@@ -157,7 +159,7 @@ def ingest(path: str | Path, date_range: tuple[dt.date, dt.date]) -> IngestResul
             rejections.append(Rejection(line_no, None, "blank line"))
             continue
         try:
-            raw = json.loads(line)
+            raw = DECODER.decode(line)
         except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
             rejections.append(Rejection(line_no, None, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
             continue

@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .annotation import SENTENCE_TAGS, Annotation
-from .config import MAX_EMBEDDING_DIM
+from .config import MAX_EMBEDDING_DIM, ConfigError
 from .providers import EmbeddingProvider, ProviderCallError, ProviderUnreachableError
 from .report import read_json_lines, reading, write_output
 
@@ -43,7 +43,9 @@ def embed_sentences(
     sentences: Sequence[str], provider: EmbeddingProvider, retries: int | None = None
 ) -> np.ndarray:
     """One vector per sentence, all of the provider-declared dimension;
-    each request is sent with the given retries."""
+    each request is sent with the given retries. The one check of a
+    provider's array: a wrong number of vectors fails the request, vectors
+    of another width are a ConfigError, as every request would fail alike."""
     if any(not isinstance(s, str) or not s for s in sentences):
         raise ValueError("sentences must be non-empty strings")
     if not sentences:
@@ -52,6 +54,9 @@ def embed_sentences(
     for start in range(0, len(sentences), _BATCH_SIZE):
         batch = sentences[start : start + _BATCH_SIZE]
         vectors = np.asarray(provider.embed(batch, retries), dtype=np.float64)
+        if vectors.ndim == 2 and vectors.shape[1] != provider.dim:
+            raise ConfigError(f"embedding_dim: is {provider.dim}, but the provider "
+                              f"returned vectors of width {vectors.shape[1]}")
         if vectors.shape != (len(batch), provider.dim):
             raise ProviderCallError(
                 f"provider returned shape {vectors.shape}, expected {(len(batch), provider.dim)}"
@@ -149,7 +154,8 @@ def embed_annotations(
     a group with more sentences gets requests of its own. A vector is
     taken to depend on its text alone, so each tag's vector does not
     depend on what else was in its request. A failed group's rows are
-    stored as absent; an unreachable provider aborts the run.
+    stored as absent; an unreachable provider, or vectors of another
+    width than its dim, abort the run.
     """
     out: dict[tuple[str, str], TagEmbedding] = {}
     groups: dict[tuple[str, ...], list[tuple[str, str]]] = {}

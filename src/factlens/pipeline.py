@@ -47,14 +47,24 @@ ANNOTATIONS_FILE = "annotations.jsonl"
 EMBEDDINGS_FILE = "embeddings.jsonl"
 
 
+def check_paths(cfg: RunConfig) -> None:
+    """Refuse, naming its key, a path setting that names the wrong kind of
+    file: run_all calls this before ingest writes, and so do the subcommands
+    that read these paths. A missing fixture directory would fail every tag."""
+    if Path(cfg.cache_dir).exists() and not Path(cfg.cache_dir).is_dir():
+        raise ConfigError(f"cache_dir: {cfg.cache_dir!r} is not a directory")
+    if cfg.aliases_file and not Path(cfg.aliases_file).is_file():
+        raise ConfigError(f"aliases_file: {cfg.aliases_file!r} is not a file")
+    if cfg.provider_kind == "fixtures" and not Path(cfg.provider_fixtures_dir).is_dir():
+        raise ConfigError(
+            f"provider_fixtures_dir: {cfg.provider_fixtures_dir!r} is not a directory"
+        )
+
+
 def build_chat_provider(cfg: RunConfig):
     if cfg.provider_kind == "synthetic":
         return SyntheticChatProvider(model_name=cfg.provider_model)
     if cfg.provider_kind == "fixtures":
-        if not Path(cfg.provider_fixtures_dir).is_dir():  # else every tag fails
-            raise ConfigError(
-                f"provider_fixtures_dir: {cfg.provider_fixtures_dir!r} is not a directory"
-            )
         return FixtureChatProvider(cfg.provider_fixtures_dir, model_name=cfg.provider_model)
     return HttpChatProvider(cfg.provider_config(), api_key=cfg.api_key, seed=cfg.seed)
 
@@ -293,6 +303,7 @@ class PipelineSummary:
 
 def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> PipelineSummary:
     """Execute every pipeline stage, writing all artifacts under out_dir."""
+    check_paths(cfg)
     store = Path(store_dir)
     out = Path(out_dir)
     report.write_output(out / "run_config.txt", serialize_config(cfg))

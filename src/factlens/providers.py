@@ -289,8 +289,9 @@ class SyntheticChatProvider:
 
     def complete(self, prompt: str, template_id: str) -> str:
         self.calls += 1
-        post = prompts.extract_post(template_id, prompt)
-        sentences = split_sentences(post)
+        if template_id not in prompts.TEMPLATES:
+            raise ProviderCallError(f"unknown template id {template_id!r}")
+        sentences = split_sentences(prompts.extract_post(template_id, prompt))
         if template_id == prompts.CLAIM:
             return json.dumps(sentences[:1], ensure_ascii=False)
         if template_id == prompts.WHAT_WHY:
@@ -300,9 +301,7 @@ class SyntheticChatProvider:
             return json.dumps(
                 {"what": sentences[:1], "why": why[:1]}, ensure_ascii=False
             )
-        if template_id == prompts.ENTITIES:
-            return json.dumps(self._entities(sentences), ensure_ascii=False)
-        raise ProviderCallError(f"unknown template id {template_id!r}")
+        return json.dumps(self._entities(sentences), ensure_ascii=False)  # prompts.ENTITIES
 
     @staticmethod
     def _entities(sentences: list[str]) -> dict[str, str]:

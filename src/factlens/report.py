@@ -336,7 +336,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 # One decoder for every call: json.loads(..., object_pairs_hook=...) would
 # build a new one each time.
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def parse_json(text: str | bytes):
@@ -346,7 +346,7 @@ def parse_json(text: str | bytes):
     key, is a ValueError."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    value = _DECODER.decode(text)
+    value = DECODER.decode(text)
     if not encodable(value, text):
         raise ValueError("a string holds an unpaired surrogate")
     return value

@@ -64,6 +64,14 @@ def test_fixture_not_utf8_fails_only_its_tag(tmp_path, caplog):
     assert f"{path}: not a fixture (UnicodeDecodeError: " in caplog.text
 
 
+def test_synthetic_provider_refuses_a_prompt_of_no_known_template():
+    provider = SyntheticChatProvider()
+    with pytest.raises(ProviderCallError, match="^unknown template id 'summary'$"):
+        provider.complete(prompts.render_prompt(prompts.CLAIM, BODY), "summary")
+    with pytest.raises(ValueError, match="^prompt does not match template 'claim'$"):
+        provider.complete(BODY, prompts.CLAIM)
+
+
 def test_extract_claim_strips_code_fences():
     provider = ScriptedChatProvider({prompts.CLAIM: '```json\n["X claimed Y."]\n```'})
     assert annotate_one(provider).claim == ("X claimed Y.",)
@@ -87,6 +95,8 @@ def test_extract_what_why_defaults_missing_key():
     assert not {"what", "why"} & set(ann.failed_tags)
     assert (ann.what, ann.why) == (("X claimed Y.",), ())
     assert "why:missing" in ann.flags
+    with pytest.raises(ValueError, match="^unknown sentence tag 'entities'$"):
+        ann.sentences("entities")
 
 
 def test_tag_entities_normalizes_labels():

@@ -14,6 +14,7 @@ from factlens.polarity import entity_series, org_polarity, polarity_rows
 from factlens.report import export_table
 from factlens.providers import write_fixture
 from factlens.synthetic import make_articles, write_alias_csv
+from tests.conftest import StubResponse
 
 
 @pytest.fixture
@@ -220,6 +221,78 @@ def test_a_fixtures_dir_that_is_not_a_directory_is_refused(runner, workspace):
     assert not (workspace / "store" / "annotations.jsonl").exists()
 
 
+def test_an_embedder_of_another_width_ends_the_run_naming_embedding_dim(
+    runner, workspace, stub_post
+):
+    """64-d vectors when embedding_dim is 32: the first request ends the run
+    with one `Error:` line, after the annotations are saved and before any
+    sidecar is written, rather than marking every tag absent."""
+    sent = []
+
+    def reply(body):
+        sent.append(body["texts"])
+        return StubResponse(200, {"vectors": [[0.125] * 64] * len(body["texts"])})
+
+    stub_post(reply)
+    with (workspace / "run.cfg").open("a") as fh:
+        fh.write("embedding_kind = http\nembedding_endpoint = http://embed.test/v1\n"
+                 "embedding_dim = 32\n")
+    store = workspace / "store"
+    result = runner.invoke(main, ["run-all", "--store", str(store),
+                                  "--config", str(workspace / "run.cfg"),
+                                  "--out", str(workspace / "out")])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == (
+        "Error: embedding_dim: is 32, but the provider returned vectors of width 64\n"
+    )
+    assert len(sent) == 1
+    assert len(load_annotations(store / pipeline.ANNOTATIONS_FILE)) == 60
+    assert not (store / pipeline.EMBEDDINGS_FILE).exists()
+
+
+PATH_REFUSALS = {  # a path setting naming the wrong kind of file, and its error
+    "cache-dir-is-a-file": ("cache_dir", "aliases.csv", "is not a directory"),
+    "aliases-file-is-a-directory": ("aliases_file", "adir", "is not a file"),
+    "aliases-file-is-missing": ("aliases_file", "missing.csv", "is not a file"),
+}
+
+
+@pytest.mark.parametrize("key, name, fault", PATH_REFUSALS.values(), ids=PATH_REFUSALS)
+def test_a_path_setting_of_the_wrong_kind_is_refused_before_ingest(
+    runner, workspace, key, name, fault
+):
+    """run-all refuses it with one `Error:` line naming the key before
+    anything is written; the subcommand flag that sets the key gives the
+    same line."""
+    (workspace / "adir").mkdir()
+    path = str(workspace / name)
+    config = (workspace / "run.cfg").read_text().splitlines()
+    config = [line for line in config if not line.startswith(key)] + [f"{key} = {path}"]
+    (workspace / "bad.cfg").write_text("\n".join(config) + "\n")
+    error = f"Error: {key}: {path!r} {fault}\n"
+    result = runner.invoke(main, ["run-all", "--store", str(workspace / "store"),
+                                  "--config", str(workspace / "bad.cfg"),
+                                  "--out", str(workspace / "out")])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == error
+    assert not (workspace / "store").exists() and not (workspace / "out").exists()
+
+    store = workspace / "built"
+    invoke(runner, ["ingest", "--input", str(workspace / "input.jsonl"), "--out", str(store)])
+    if key == "cache_dir":
+        commands = [["annotate", "--store", str(store), "--cache", path]]
+    else:
+        commands = [
+            ["entities", "--store", str(store), "--aliases", path, "--orgs", "A,B",
+             "--out", str(workspace / "e.json")],
+            ["polarity", "--store", str(store), "--aliases", path,
+             "--out", str(workspace / "p.csv")],
+        ]
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stderr) == (1, error), result.output
+
+
 def test_annotate_with_an_empty_cache_flag_is_refused(runner, workspace):
     store = workspace / "store"
     invoke(runner, ["ingest", "--input", str(workspace / "input.jsonl"), "--out", str(store)])
@@ -356,6 +429,17 @@ def test_unknown_org_is_clean_error(runner, workspace, command):
     assert isinstance(result.exception, SystemExit)
     assert "unknown organization 'Snopse'" in result.output
     assert "cross-geography" not in result.output
+    assert not (workspace / "x.json").exists()
+
+
+@pytest.mark.parametrize("orgs", ["PolitiFact", "PolitiFact,Snopes,Boom"])
+def test_orgs_without_two_names_is_clean_error(runner, workspace, orgs):
+    store = workspace / "store"
+    invoke(runner, ["ingest", "--input", str(workspace / "input.jsonl"), "--out", str(store)])
+    result = runner.invoke(main, ["entities", "--store", str(store), "--orgs", orgs,
+                                  "--out", str(workspace / "x.json")])
+    assert result.exit_code == 2
+    assert "--orgs expects exactly two names" in result.output
     assert not (workspace / "x.json").exists()
 
 

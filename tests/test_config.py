@@ -102,6 +102,12 @@ def test_http_kinds_require_endpoints(tmp_path):
     path.write_text("provider_kind = fixtures\n")
     with pytest.raises(ConfigError, match="provider_fixtures_dir"):
         load_config(path, env={})
+    path.write_text("provider_kind = openai\n")
+    with pytest.raises(ConfigError, match="^provider_kind: unknown kind 'openai'$"):
+        load_config(path, env={})
+    path.write_text("embedding_kind = sbert\n")
+    with pytest.raises(ConfigError, match="^embedding_kind: unknown kind 'sbert'$"):
+        load_config(path, env={})
 
 
 NOT_HTTP_URLS = {
@@ -146,6 +152,8 @@ def test_analysis_config_validation_direct():
     with pytest.raises(ConfigError, match=r"^window_days: must be <= 3652058$"):
         AnalysisConfig(window_days=10**23)
     assert AnalysisConfig(window_days=3652058).window_days == 3652058
+    with pytest.raises(ConfigError, match=r"^bootstrap_resamples: must be >= 1$"):
+        AnalysisConfig(bootstrap_resamples=0)
     with pytest.raises(ConfigError):
         AnalysisConfig(bootstrap_fraction=0.0)
     with pytest.raises(ConfigError):

@@ -112,6 +112,12 @@ def test_ingest_range_filter(tmp_path):
         pytest.param('{"id": ' + "1" * 5000 + "}", "invalid JSON", id="huge-int"),
         pytest.param("[" * 100_000, "invalid JSON", id="deep-nesting"),
         pytest.param(b'{"id": "x\xff\xfe"}', "invalid UTF-8", id="invalid-utf8"),
+        (record("x", url=7), "field 'url' is not a string"),
+        # A repeated key is refused, as in every JSON input, not read as its last value.
+        pytest.param(record("x")[:-1] + ', "body": "Another body."}',
+                     "invalid JSON: an object repeats the key 'body'", id="repeated-body"),
+        pytest.param('{"id": "a2", ' + record("a3")[1:],
+                     "invalid JSON: an object repeats the key 'id'", id="repeated-id"),
     ],
 )
 def test_ingest_rejects_malformed(tmp_path, bad_line, reason_part):
@@ -141,6 +147,16 @@ def test_every_line_accounted_for(tmp_path):
 def test_unreadable_file_is_fatal(tmp_path):
     with pytest.raises(CorpusError):
         ingest(tmp_path / "missing.jsonl", RANGE)
+    with pytest.raises(CorpusError, match="date range start 2023-12-31 after end 2018-01-01"):
+        ingest(write_lines(tmp_path / "c.jsonl", [record("a1")]), RANGE[::-1])
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + write_lines(path, [record("a1"), record("a2")]).read_bytes())
+    result = ingest(path, RANGE)
+    assert [a.id for a in result.corpus] == ["a1", "a2"]
+    assert result.rejections == ()
 
 
 def test_ingest_idempotent_on_canonical_form(tmp_path):

@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from factlens import pipeline, prompts, providers, similarity
 from factlens.annotation import Annotation, load_annotations
-from factlens.config import MAX_EMBEDDING_DIM, RunConfig
+from factlens.config import MAX_EMBEDDING_DIM, ConfigError, RunConfig
 from factlens.embedding import (
     TagEmbedding,
     aggregate_tag,
@@ -103,6 +103,39 @@ def test_embed_rejects_empty_strings(hashed_provider):
         embed_sentences(["ok", ""], hashed_provider)
 
 
+def test_hashed_embedder_refuses_dim_0():
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        HashedEmbeddingProvider(dim=0)
+
+
+class AnswerEmbedder(HashedEmbeddingProvider):
+    """Answers every request with the given array, whatever it asked."""
+
+    def __init__(self, answer):
+        super().__init__(dim=4)
+        self.answer = answer
+
+    def embed(self, texts, retries=None):
+        return self.answer
+
+
+@pytest.mark.parametrize("answer", [np.zeros((3, 4)), np.zeros(4), np.zeros((2, 4, 1)), 5.0],
+                         ids=["three-vectors", "one-flat-vector", "3-d", "scalar"])
+def test_a_wrong_number_of_vectors_fails_the_request(answer):
+    with pytest.raises(ProviderCallError, match=r"expected \(2, 4\)"):
+        embed_sentences(["alpha", "beta"], AnswerEmbedder(answer))
+
+
+@pytest.mark.parametrize("width", [0, 3, 64])
+def test_vectors_of_another_width_are_a_config_error(width):
+    """Every request would fail alike, so the run ends naming the setting."""
+    with pytest.raises(ConfigError, match=f"^embedding_dim: is 4, .* of width {width}$"):
+        embed_sentences(["alpha", "beta"], AnswerEmbedder(np.zeros((2, width))))
+    annotations = {"a1": Annotation("a1", claim=("alpha",), what=("beta",), why=())}
+    with pytest.raises(ConfigError):
+        embed_annotations(annotations, AnswerEmbedder(np.zeros((2, width))))
+
+
 def test_aggregate_single_vector():
     v = np.array([3.0, 4.0])
     pooled = aggregate_tag([v])
@@ -118,6 +151,12 @@ def test_aggregate_mean_is_idempotent_on_copies():
 def test_aggregate_symmetry():
     pooled = aggregate_tag([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     assert np.allclose(pooled, np.array([1.0, 1.0]) / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("vectors", [np.ones(3), np.ones((2, 3, 1))], ids=["flat", "3-d"])
+def test_aggregate_refuses_what_is_not_a_list_of_vectors(vectors):
+    with pytest.raises(ValueError, match="expected a list of equal-dimension vectors"):
+        aggregate_tag(vectors)
 
 
 def test_aggregate_empty_and_zero_mean_are_absent():
@@ -320,6 +359,8 @@ DAMAGED_SIDECAR_LINES = {
     "dim-zero": (1, '{"kind": "header", "dim": 0}'),
     "dim-negative": (1, '{"kind": "header", "dim": -3}'),
     "dim-past-the-config-bound": (1, json.dumps({"kind": "header", "dim": MAX_EMBEDDING_DIM + 1})),
+    "header-without-dim": (1, '{"kind": "header"}'),
+    "row-before-the-header": (1, sidecar_row()),
     "n-sentences-overflow": (4, sidecar_row(n_sentences=None).replace("null", "1e400")),
     "n-sentences-infinity": (4, sidecar_row(n_sentences=float("inf"))),
     "n-sentences-string": (4, sidecar_row(n_sentences="1")),

@@ -122,6 +122,8 @@ def test_top_k_truncates():
     ]
     result = top_k_entities(annotations, ALIASES, k=1)
     assert result.entities == (("Joe Biden", 2),)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        top_k_entities(annotations, ALIASES, k=0)
 
 
 def test_top_k_political_filter_drops_nasa():
@@ -361,6 +363,8 @@ def test_shared_window_sets_must_match_k_and_window():
     windowed_jaccard(x, x, k=2, window_days=5, org_x="P", org_y="Q", windows=windows)
     with pytest.raises(ValueError, match="window sets of P"):
         windowed_jaccard(x, x, k=3, window_days=5, org_x="P", org_y="Q", windows=windows)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        windowed_jaccard(x, x, k=0, window_days=5)
 
 
 @pytest.mark.parametrize("row, message", [

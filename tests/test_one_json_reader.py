@@ -2,17 +2,17 @@
 
 An AST scan of ``src/``. ``json.loads``, ``json.load`` and
 ``json.JSONDecoder`` (also imported by name, or from ``json.decoder``) are
-allowed only in ``report.parse_json`` and the module-level decoder it uses,
-in ``parsing.extract_json_value``, the model-output repair ladder, which is
-lenient by design, and in ``corpus.ingest``, which gives each rejected line
-its own reason.
+allowed only in ``report.parse_json`` and the module-level decoder it uses
+(which ``corpus.ingest`` uses too, to give each rejected line its own
+reason), and in ``parsing.extract_json_value``, the model-output repair
+ladder, which is lenient by design.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-ALLOWED = {"report", "report.parse_json", "parsing.extract_json_value", "corpus.ingest"}
+ALLOWED = {"report", "report.parse_json", "parsing.extract_json_value"}
 DECODERS = {"loads", "load", "JSONDecoder"}
 MODULES = {"json", "json.decoder"}
 
@@ -48,7 +48,7 @@ def decoder_uses(tree: ast.AST, module: str) -> list[tuple[str, int]]:
     return found
 
 
-def test_only_parse_json_and_the_two_lenient_readers_decode_json():
+def test_only_parse_json_and_the_repair_ladder_decode_json():
     sites = [
         f"{path.relative_to(SRC)}:{line} in {scope}"
         for path in sorted(SRC.rglob("*.py"))

@@ -22,6 +22,7 @@ CLAIM_CASES = [
     ("not json", None, True),
     ('```\n["fence without language tag"]\n```', ["fence without language tag"], False),
     ("[unbalanced", None, True),
+    (None, None, True),  # not text at all
 ]
 
 

@@ -50,11 +50,15 @@ def test_score_worked_example():
 def test_score_zero_total_is_error():
     with pytest.raises(ValueError):
         polarity_score(counts(0, 0, 0))
+    with pytest.raises(ValueError, match="^max log error undefined for n_total = 0$"):
+        max_log_error(counts(0, 0, 0), PREC)
 
 
 def test_counts_invariant_enforced():
     with pytest.raises(ValueError):
         PolarityCounts("O", "E", OVERALL, 5, 6, 10)
+    with pytest.raises(ValueError, match="^counts must be non-negative$"):
+        PolarityCounts("O", "E", OVERALL, -1, 0, 10)
 
 
 def test_max_log_error_perfect_precision_is_zero():
@@ -180,6 +184,8 @@ def test_org_polarity_single_entity_micro_equals_macro():
     corpus = make_corpus(articles)
     result = org_polarity(corpus, annotations, ALIASES, "Boom", top_k=5, prec=PREC, min_support=1)
     assert result.micro_ps == result.macro_ps == -0.4
+    with pytest.raises(ValueError, match="^top_k must be >= 1$"):
+        org_polarity(corpus, annotations, ALIASES, "Boom", top_k=0, prec=PREC, min_support=1)
 
 
 def test_org_polarity_all_neutral_is_zero():
@@ -217,6 +223,8 @@ def test_negativity_ratio_worked_example():
         corpus, annotations, ALIASES, "CheckYourFact", "Donald Trump", "Rahul Gandhi"
     )
     assert ratio == 6.0
+    with pytest.raises(ValueError, match="^entity 'Nobody' has no occurrences at 'CheckYourFact'$"):
+        negativity_ratio(corpus, annotations, ALIASES, "CheckYourFact", "Donald Trump", "Nobody")
 
 
 def test_negativity_ratio_identical_counts():

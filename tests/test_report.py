@@ -190,6 +190,10 @@ def test_none_cells_round_trip():
     assert export_csv(parse_csv(text), columns) == text
 
 
+def test_bool_cells_are_written_as_json_writes_them():
+    assert export_csv([{"a": True, "b": False}], ("a", "b")) == "a,b\ntrue,false\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_read_table_reads_what_export_table_wrote(tmp_path, fmt):
     path = export_table(rows_fixture(), fmt, tmp_path / f"t.{fmt}")
@@ -206,9 +210,10 @@ def test_read_table_reads_what_export_table_wrote(tmp_path, fmt):
         ("t.json", b"[" * 200_000 + b"]" * 200_000),
         ("t.json", b'[{"a": ' + b"[" * 800 + b"]" * 800 + b"}]"),
         ("t.csv", b"org,ps\nA,0.5\n\nB\n"), ("t.csv", b'org,ps\nA,0.5,"x\ny"\n'),
+        ("t.json", b'[{"a": ' + b"[" * 63 + b"]" * 63 + b"}]"),
     ],
     ids=["rows-not-objects", "truncated-json", "json-string", "not-utf8", "deep-nesting",
-         "nested-too-deep-to-export", "csv-short-row", "csv-long-row"],
+         "nested-too-deep-to-export", "csv-short-row", "csv-long-row", "nested-past-the-bound"],
 )
 def test_read_table_names_a_file_that_is_not_a_table(tmp_path, name, data):
     (tmp_path / name).write_bytes(data)
@@ -314,7 +319,9 @@ def test_json_writer_matches_pretty_dumps_of_rounded_values(value):
     assert export_json(value) == expected
 
 
-@pytest.mark.parametrize("value", [{(1, 2): 1}, [{"a": [1, {(3,): 0}]}], [{1, 2}], {"a": [object()]}])
+@pytest.mark.parametrize(
+    "value", [{(1, 2): 1}, [{"a": [1, {(3,): 0}]}], [{1, 2}], {"a": [object()]}, {(1, 2): [1]}]
+)
 def test_json_writer_rejects_what_json_rejects(value):
     with pytest.raises(TypeError):
         json.dumps(round_floats(value), indent=2)
