@@ -98,7 +98,7 @@ def ingest(input_file, date_from, date_to, store_dir) -> None:
 @click.option("--store", "store_dir", required=True, type=click.Path(exists=True))
 @click.option("--provider-config", "config_file", type=click.Path(exists=True))
 @click.option("--cache", "cache_dir", type=click.Path())
-@click.option("--mock", "fixtures_dir", type=click.Path(exists=True))
+@click.option("--mock", "fixtures_dir", type=click.Path())
 def annotate(store_dir, config_file, cache_dir, fixtures_dir) -> None:
     """Annotate every stored article with the three prompt passes."""
     cfg = _config(

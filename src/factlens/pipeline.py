@@ -51,7 +51,8 @@ def check_paths(cfg: RunConfig) -> None:
     """Refuse, naming its key, a path setting that names the wrong kind of
     file: run_all calls this before ingest writes, and so do the subcommands
     that read these paths. A missing fixture directory would fail every tag."""
-    if Path(cfg.cache_dir).exists() and not Path(cfg.cache_dir).is_dir():
+    cache = Path(cfg.cache_dir)  # or, if not yet made, the nearest ancestor that exists
+    if not next(p for p in (cache, *cache.parents) if p.exists()).is_dir():
         raise ConfigError(f"cache_dir: {cfg.cache_dir!r} is not a directory")
     if cfg.aliases_file and not Path(cfg.aliases_file).is_file():
         raise ConfigError(f"aliases_file: {cfg.aliases_file!r} is not a file")

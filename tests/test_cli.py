@@ -219,6 +219,11 @@ def test_a_fixtures_dir_that_is_not_a_directory_is_refused(runner, workspace):
     assert result.stderr == f"Error: provider_fixtures_dir: {str(missing)!r} is not a directory\n"
     assert not (workspace / "out" / "similarity.csv").exists()
     assert not (workspace / "store" / "annotations.jsonl").exists()
+    store = workspace / "built"
+    invoke(runner, ["ingest", "--input", str(workspace / "input.jsonl"), "--out", str(store)])
+    result = runner.invoke(main, ["annotate", "--store", str(store), "--mock", str(missing)])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"Error: provider_fixtures_dir: {str(missing)!r} is not a directory\n"
 
 
 def test_an_embedder_of_another_width_ends_the_run_naming_embedding_dim(
@@ -252,6 +257,7 @@ def test_an_embedder_of_another_width_ends_the_run_naming_embedding_dim(
 
 PATH_REFUSALS = {  # a path setting naming the wrong kind of file, and its error
     "cache-dir-is-a-file": ("cache_dir", "aliases.csv", "is not a directory"),
+    "cache-dir-inside-a-file": ("cache_dir", "aliases.csv/cache", "is not a directory"),
     "aliases-file-is-a-directory": ("aliases_file", "adir", "is not a file"),
     "aliases-file-is-missing": ("aliases_file", "missing.csv", "is not a file"),
 }
