@@ -221,13 +221,13 @@ def annotate_corpus(
     One pass in corpus order: each (article, template) prompt is rendered
     and its cache entry read at most once, and a miss is sent as soon as
     it is found, each response cached as it arrives. A provider that
-    declares ``workers`` gets a pool of that many threads, started at the
-    first miss; others are called inline, one at a time. A key asked for
-    while its request is in flight joins it; an answer is reused only
-    through the cache, so one that no cache holds (a per-call failure, or
-    any answer without a cache) is sent again. No table of answers is
-    kept: an article is parsed as soon as its three responses are in hand;
-    the result keeps corpus order. A per-call failure marks only that tag
+    declares ``workers`` gets a pool of that many threads, none started
+    before the first miss; others are called inline, one at a time. A key
+    asked for while its request is in flight joins it; an answer is reused
+    only through the cache, so one that no cache holds (a per-call
+    failure, or any answer without a cache) is sent again. No table of
+    answers is kept: an article is parsed as soon as its three responses
+    are in hand; the result keeps corpus order. A per-call failure marks only that tag
     failed. An unreachable provider aborts the run where its error is
     raised, so no later article is looked up; requests already in flight
     finish (and are cached), and those still queued are cancelled.
@@ -236,7 +236,7 @@ def annotate_corpus(
     if config is not None and config.cache_dir is not None:
         cache = ResponseCache(config.cache_dir)
     workers = getattr(provider, "workers", 1)
-    pool: ThreadPoolExecutor | None = None
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     # Cache key of each request in flight -> its Future and (article, its raw
     # responses, the slot the request fills) for every article waiting on it.
     in_flight: dict[str, tuple[Future, list[tuple[Article, list, int]]]] = {}
@@ -244,11 +244,8 @@ def annotate_corpus(
     annotations: dict[str, Annotation | None] = {}  # None while waiting
 
     def send(key: str, template_id: str, body: str) -> str | ProviderCallError | Future:
-        nonlocal pool
-        if workers <= 1:
-            return _call(provider, cache, key, template_id, body)
         if pool is None:
-            pool = ThreadPoolExecutor(max_workers=workers)
+            return _call(provider, cache, key, template_id, body)
         future = pool.submit(_call, provider, cache, key, template_id, body)
         in_flight[key] = (future, [])
         future.add_done_callback(lambda _: finished.put(key))

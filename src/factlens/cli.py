@@ -11,9 +11,8 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Callable
 
 import click
 
@@ -23,15 +22,15 @@ from . import polarity as pol_mod
 from . import report as report_mod
 from .annotation import SENTENCE_TAGS, load_annotations
 from .config import (
-    DEFAULTS, ConfigError, RunConfig, load_config, override, parse_date, serialize_config,
+    DEFAULTS, ConfigError, RunConfig, load_config, parse_date, serialize_config,
 )
 from .embedding import load_embeddings
 from .providers import ProviderUnreachableError
 
 
-def _config(base: Callable[[], RunConfig], **flags) -> RunConfig:
-    """base() with each flag given (not None) overriding its setting."""
-    return override(base(), **{key: value for key, value in flags.items() if value is not None})
+def _config(base: RunConfig, **flags) -> RunConfig:
+    """base with each flag given (not None) overriding its setting."""
+    return replace(base, **{key: value for key, value in flags.items() if value is not None})
 
 
 def _org_pair(orgs: str, corpus: corpus_mod.Corpus) -> tuple[str, str]:
@@ -87,7 +86,7 @@ def _date(ctx: click.Context, param: click.Parameter, value: str) -> dt.date:
 @click.option("--out", "store_dir", required=True, type=click.Path())
 def ingest(input_file, date_from, date_to, store_dir) -> None:
     """Load a JSON-lines corpus into a canonical store directory."""
-    cfg = _config(RunConfig, input_file=input_file, date_from=date_from, date_to=date_to)
+    cfg = _config(RunConfig(), input_file=input_file, date_from=date_from, date_to=date_to)
     store = Path(store_dir)
     corpus, n_rejections = pipeline.ingest(cfg, store)
     click.echo(f"ingested {len(corpus)} articles -> {store / 'corpus.jsonl'}")
@@ -102,7 +101,7 @@ def ingest(input_file, date_from, date_to, store_dir) -> None:
 def annotate(store_dir, config_file, cache_dir, fixtures_dir) -> None:
     """Annotate every stored article with the three prompt passes."""
     cfg = _config(
-        lambda: load_config(config_file), cache_dir=cache_dir,
+        load_config(config_file), cache_dir=cache_dir,
         provider_kind="fixtures" if fixtures_dir else None, provider_fixtures_dir=fixtures_dir,
     )
     pipeline.check_paths(cfg)
@@ -120,7 +119,7 @@ def annotate(store_dir, config_file, cache_dir, fixtures_dir) -> None:
 @click.option("--provider-config", "config_file", type=click.Path(exists=True))
 def embed(store_dir, config_file) -> None:
     """Embed annotation sentences into per-tag unit vectors."""
-    cfg = _config(lambda: load_config(config_file))
+    cfg = load_config(config_file)
     store = Path(store_dir)
     annotations = load_annotations(store / pipeline.ANNOTATIONS_FILE)
     embeddings = pipeline.embed(cfg, annotations, store)
@@ -149,7 +148,7 @@ def similarity(store_dir, tag, orgs, window, tau, seed, resamples, fraction, lev
                out_file, csv_file) -> None:
     """Windowed maximum topical similarity for one org pair and tag."""
     cfg = _config(
-        RunConfig, window_days=window, tau=tau, seed=seed, bootstrap_resamples=resamples,
+        RunConfig(), window_days=window, tau=tau, seed=seed, bootstrap_resamples=resamples,
         bootstrap_fraction=fraction, confidence_level=level,
     )
     corpus = corpus_mod.load_store(store_dir)
@@ -184,7 +183,7 @@ def similarity(store_dir, tag, orgs, window, tau, seed, resamples, fraction, lev
 @click.option("--out", "out_file", required=True, type=click.Path())
 def entities(store_dir, aliases_file, top_k, window, orgs, out_file) -> None:
     """Top-k political-entity overlap (global and windowed) for one pair."""
-    cfg = _config(RunConfig, aliases_file=aliases_file, top_k_entities=top_k, window_days=window)
+    cfg = _config(RunConfig(), aliases_file=aliases_file, top_k_entities=top_k, window_days=window)
     pipeline.check_paths(cfg)
     corpus = corpus_mod.load_store(store_dir)
     org_x, org_y = _org_pair(orgs, corpus)
@@ -209,12 +208,12 @@ def entities(store_dir, aliases_file, top_k, window, orgs, out_file) -> None:
 @click.option("--out", "out_file", required=True, type=click.Path())
 def polarity(store_dir, aliases_file, top_k, precisions_file, by_year, min_support, out_file) -> None:
     """Polarity scores with max-log-error bars per organization."""
-    cfg = _config(RunConfig, aliases_file=aliases_file, top_k_polarity=top_k,
+    cfg = _config(RunConfig(), aliases_file=aliases_file, top_k_polarity=top_k,
                   min_support=min_support)
     pipeline.check_paths(cfg)
     if precisions_file:
         prec = asdict(pol_mod.load_precisions_csv(precisions_file))
-        cfg = override(cfg, **{f"precision_{name}": value for name, value in prec.items()})
+        cfg = replace(cfg, **{f"precision_{name}": value for name, value in prec.items()})
     corpus = corpus_mod.load_store(store_dir)
     annotations = load_annotations(Path(store_dir) / pipeline.ANNOTATIONS_FILE)
     views = pipeline.entity_views(cfg, corpus, annotations, corpus.orgs())
@@ -278,7 +277,7 @@ def report(input_files, fmt, out_file, title) -> None:
 @click.option("--print-config", is_flag=True, help="Dump the effective config and exit.")
 def run_all_cmd(store_dir, config_file, out_dir, print_config) -> None:
     """Run ingest, annotate, embed, similarity, entities, polarity, report."""
-    cfg = _config(lambda: load_config(config_file))
+    cfg = load_config(config_file)
     if print_config:
         click.echo(serialize_config(cfg), nl=False)
         return

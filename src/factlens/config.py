@@ -205,11 +205,6 @@ def settings(cfg: RunConfig) -> dict[str, object]:
 DEFAULTS = settings(RunConfig())
 
 
-def override(cfg: RunConfig, **values: object) -> RunConfig:
-    """cfg with the given run.cfg keys replaced, checked like any RunConfig."""
-    return replace(cfg, **values)
-
-
 _DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
@@ -278,7 +273,7 @@ def load_config(
     unknown = sorted(set(values) - set(_KEYS))  # environment keys are all known
     if unknown:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-    return override(
+    return replace(
         RunConfig(api_key=env.get(API_KEY_ENV)),
         **{key: _parse_value(key, raw) for key, raw in values.items()},
     )

@@ -10,7 +10,6 @@ from factlens.config import (
     ConfigError,
     RunConfig,
     load_config,
-    override,
     serialize_config,
 )
 from factlens.providers import HttpChatProvider, HttpEmbeddingProvider, ProviderConfig
@@ -345,7 +344,7 @@ def test_an_empty_cache_dir_is_refused(tmp_path):
     with pytest.raises(ConfigError, match="^cache_dir: must not be empty$"):
         load_config(None, env={"FACTLENS_CACHE_DIR": ""})
     with pytest.raises(ConfigError, match="^cache_dir: must not be empty$"):
-        override(RunConfig(), cache_dir="")
+        replace(RunConfig(), cache_dir="")
 
 
 @pytest.mark.parametrize("line", [

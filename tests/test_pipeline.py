@@ -13,7 +13,7 @@ import pytest
 import factlens.entities as ent_mod
 from factlens import pipeline, prompts
 from factlens.annotation import annotate_corpus, load_annotations
-from factlens.config import RunConfig, override
+from factlens.config import RunConfig
 from factlens.corpus import Corpus, write_corpus_file
 from factlens.embedding import embed_annotations
 from factlens.entities import build_alias_map, load_aliases_csv, org_mentions, top_k_entities
@@ -26,7 +26,7 @@ from tests.conftest import chat_reply
 def synthetic_cfg(tmp_path, articles) -> RunConfig:
     """A run over articles written as the raw input, with the synthetic aliases."""
     write_corpus_file(articles, tmp_path / "input.jsonl")
-    return override(
+    return replace(
         RunConfig(),
         input_file=str(tmp_path / "input.jsonl"),
         aliases_file=str(write_alias_csv(tmp_path / "aliases.csv")),
@@ -87,7 +87,7 @@ def test_similarity_iterator_does_not_hold_the_embeddings(annotated):
     corpus, annotations, _ = annotated
     embeddings = Held(embed_annotations(annotations, HashedEmbeddingProvider(dim=16)))
     pairs = pipeline._org_pairs(corpus)[:2]
-    cfg = override(RunConfig(), bootstrap_resamples=50)
+    cfg = replace(RunConfig(), bootstrap_resamples=50)
     expected = list(pipeline.similarity(cfg, corpus, embeddings, pairs))
     results = pipeline.similarity(cfg, corpus, embeddings, pairs)
     ref = weakref.ref(embeddings)
@@ -113,7 +113,7 @@ def test_stages_on_the_view_match_the_public_functions(annotated, min_support, n
     corpus, annotations, aliases = annotated
     if none_political:
         aliases = build_alias_map([], political=())
-    cfg = override(RunConfig(), min_support=min_support, top_k_entities=10)
+    cfg = replace(RunConfig(), min_support=min_support, top_k_entities=10)
     mentions = {org: org_mentions(corpus, annotations, aliases, org) for org in corpus.orgs()}
 
     results, skipped = pipeline.polarity(cfg, mentions)
@@ -200,7 +200,7 @@ def test_run_all_completes_when_one_response_holds_an_unpaired_surrogate(tmp_pat
         return chat_reply(synthetic.complete(prompt, template_id))
 
     stub_post(reply)
-    cfg = override(
+    cfg = replace(
         synthetic_cfg(tmp_path, articles), provider_kind="http",
         provider_endpoint="http://chat.test/v1", provider_rate_limit=1e6,
     )

@@ -12,13 +12,14 @@ import json
 import math
 import re
 from collections import Counter, defaultdict
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 from factlens import pipeline
 from factlens.cli import main
-from factlens.config import RunConfig, override
+from factlens.config import RunConfig
 from factlens.corpus import write_corpus_file
 from factlens.polarity import OVERALL
 from factlens.synthetic import (
@@ -73,7 +74,7 @@ def test_polarity_counts_are_the_planted_cues(tmp_path, n, seed):
     articles = make_articles(n, seed=seed)
     write_corpus_file(articles, tmp_path / "input.jsonl")
     aliases = str(write_alias_csv(tmp_path / "aliases.csv"))
-    cfg = override(
+    cfg = replace(
         RunConfig(), input_file=str(tmp_path / "input.jsonl"), aliases_file=aliases,
         cache_dir=str(tmp_path / "cache"), min_support=1,
     )
@@ -99,7 +100,7 @@ def run_3000(tmp_path_factory):
     base = tmp_path_factory.mktemp("planted")
     articles = make_articles(3000, seed=1)
     write_corpus_file(articles, base / "input.jsonl")
-    cfg = override(
+    cfg = replace(
         RunConfig(), input_file=str(base / "input.jsonl"),
         aliases_file=str(write_alias_csv(base / "aliases.csv")),
         cache_dir=str(base / "cache"), top_k_entities=3,
