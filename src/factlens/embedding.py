@@ -19,7 +19,9 @@ import numpy as np
 
 from .annotation import SENTENCE_TAGS, Annotation
 from .config import MAX_EMBEDDING_DIM, ConfigError
-from .providers import EmbeddingProvider, ProviderCallError, ProviderUnreachableError
+from .providers import (
+    EmbeddingProvider, ProviderCallError, ProviderUnreachableError, number_array,
+)
 from .report import read_json_lines, reading, write_output
 
 logger = logging.getLogger(__name__)
@@ -235,7 +237,7 @@ def load_embeddings(path: str | Path) -> tuple[dict[tuple[str, str], TagEmbeddin
         elif raw.get("kind") == "vector":
             if _integer(raw["number"], "number") != len(vectors):
                 raise ValueError(f"vector number {raw['number']}, expected {len(vectors)}")
-            vector = np.asarray(raw["vector"], dtype=np.float64)
+            vector = number_array(raw["vector"])
             if vector.shape != (dims[0],) or not np.isfinite(vector).all():
                 raise ValueError(f"vector {len(vectors)} is not {dims[0]} finite numbers")
             vector.flags.writeable = False  # shared by every row that names it

@@ -47,13 +47,20 @@ ANNOTATIONS_FILE = "annotations.jsonl"
 EMBEDDINGS_FILE = "embeddings.jsonl"
 
 
+def _check_directory(name: str, path: str | Path) -> None:
+    """Refuse, naming it, a directory that is a file or lies under one: the
+    directory or, if not yet made, its nearest existing ancestor must be a
+    directory."""
+    p = Path(path)
+    if not next(q for q in (p, *p.parents) if q.exists()).is_dir():
+        raise ConfigError(f"{name}: {str(path)!r} is not a directory")
+
+
 def check_paths(cfg: RunConfig) -> None:
     """Refuse, naming its key, a path setting that names the wrong kind of
     file: run_all calls this before ingest writes, and so do the subcommands
     that read these paths. A missing fixture directory would fail every tag."""
-    cache = Path(cfg.cache_dir)  # or, if not yet made, the nearest ancestor that exists
-    if not next(p for p in (cache, *cache.parents) if p.exists()).is_dir():
-        raise ConfigError(f"cache_dir: {cfg.cache_dir!r} is not a directory")
+    _check_directory("cache_dir", cfg.cache_dir)
     if cfg.aliases_file and not Path(cfg.aliases_file).is_file():
         raise ConfigError(f"aliases_file: {cfg.aliases_file!r} is not a file")
     if cfg.provider_kind == "fixtures" and not Path(cfg.provider_fixtures_dir).is_dir():
@@ -303,8 +310,12 @@ class PipelineSummary:
 
 
 def run_all(cfg: RunConfig, store_dir: str | Path, out_dir: str | Path) -> PipelineSummary:
-    """Execute every pipeline stage, writing all artifacts under out_dir."""
+    """Execute every pipeline stage, writing all artifacts under out_dir.
+    A store_dir or out_dir that is a file or lies under one is refused
+    before anything is written, named as run-all's --store or --out."""
     check_paths(cfg)
+    _check_directory("--store", store_dir)
+    _check_directory("--out", out_dir)
     store = Path(store_dir)
     out = Path(out_dir)
     report.write_output(out / "run_config.txt", serialize_config(cfg))

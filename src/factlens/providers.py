@@ -387,16 +387,28 @@ class HashedEmbeddingProvider:
         return out
 
 
+def number_array(value: object) -> np.ndarray:
+    """value, a JSON array of numbers (or of such arrays), as float64. An
+    element is an int or a float: a bool or a str, which np.asarray would
+    convert, is a TypeError."""
+    array = np.asarray(value, dtype=object)
+    others = set(map(type, array.flat)) - {int, float}
+    if others:
+        names = ", ".join(sorted(t.__name__ for t in others))
+        raise TypeError(f"vector elements must be numbers, not {names}")
+    return array.astype(np.float64)
+
+
 def _vectors(raw: bytes) -> np.ndarray:
     try:
-        return np.asarray(parse_json(raw)["vectors"], dtype=np.float64)
+        return number_array(parse_json(raw)["vectors"])
     except DECODE_ERRORS as exc:
         raise _RetryBody(f"malformed response body: {exc}") from exc
 
 
 class HttpEmbeddingProvider(_HttpClient):
-    """Embedding client, no rate limit; a 200 body with no vector array is
-    retried. The array's shape is checked by embedding.embed_sentences.
+    """Embedding client, no rate limit; a 200 body with no array of numbers
+    is retried. The array's shape is checked by embedding.embed_sentences.
     Retry jitter is keyed by the SHA-256 of the request's JSON texts."""
 
     _kind = "embed"

@@ -61,10 +61,13 @@ def _esc(text: str) -> str:
 
 def check_chart_rows(rows: Sequence[dict]) -> None:
     """ValueError unless every row has org, entity, a numeric ps in [-1, 1]
-    and a numeric delta_ps >= 0."""
+    and a numeric delta_ps >= 0. A number is anything float() reads (a CSV
+    cell is text) but a boolean."""
     for i, row in enumerate(rows):
         with reading(f"chart row {i}", "expected an object with numeric ps and delta_ps, "
                      "org and entity"):
+            if type(row["ps"]) is bool or type(row["delta_ps"]) is bool:
+                raise TypeError("ps, delta_ps: expected numbers, not booleans")
             ps, delta = float(row["ps"]), float(row["delta_ps"])
             row["org"], row["entity"]
         if not -1.0 <= ps <= 1.0:

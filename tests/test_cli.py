@@ -255,6 +255,24 @@ def test_an_embedder_of_another_width_ends_the_run_naming_embedding_dim(
     assert not (store / pipeline.EMBEDDINGS_FILE).exists()
 
 
+@pytest.mark.parametrize("flag, name", [
+    ("--store", "afile"), ("--out", "afile"), ("--store", "afile/store"),
+], ids=["store-is-a-file", "out-is-a-file", "store-inside-a-file"])
+def test_a_run_all_directory_flag_naming_a_file_is_refused_before_anything_is_written(
+    runner, workspace, flag, name
+):
+    (workspace / "afile").write_text("kept\n")
+    dirs = {"--store": str(workspace / "store"), "--out": str(workspace / "out")}
+    dirs[flag] = str(workspace / name)
+    result = runner.invoke(main, ["run-all", "--store", dirs["--store"],
+                                  "--config", str(workspace / "run.cfg"),
+                                  "--out", dirs["--out"]])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"Error: {flag}: {dirs[flag]!r} is not a directory\n"
+    assert not (workspace / "store").exists() and not (workspace / "out").exists()
+    assert (workspace / "afile").read_text() == "kept\n"
+
+
 PATH_REFUSALS = {  # a path setting naming the wrong kind of file, and its error
     "cache-dir-is-a-file": ("cache_dir", "aliases.csv", "is not a directory"),
     "cache-dir-inside-a-file": ("cache_dir", "aliases.csv/cache", "is not a directory"),

@@ -367,6 +367,8 @@ DAMAGED_SIDECAR_LINES = {
     "nan-vector": (2, vector_line(vector=[float("nan"), 0.0, 0.0, 1.0])),
     "huge-int-vector": (2, vector_line(vector=[10**400, 0.0, 0.0, 1.0])),
     "scalar-vector": (2, vector_line(vector=3)),
+    "vector-string-element": (2, vector_line(vector=["0.6", 0.0, 0.0, 1.0])),
+    "vector-bool-element": (2, vector_line(vector=[True, 0.0, 0.0, 1.0])),
     "vector-number-string": (2, vector_line(number="0")),
     "vector-misnumbered": (2, vector_line(number=1)),
     "article-id-int": (4, sidecar_row(article_id=3)),
@@ -439,6 +441,17 @@ def test_a_sidecar_with_vectors_inside_its_rows_is_refused(tmp_path, hashed_prov
         load_embeddings(path)
 
 
+def test_a_vector_element_that_is_not_a_number_is_a_type_error(tmp_path):
+    """np.asarray would read "0.6" and true as 0.6 and 1.0."""
+    path = tmp_path / "embeddings.jsonl"
+    write_sidecar(path, ['{"kind": "header", "dim": 2}', vector_line(vector=["0.6", True])])
+    with pytest.raises(ValueError, match=(
+        f"^{re.escape(str(path))}:2: not a valid row "
+        r"\(TypeError: vector elements must be numbers, not bool, str\)"
+    )):
+        load_embeddings(path)
+
+
 def test_sidecar_dimension_header_is_enforced(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
@@ -461,6 +474,8 @@ MALFORMED_EMBEDDING_BODIES = {
     "top-level-array": [[0.0, 0.0, 0.0, 1.0]],
     "dict-cell": {"vectors": [[{"x": 1.0}, 0.0, 0.0, 0.0]]},
     "huge-integer": {"vectors": [[10**400, 0.0, 0.0, 1.0]]},
+    "string-cell": {"vectors": [["0.5", 0.0, 0.0, 1.0]]},
+    "bool-cell": {"vectors": [[False, 0.0, 0.0, 1.0]]},
 }
 
 

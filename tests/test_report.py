@@ -76,10 +76,13 @@ def test_chart_rejects_out_of_range():
         {"org": "O", "entity": "E", "delta_ps": 0.0},
         {"org": "O", "entity": "E", "ps": None, "delta_ps": 0.0},
         {"org": "O", "entity": "E", "ps": "high", "delta_ps": 0.0},
+        {"org": "O", "entity": "E", "ps": True, "delta_ps": 0.0},
+        {"org": "O", "entity": "E", "ps": 0.5, "delta_ps": False},
         {"entity": "E", "ps": 0.5, "delta_ps": 0.0},
         {"org": "O", "ps": 0.5, "delta_ps": 0.0},
     ],
-    ids=["list", "string", "no-ps", "null-ps", "text-ps", "no-org", "no-entity"],
+    ids=["list", "string", "no-ps", "null-ps", "text-ps", "bool-ps", "bool-delta-ps", "no-org",
+         "no-entity"],
 )
 def test_chart_rejects_a_row_that_is_not_a_polarity_row(row):
     with pytest.raises(ValueError, match="chart row 1: expected an object"):
