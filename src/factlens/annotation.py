@@ -227,10 +227,10 @@ def annotate_corpus(
     only through the cache, so one that no cache holds (a per-call
     failure, or any answer without a cache) is sent again. No table of
     answers is kept: an article is parsed as soon as its three responses
-    are in hand; the result keeps corpus order. A per-call failure marks only that tag
-    failed. An unreachable provider aborts the run where its error is
-    raised, so no later article is looked up; requests already in flight
-    finish (and are cached), and those still queued are cancelled.
+    are in hand; the result keeps corpus order. A per-call failure marks
+    only that tag failed. An unreachable provider aborts the run where its
+    error is raised, so no later article is looked up; requests already in
+    flight finish (and are cached), and those still queued are cancelled.
     """
     cache = None
     if config is not None and config.cache_dir is not None:
